@@ -43,10 +43,8 @@ from .manipulation import (
 )
 from .metrics import OutcomeReport, delta, outcome_report, social_cost, true_median
 from .model import (
-    DeclaredState,
     Scenario,
     Space,
-    TieBreakRule,
     delegate,
     delegation_weights,
     nearest_proxy_to_median,

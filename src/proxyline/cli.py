@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dynamics as dyn
@@ -22,7 +23,13 @@ from .fixtures import REPLICATIONS, replicate
 from .generators import random_scenario, random_state
 from .model import Space
 from .oracle import GridSpec, oracle_best_deviation
-from .scenario_io import load_scenario_file, summarize, write_summary, write_trace
+from .scenario_io import (
+    load_scenario_file,
+    run_scenario_file,
+    summarize,
+    write_summary,
+    write_trace,
+)
 
 
 def cmd_run(args) -> int:
@@ -31,15 +38,9 @@ def cmd_run(args) -> int:
     except (ScenarioValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    max_steps = args.max_steps if args.max_steps is not None else sf.max_steps
-    trace = dyn.run_dynamics(
-        sf.scenario,
-        sf.scheduler,
-        sf.policies,
-        max_steps=max_steps,
-        oscillation_window=sf.oscillation_window,
-        mode=sf.mode,
-    )
+    if args.max_steps is not None:
+        sf = replace(sf, max_steps=args.max_steps)
+    trace = run_scenario_file(sf)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / sf.trace_path
@@ -157,6 +158,9 @@ def cmd_check(args) -> int:
         except (ScenarioValidationError, FileNotFoundError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    elif args.random < 1:
+        print("error: --random must be at least 1", file=sys.stderr)
+        return 2
     else:
         seeds = [args.seed + i for i in range(args.random)]
         if args.jobs > 1:
@@ -176,7 +180,7 @@ def cmd_check(args) -> int:
         for name, (passed, total, first_fail) in tally.items():
             rows.append((f"{name} [{passed}/{total}]", passed == total, first_fail))
 
-    width = max(len(name) for name, _, _ in rows) if rows else 0
+    width = max(len(name) for name, _, _ in rows)
     all_ok = True
     for name, ok, detail in rows:
         mark = "PASS" if ok else "FAIL"
@@ -217,7 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("file")
     p_run.add_argument("--max-steps", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=0, help="accepted for interface parity")
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run the invariant suite")

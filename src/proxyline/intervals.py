@@ -75,9 +75,6 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def grid_points(self, step: float, limit: int = 1_000_000) -> list[float]:
         """All multiples of ``step`` inside the interval (finite intervals)."""
         if not self.is_finite():
@@ -142,14 +139,6 @@ class IntervalSet:
     def contains(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
 
-    def intersect_interval(self, other: Interval) -> "IntervalSet":
-        out = []
-        for iv in self.intervals:
-            hit = iv.intersect(other)
-            if hit is not None:
-                out.append(hit)
-        return IntervalSet(out)
-
     def has_grid_point(self, step: float) -> bool:
         return any(iv.has_grid_point(step) for iv in self.intervals)
 
@@ -157,27 +146,6 @@ class IntervalSet:
         pts: list[float] = []
         for iv in self.intervals:
             pts.extend(iv.grid_points(step, limit=limit))
-        return pts
-
-    def sample_points(self) -> list[float]:
-        """Finite representatives: midpoints plus near-boundary probes."""
-        pts: list[float] = []
-        for iv in self.intervals:
-            lo, hi = iv.lo, iv.hi
-            if math.isinf(lo) and math.isinf(hi):
-                pts.append(0.0)
-                continue
-            if math.isinf(lo):
-                pts.append(hi - 1.0 if iv.hi_open else hi)
-                continue
-            if math.isinf(hi):
-                pts.append(lo + 1.0 if iv.lo_open else lo)
-                continue
-            pts.append((lo + hi) / 2.0)
-            if not iv.lo_open:
-                pts.append(lo)
-            if not iv.hi_open:
-                pts.append(hi)
         return pts
 
     def __eq__(self, other) -> bool:

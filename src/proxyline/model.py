@@ -1,8 +1,9 @@
 """Ground-truth types, Tullock delegation, and the weighted-median rule.
 
 Proxy ids are 0-based throughout the API; the CLI adds 1 when reporting.
-All functions here are pure and deterministic: ties are broken by fixed
-rules carried in :class:`TieBreakRule`, never by randomness or history.
+All functions here are pure and deterministic: delegation ties go to the
+lower proxy index and weighted-median ties to the smallest (position,
+index) pair, never to randomness or history.
 """
 
 from __future__ import annotations
@@ -12,24 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import EmptyElectorateError, ScenarioValidationError
-
-
-class DelegationTie(enum.Enum):
-    """Tie rule for a follower equidistant from two proxies."""
-
-    LOWER_PROXY_INDEX = "lower_proxy_index"
-
-
-class WmTie(enum.Enum):
-    """Tie rule among qualifying weighted-median elements."""
-
-    POSITION_THEN_INDEX = "position_then_index"
-
-
-@dataclass(frozen=True)
-class TieBreakRule:
-    delegation_tie: DelegationTie = DelegationTie.LOWER_PROXY_INDEX
-    wm_tie: WmTie = WmTie.POSITION_THEN_INDEX
 
 
 class SpaceKind(enum.Enum):
@@ -71,12 +54,11 @@ class Space:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable ground truth: peaks, follower positions, space, tie rules."""
+    """Immutable ground truth: peaks, follower positions, space."""
 
     proxy_peaks: tuple[float, ...]
     follower_positions: tuple[float, ...] = ()
     space: Space = field(default_factory=Space.continuous)
-    tie_break: TieBreakRule = field(default_factory=TieBreakRule)
 
     def __post_init__(self):
         object.__setattr__(self, "proxy_peaks", tuple(float(p) for p in self.proxy_peaks))
@@ -120,10 +102,10 @@ class Scenario:
         return lo - span, hi + span
 
     def with_space(self, space: Space) -> "Scenario":
-        return Scenario(self.proxy_peaks, self.follower_positions, space, self.tie_break)
+        return Scenario(self.proxy_peaks, self.follower_positions, space)
 
     def with_followers(self, followers: tuple[float, ...]) -> "Scenario":
-        return Scenario(self.proxy_peaks, followers, self.space, self.tie_break)
+        return Scenario(self.proxy_peaks, followers, self.space)
 
 
 def _check_state(scenario: Scenario, declared: list[float]) -> None:
@@ -150,11 +132,7 @@ def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     return out
 
 
-def weighted_median(
-    values: list[float],
-    weights: list[float],
-    tie_break: TieBreakRule | None = None,
-) -> tuple[int, float]:
+def weighted_median(values: list[float], weights: list[float]) -> tuple[int, float]:
     """Weighted median element of ``values``.
 
     Returns the (index, value) of an element whose strictly-smaller
@@ -205,7 +183,7 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
     """
     _check_state(scenario, declared)
     pool = list(declared) + list(scenario.follower_positions)
-    _, value = weighted_median(pool, [1.0] * len(pool), scenario.tie_break)
+    _, value = weighted_median(pool, [1.0] * len(pool))
     return value
 
 
@@ -221,7 +199,7 @@ def wm_winner(scenario: Scenario, declared: list[float]) -> tuple[int, float]:
     """Winner under the weighted-median rule: (proxy id, winning position)."""
     _check_state(scenario, declared)
     weights = delegation_weights(scenario, declared)
-    return weighted_median(declared, weights, scenario.tie_break)
+    return weighted_median(declared, weights)
 
 
 def nearest_proxy_to_median(scenario: Scenario, declared: list[float]) -> int:
@@ -240,36 +218,3 @@ def nearest_proxy_to_median(scenario: Scenario, declared: list[float]) -> int:
             best_j, best_d = j, d
     return best_j
 
-
-class DeclaredState:
-    """A declared position vector with lazily computed derived quantities."""
-
-    def __init__(self, scenario: Scenario, declared: list[float]):
-        _check_state(scenario, declared)
-        self.scenario = scenario
-        self.declared = list(declared)
-
-    @property
-    def assignment(self) -> list[int]:
-        return delegate(self.scenario, self.declared)
-
-    @property
-    def weights(self) -> list[float]:
-        return delegation_weights(self.scenario, self.declared)
-
-    @property
-    def winner_id(self) -> int:
-        return wm_winner(self.scenario, self.declared)[0]
-
-    @property
-    def winner_position(self) -> float:
-        return wm_winner(self.scenario, self.declared)[1]
-
-    @property
-    def median(self) -> float:
-        return unweighted_median(self.scenario, self.declared)
-
-    def replace(self, proxy_id: int, position: float) -> "DeclaredState":
-        declared = list(self.declared)
-        declared[proxy_id] = position
-        return DeclaredState(self.scenario, declared)

@@ -7,10 +7,19 @@ rejected so typos fail loudly, with dotted-path diagnostics.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import DynamicsTrace, MoveRecord, PolicyKind, PolicySpec, Scheduler, StopReason
+from .dynamics import (
+    DynamicsTrace,
+    MoveRecord,
+    PolicyKind,
+    PolicySpec,
+    Scheduler,
+    StopReason,
+    run_dynamics,
+)
 from .errors import ScenarioValidationError
 from .metrics import delta, social_cost
 from .model import Scenario, Space
@@ -25,12 +34,10 @@ class ScenarioFile:
     scheduler: Scheduler
     max_steps: int = 100
     oscillation_window: int = 16
-    alpha: float = 0.9
     mode: str = "full_info"
     trace_path: str = "trace.jsonl"
     summary_path: str = "summary.json"
     alt_followers: tuple[float, ...] | None = None
-    name: str = ""
 
 
 def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -39,29 +46,57 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ScenarioValidationError(f"{path}.{key}", "unknown field")
 
 
+def _object(obj, path: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ScenarioValidationError(path, "expected an object")
+    return obj
+
+
+def _int(obj, path: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ScenarioValidationError(path, "expected an integer")
+    return obj
+
+
+def _bool(obj, path: str) -> bool:
+    if not isinstance(obj, bool):
+        raise ScenarioValidationError(path, "expected true or false")
+    return obj
+
+
+def _str(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        raise ScenarioValidationError(path, "expected a string")
+    return obj
+
+
+def _number(obj, path: str) -> float:
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
+        raise ScenarioValidationError(path, "expected a finite number")
+    return float(obj)
+
+
 def _number_list(obj, path: str) -> list[float]:
-    if not isinstance(obj, list) or not all(isinstance(x, (int, float)) for x in obj):
+    if not isinstance(obj, list):
         raise ScenarioValidationError(path, "expected a list of numbers")
-    return [float(x) for x in obj]
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(obj)]
 
 
 def _parse_space(obj, path: str) -> Space:
-    if obj is None:
-        return Space.continuous()
-    _require_keys(obj, {"kind", "step"}, path)
+    _require_keys(_object(obj, path), {"kind", "step"}, path)
     kind = obj.get("kind")
     if kind == "continuous":
         return Space.continuous()
     if kind == "discrete":
-        return Space.discrete(float(obj.get("step", 1.0)))
+        return Space.discrete(_number(obj.get("step", 1.0), f"{path}.step"))
     raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
 def _parse_policy(obj, path: str) -> PolicySpec:
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError(path, "expected a policy object")
     _require_keys(
-        obj, {"kind", "fraction", "alpha1", "decay", "positions", "truth_oriented"}, path
+        _object(obj, path),
+        {"kind", "fraction", "alpha1", "decay", "positions", "truth_oriented"},
+        path,
     )
     try:
         kind = PolicyKind(obj.get("kind"))
@@ -69,52 +104,45 @@ def _parse_policy(obj, path: str) -> PolicySpec:
         raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
     return PolicySpec(
         kind=kind,
-        fraction=float(obj.get("fraction", 0.5)),
-        alpha1=float(obj.get("alpha1", 0.25)),
-        decay=float(obj.get("decay", 0.5)),
+        fraction=_number(obj.get("fraction", 0.5), f"{path}.fraction"),
+        alpha1=_number(obj.get("alpha1", 0.25), f"{path}.alpha1"),
+        decay=_number(obj.get("decay", 0.5), f"{path}.decay"),
         positions=tuple(_number_list(obj.get("positions", []), f"{path}.positions")),
-        truth_oriented=bool(obj.get("truth_oriented", False)),
+        truth_oriented=_bool(obj.get("truth_oriented", False), f"{path}.truth_oriented"),
     )
 
 
 def _parse_scheduler(obj, path: str) -> Scheduler:
-    if obj is None:
-        return Scheduler.round_robin()
-    _require_keys(obj, {"kind", "order"}, path)
+    _require_keys(_object(obj, path), {"kind", "order"}, path)
     kind = obj.get("kind")
     if kind == "round_robin":
         return Scheduler.round_robin()
     if kind == "scripted":
         order = obj.get("order", [])
-        if not isinstance(order, list) or not all(isinstance(x, int) for x in order):
+        if not isinstance(order, list):
             raise ScenarioValidationError(f"{path}.order", "expected a list of 1-based proxy ids")
-        return Scheduler.scripted([x - 1 for x in order])
+        return Scheduler.scripted(
+            [_int(x, f"{path}.order[{i}]") - 1 for i, x in enumerate(order)]
+        )
     raise ScenarioValidationError(f"{path}.kind", f"unknown scheduler kind {kind!r}")
 
 
-def parse_scenario_file(doc: dict, name: str = "") -> ScenarioFile:
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError("$", "expected a JSON object")
+def parse_scenario_file(doc: dict) -> ScenarioFile:
     _require_keys(
-        doc, {"schema_version", "scenario", "policies", "scheduler", "run", "mode", "output"}, "$"
+        _object(doc, "$"),
+        {"schema_version", "scenario", "policies", "scheduler", "run", "mode", "output"},
+        "$",
     )
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioValidationError("$.schema_version", f"expected {SCHEMA_VERSION}")
-    sc_obj = doc.get("scenario")
-    if not isinstance(sc_obj, dict):
-        raise ScenarioValidationError("$.scenario", "required object")
-    _require_keys(
-        sc_obj, {"proxies", "followers", "space", "tie_break", "alt_followers"}, "$.scenario"
-    )
-    if "tie_break" in sc_obj:
-        _require_keys(
-            sc_obj["tie_break"], {"delegation_tie", "wm_tie"}, "$.scenario.tie_break"
-        )  # single supported rule each; presence is allowed for explicitness
+    sc_obj = _object(doc.get("scenario"), "$.scenario")
+    _require_keys(sc_obj, {"proxies", "followers", "space", "alt_followers"}, "$.scenario")
     proxies = _number_list(sc_obj.get("proxies", []), "$.scenario.proxies")
     if not proxies:
         raise ScenarioValidationError("$.scenario.proxies", "at least one proxy required")
     followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers")
-    space = _parse_space(sc_obj.get("space"), "$.scenario.space")
+    space = _parse_space(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
     scenario = Scenario(tuple(proxies), tuple(followers), space)
     alt = None
     if "alt_followers" in sc_obj:
@@ -125,29 +153,27 @@ def parse_scenario_file(doc: dict, name: str = "") -> ScenarioFile:
         raise ScenarioValidationError("$.policies", "expected one policy per proxy")
     policies = [_parse_policy(p, f"$.policies[{i}]") for i, p in enumerate(pol_obj)]
 
-    scheduler = _parse_scheduler(doc.get("scheduler"), "$.scheduler")
+    scheduler = _parse_scheduler(doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler")
 
-    run_obj = doc.get("run", {}) or {}
-    _require_keys(run_obj, {"max_steps", "oscillation_window", "alpha"}, "$.run")
+    run_obj = _object(doc.get("run", {}), "$.run")
+    _require_keys(run_obj, {"max_steps", "oscillation_window"}, "$.run")
     mode = doc.get("mode", "full_info")
     if mode not in ("full_info", "partial_info"):
         raise ScenarioValidationError("$.mode", f"unknown mode {mode!r}")
 
-    out_obj = doc.get("output", {}) or {}
+    out_obj = _object(doc.get("output", {}), "$.output")
     _require_keys(out_obj, {"trace", "summary"}, "$.output")
 
     return ScenarioFile(
         scenario=scenario,
         policies=policies,
         scheduler=scheduler,
-        max_steps=int(run_obj.get("max_steps", 100)),
-        oscillation_window=int(run_obj.get("oscillation_window", 16)),
-        alpha=float(run_obj.get("alpha", 0.9)),
+        max_steps=_int(run_obj.get("max_steps", 100), "$.run.max_steps"),
+        oscillation_window=_int(run_obj.get("oscillation_window", 16), "$.run.oscillation_window"),
         mode=mode,
-        trace_path=str(out_obj.get("trace", "trace.jsonl")),
-        summary_path=str(out_obj.get("summary", "summary.json")),
+        trace_path=_str(out_obj.get("trace", "trace.jsonl"), "$.output.trace"),
+        summary_path=_str(out_obj.get("summary", "summary.json"), "$.output.summary"),
         alt_followers=alt,
-        name=name,
     )
 
 
@@ -157,7 +183,19 @@ def load_scenario_file(path: str | Path) -> ScenarioFile:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(str(p), f"invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_scenario_file(doc, name=p.stem)
+    return parse_scenario_file(doc)
+
+
+def run_scenario_file(sf: ScenarioFile) -> DynamicsTrace:
+    """Play a scenario file's policies under its scheduler, mode and limits."""
+    return run_dynamics(
+        sf.scenario,
+        sf.scheduler,
+        sf.policies,
+        max_steps=sf.max_steps,
+        oscillation_window=sf.oscillation_window,
+        mode=sf.mode,
+    )
 
 
 def record_to_dict(rec: MoveRecord) -> dict:
@@ -177,7 +215,9 @@ def record_to_dict(rec: MoveRecord) -> dict:
 
 
 def write_trace(trace: DynamicsTrace, path: Path) -> None:
-    lines = [json.dumps(record_to_dict(r), sort_keys=True) for r in trace.records]
+    lines = [
+        json.dumps(record_to_dict(r), sort_keys=True, allow_nan=False) for r in trace.records
+    ]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -205,10 +245,16 @@ def summarize(trace: DynamicsTrace) -> dict:
     }
     if trace.interval_history:
         summary["median_intervals"] = [
-            [iv.lo, iv.hi, iv.lo_open, iv.hi_open] for iv in trace.interval_history
+            [_finite_or_null(iv.lo), _finite_or_null(iv.hi), iv.lo_open, iv.hi_open]
+            for iv in trace.interval_history
         ]
     return summary
 
 
+def _finite_or_null(x: float) -> float | None:
+    """RFC 8259 has no infinities: an unbounded interval end is null."""
+    return x if math.isfinite(x) else None
+
+
 def write_summary(summary: dict, path: Path) -> None:
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")

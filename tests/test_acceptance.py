@@ -19,14 +19,8 @@ from proxyline import (
     StopReason,
 )
 from proxyline.dynamics import detect_meta_moves, trace_is_monotone
-from proxyline.fixtures import (
-    appendix_a_policies,
-    appendix_a_scenario,
-    appendix_b_opening,
-    appendix_b_scenario,
-    example1_scenario,
-    replicate,
-)
+from proxyline.fixtures import appendix_b_opening, load_fixture, replicate
+from proxyline.scenario_io import run_scenario_file
 from proxyline.generators import random_scenario
 
 
@@ -46,7 +40,7 @@ def criterion(num, desc, budget=None):
 
 def test_criterion_1_example1_replication():
     with criterion(1, "Example 1: truthful winner is proxy 1 at -1", budget=1.0):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         wid, wpos = px.wm_winner(sc, sc.truthful_state())
         assert wid == 0 and wpos == -1.0
         assert replicate("example1").ok
@@ -54,7 +48,7 @@ def test_criterion_1_example1_replication():
 
 def test_criterion_2_example2_replication():
     with criterion(2, "Example 2: report 1-eps wins and strictly improves", budget=1.0):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         truthful = sc.truthful_state()
         for eps in (0.25, 0.5, 1.0):
             report = 1.0 - eps
@@ -182,7 +176,7 @@ def test_criterion_5_and_6_bounds_and_delta_lemmas():
 
 def test_criterion_7_example3_divergence():
     with criterion(7, "Example 3: oscillation at delta = 1/2, points +-1/2"):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         base_delta = px.delta(sc, sc.truthful_state())
         policies = [
             PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=base_delta / 4, decay=0.5)
@@ -227,10 +221,9 @@ def test_criterion_8_discrete_convergence_and_fbrp():
 
 def test_criterion_9_appendix_a():
     with criterion(9, "Appendix A: scripted discrete play ends at 5; SC 84 -> 86"):
-        sc = appendix_a_scenario()
-        trace = px.run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        sf = load_fixture("appendix_a")
+        sc = sf.scenario
+        trace = run_scenario_file(sf)
         assert trace.stop_reason == StopReason.PNE
         assert trace.final_outcome() == 5.0
         assert px.social_cost(sc, trace.initial_outcome()) == 84.0
@@ -242,8 +235,9 @@ def test_criterion_9_appendix_a():
 
 def test_criterion_10_appendix_b():
     with criterion(10, "Appendix B: intervals exact; outcome 25; dominating sets"):
-        sc = appendix_b_scenario()
-        declared, belief, trace = appendix_b_opening(sc)
+        sf = load_fixture("appendix_b")
+        sc = sf.scenario
+        declared, belief, trace = appendix_b_opening(sf)
         history = trace.interval_history
         assert math.isinf(history[0].lo) and history[0].hi == 30.0
         assert (history[1].lo, history[1].hi) == (-0.5, 30.0)

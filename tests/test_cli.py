@@ -1,12 +1,14 @@
 """CLI surface: run/check/replicate, schemas, determinism, exit codes."""
 
 import json
+import math
 
 import pytest
 
+from proxyline import fixtures
 from proxyline.cli import main
 from proxyline.errors import ScenarioValidationError
-from proxyline.fixtures import REPLICATIONS, fixtures_dir
+from proxyline.fixtures import REPLICATIONS, fixtures_dir, replicate
 from proxyline.scenario_io import load_scenario_file, parse_scenario_file
 
 
@@ -68,6 +70,24 @@ class TestRun:
         bad.write_text("{ not json")
         assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
 
+    def test_outputs_are_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"non-RFC 8259 constant {constant}")
+
+        for path in sorted(fixtures_dir().glob("*.json")):
+            out = tmp_path / path.stem
+            assert main(["--output-dir", str(out), "run", str(path)]) == 0
+            summary, trace = sorted(out.glob("*summary.json")), sorted(out.glob("*trace.jsonl"))
+            assert len(summary) == len(trace) == 1
+            json.loads(summary[0].read_text(), parse_constant=reject)
+            for line in trace[0].read_text().splitlines():
+                json.loads(line, parse_constant=reject)
+
+    def test_unbounded_interval_end_is_null(self, tmp_path):
+        assert main(["--output-dir", str(tmp_path), "run", fixture_path("appendix_b")]) == 0
+        summary = json.loads((tmp_path / "appendix_b_summary.json").read_text())
+        assert summary["median_intervals"][0][0] is None
+
     def test_max_steps_override(self, tmp_path):
         code = main([
             "--output-dir", str(tmp_path), "run", fixture_path("example3"), "--max-steps", "3",
@@ -105,6 +125,52 @@ class TestSchema:
         with pytest.raises(ScenarioValidationError, match="policies"):
             parse_scenario_file(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            ("run", "max_steps", 2.9, "$.run.max_steps"),
+            ("run", "max_steps", True, "$.run.max_steps"),
+            ("run", "max_steps", "ten", "$.run.max_steps"),
+            ("run", "oscillation_window", 1.5, "$.run.oscillation_window"),
+            ("run", "alpha", 0.9, "$.run.alpha"),
+            ("policies", "truth_oriented", "no", "$.policies[0].truth_oriented"),
+            ("policies", "fraction", "x", "$.policies[0].fraction"),
+            ("policies", "alpha1", math.inf, "$.policies[0].alpha1"),
+            ("policies", "decay", True, "$.policies[0].decay"),
+            ("policies", "positions", [math.nan], "$.policies[0].positions[0]"),
+            ("scenario", "proxies", [math.nan, 1.5], "$.scenario.proxies[0]"),
+            ("scenario", "proxies", [True, 1.5], "$.scenario.proxies[0]"),
+            ("scenario", "followers", [0, "a"], "$.scenario.followers[1]"),
+            ("scenario", "space", [], "$.scenario.space"),
+            ("scenario", "space", {"kind": "discrete", "step": "a"}, "$.scenario.space.step"),
+            ("scenario", "tie_break", {"delegation_tie": "lower_proxy_index"},
+             "$.scenario.tie_break"),
+            ("scheduler", "order", [2, True], "$.scheduler.order[1]"),
+            (None, "schema_version", True, "$.schema_version"),
+            (None, "schema_version", 1.0, "$.schema_version"),
+            (None, "scheduler", [], "$.scheduler"),
+            (None, "run", [], "$.run"),
+            (None, "output", "out", "$.output"),
+            ("output", "trace", 5, "$.output.trace"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, section, key, value, path):
+        doc = self.base_doc()
+        if section is None:
+            doc[key] = value
+        elif section == "policies":
+            doc["policies"][0][key] = value
+        elif section == "scheduler":
+            doc["scheduler"] = {"kind": "scripted", key: value}
+        else:
+            doc[section][key] = value
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario_file(doc)
+        assert exc.value.path == path
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
+
     def test_all_committed_fixtures_load(self):
         for path in sorted(fixtures_dir().glob("*.json")):
             load_scenario_file(path)
@@ -121,6 +187,11 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "identical_observed_state" in out
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_random_instances_is_an_error(self, count, capsys):
+        assert main(["check", "--random", count]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0
 
@@ -132,3 +203,25 @@ class TestReplicate:
     @pytest.mark.parametrize("name", sorted(REPLICATIONS))
     def test_every_fixture_passes(self, name):
         assert main(["replicate", name]) == 0
+
+    @pytest.mark.parametrize(
+        "name, tamper",
+        [
+            ("example1", lambda r: r.record("stray", 0.0)),  # no expected entry
+            ("fig7_indistinguishable", lambda r: r.record("stray", 0.0)),  # no expected file
+            ("example1", lambda r: r.values.pop("median")),  # entry never produced
+        ],
+    )
+    def test_expected_diff_fails_both_ways(self, monkeypatch, name, tamper):
+        play = REPLICATIONS[name]
+        monkeypatch.setitem(REPLICATIONS, name, lambda r: (play(r), tamper(r)))
+        assert not replicate(name).ok
+        assert main(["replicate", name]) == 1
+
+    def test_every_fixture_file_is_replicated(self, monkeypatch):
+        loaded = set()
+        load = fixtures.load_fixture
+        monkeypatch.setattr(fixtures, "load_fixture", lambda name: loaded.add(name) or load(name))
+        for name in REPLICATIONS:
+            replicate(name)
+        assert loaded == {path.stem for path in fixtures_dir().glob("*.json")}

@@ -20,20 +20,15 @@ from proxyline import (
     wm_winner,
 )
 from proxyline.dynamics import replay_consistent, trace_is_monotone
-from proxyline.fixtures import (
-    appendix_a_policies,
-    appendix_a_scenario,
-    example1_scenario,
-    fig3_scenario,
-    fig5_scenario,
-)
+from proxyline.fixtures import load_fixture
+from proxyline.scenario_io import run_scenario_file
 
 MONO = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
 
 
 class TestStep:
     def test_example2_monotone_mover_wins(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         rec = step(sc, sc.truthful_state(), 1, MONO)
         assert rec is not None
         assert 0.0 < rec.to_pos < 1.5
@@ -41,12 +36,12 @@ class TestStep:
         assert rec.wm_after == rec.to_pos
 
     def test_empty_better_response_set_passes(self):
-        sc = fig3_scenario()
+        sc = load_fixture("fig3_one_side").scenario
         for j in range(sc.num_proxies):
             assert step(sc, sc.truthful_state(), j, MONO) is None
 
     def test_appendix_a_first_best_response_is_10(self):
-        sc = appendix_a_scenario()
+        sc = load_fixture("appendix_a").scenario
         rec = step(sc, sc.truthful_state(), 4, PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE))
         assert rec is not None
         assert rec.to_pos == 10.0
@@ -59,51 +54,45 @@ class TestStep:
         assert rec is not None and rec.to_pos == 0.25  # the peak, not the script
 
     def test_rejected_nonimproving_script_passes(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         spec = PolicySpec(PolicyKind.SCRIPTED, positions=(-4.0,))
         assert step(sc, sc.truthful_state(), 1, spec) is None
 
 
 class TestRunDynamics:
     def test_one_sided_scenario_immediate_pne(self):
-        sc = fig3_scenario()
+        sc = load_fixture("fig3_one_side").scenario
         trace = run_dynamics(sc, Scheduler.round_robin(), [MONO] * 4, max_steps=10)
         assert trace.stop_reason == StopReason.PNE
         assert not trace.records
         assert trace.final_outcome() == wm_winner(sc, sc.truthful_state())[1]
 
     def test_appendix_a_scripted_reaches_pne_at_5(self):
-        sc = appendix_a_scenario()
-        trace = run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        trace = run_scenario_file(load_fixture("appendix_a"))
         assert trace.stop_reason == StopReason.PNE
         assert trace.final_outcome() == 5.0
         assert [r.mover for r in trace.records] == [4, 1, 2, 3, 0, 4]
 
     def test_example3_oscillates(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         pols = [PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=0.25, decay=0.5)] * 2
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=200)
         assert trace.stop_reason == StopReason.OSCILLATION_DETECTED
         assert trace.limit_delta == pytest.approx(0.5, abs=1e-6)
 
     def test_max_steps_respected(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         pols = [PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=0.25, decay=0.5)] * 2
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=3)
         assert trace.stop_reason == StopReason.MAX_STEPS
         assert len(trace.records) == 3
 
     def test_replay_consistency(self):
-        sc = appendix_a_scenario()
-        trace = run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        trace = run_scenario_file(load_fixture("appendix_a"))
         assert replay_consistent(trace)
 
     def test_validation_errors(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         with pytest.raises(ConfigurationError):
             run_dynamics(sc, Scheduler.round_robin(), [MONO] * 2, max_steps=0)
         with pytest.raises(ConfigurationError):
@@ -112,7 +101,7 @@ class TestRunDynamics:
             run_dynamics(sc, Scheduler.round_robin(), [MONO], max_steps=5)
         with pytest.raises(ConfigurationError):  # oscillating needs continuous space
             run_dynamics(
-                appendix_a_scenario(),
+                load_fixture("appendix_a").scenario,
                 Scheduler.round_robin(),
                 [PolicySpec(PolicyKind.OSCILLATING_ALPHA)] * 5,
                 max_steps=5,
@@ -130,12 +119,7 @@ class TestRunDynamics:
 
 
 def fig5_trace():
-    sc = fig5_scenario()
-    pols = [
-        PolicySpec(PolicyKind.SCRIPTED),
-        PolicySpec(PolicyKind.SCRIPTED, positions=(2.0, 3.0)),
-    ]
-    return run_dynamics(sc, Scheduler.scripted([1, 1]), pols, max_steps=2)
+    return run_scenario_file(load_fixture("fig5_metamove"))
 
 
 class TestMetaMoves:
@@ -163,10 +147,7 @@ class TestMetaMoves:
         assert detect_meta_moves(trace) == []
 
     def test_appendix_a_every_arrival_is_length_zero(self):
-        sc = appendix_a_scenario()
-        trace = run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        trace = run_scenario_file(load_fixture("appendix_a"))
         segments = detect_meta_moves(trace)
         assert len(segments) == 6
         assert all(seg.length == 0 for seg in segments)
@@ -174,21 +155,18 @@ class TestMetaMoves:
 
 class TestBoundInvariant:
     def test_appendix_a_trace_within_truthful_ball(self):
-        sc = appendix_a_scenario()
-        trace = run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        trace = run_scenario_file(load_fixture("appendix_a"))
         assert trace.initial_delta == 11.0
         assert check_bound_invariant(trace)
 
     def test_example3_trace_within_ball(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         pols = [PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=0.25, decay=0.5)] * 2
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=200)
         assert check_bound_invariant(trace)
 
     def test_empty_trace_trivially_true(self):
-        sc = fig3_scenario()
+        sc = load_fixture("fig3_one_side").scenario
         trace = run_dynamics(sc, Scheduler.round_robin(), [MONO] * 4, max_steps=5)
         assert not trace.records and check_bound_invariant(trace)
 
@@ -204,7 +182,7 @@ class TestClassification:
         assert not labels_tight[0].big  # 3.0 >= 0.5 * 4.0
 
     def test_example3_tail_goes_small(self):
-        sc = example1_scenario()
+        sc = load_fixture("example1").scenario
         pols = [PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=0.25, decay=0.5)] * 2
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=200)
         labels = classify_meta_steps(trace, alpha=0.9)
@@ -234,10 +212,7 @@ class TestMonotoneMedianCheck:
 
     def test_appendix_a_trace_median_moves(self):
         # the scripted cross-median moves shift the median 0 -> 1 -> 5
-        sc = appendix_a_scenario()
-        trace = run_dynamics(
-            sc, Scheduler.scripted([4, 1, 2, 3, 0, 4]), appendix_a_policies(), max_steps=20
-        )
+        trace = run_scenario_file(load_fixture("appendix_a"))
         assert [r.median_after for r in trace.records] == [0.0, 1.0, 5.0, 5.0, 5.0, 5.0]
         assert not monotone_median_check(trace)
         assert not trace_is_monotone(trace)

@@ -15,12 +15,12 @@ from proxyline import (
     true_median,
     wm_winner,
 )
-from proxyline.fixtures import appendix_a_scenario, example1_scenario, fig3_scenario
+from proxyline.fixtures import load_fixture
 
 
 @pytest.fixture
 def example1():
-    return example1_scenario()
+    return load_fixture("example1").scenario
 
 
 class TestIsBetterResponse:
@@ -41,7 +41,7 @@ class TestIsBetterResponse:
 
 class TestBetterResponseSet:
     def test_pne_state_is_empty_for_everyone(self):
-        sc = fig3_scenario()
+        sc = load_fixture("fig3_one_side").scenario
         for j in range(sc.num_proxies):
             assert better_response_set(sc, sc.truthful_state(), j).is_empty()
 
@@ -57,7 +57,7 @@ class TestBetterResponseSet:
             assert brs.contains(x) == is_better_response(example1, truthful, 1, x)
 
     def test_appendix_a_s5_losing_proxy_5_nonempty(self):
-        sc = appendix_a_scenario().with_space(Space.continuous())
+        sc = load_fixture("appendix_a").scenario.with_space(Space.continuous())
         s5 = [4.0, 9.0, 8.0, 7.0, 10.0]
         assert wm_winner(sc, s5) == (0, 4.0)
         brs = better_response_set(sc, s5, 4)
@@ -97,7 +97,8 @@ class TestCharacterization:
         )
 
     def test_one_sided_not_manipulable(self):
-        assert not characterize_truthful_manipulability(fig3_scenario()).manipulable
+        sc = load_fixture("fig3_one_side").scenario
+        assert not characterize_truthful_manipulability(sc).manipulable
 
     def test_peak_at_median_not_manipulable(self):
         sc = Scenario((-1.0, 0.0, 2.0), (0.5, -0.5))
@@ -123,7 +124,7 @@ class TestCharacterization:
 
 class TestIsPne:
     def test_appendix_a_final_state_discrete(self):
-        sc = appendix_a_scenario()
+        sc = load_fixture("appendix_a").scenario
         assert is_pne(sc, [4.0, 9.0, 8.0, 7.0, 5.0])
 
     def test_manipulable_truthful_state_is_not_pne(self, example1):
@@ -144,7 +145,7 @@ class TestFollowerScan:
         assert follower_manipulation_scan(example1, 0.1) is None
 
     def test_appendix_b_no_witness(self):
-        sc = Scenario((-30.0, 90.0), (-50.0, 0.0, 10.0))
+        sc = load_fixture("appendix_b").scenario
         assert follower_manipulation_scan(sc, 1.0) is None
 
     def test_no_followers_vacuous(self):

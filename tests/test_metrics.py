@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxyline import Scenario, Space, delta, outcome_report, social_cost, true_median
+from proxyline import Scenario, delta, outcome_report, social_cost, true_median
+from proxyline.fixtures import load_fixture
 
 
 @pytest.fixture
 def appendix_a():
-    return Scenario((-11.0, -13.0, -13.0, -13.0, 12.0), (5.0, 5.0, 1.0, 0.0), Space.discrete(1.0))
+    return load_fixture("appendix_a").scenario
 
 
 @pytest.fixture
 def appendix_b():
-    return Scenario((-30.0, 90.0), (-50.0, 0.0, 10.0))
+    return load_fixture("appendix_b").scenario
 
 
 def test_appendix_a_truthful_cost(appendix_a):
@@ -41,7 +42,7 @@ def test_social_cost_rejects_nonfinite(appendix_b):
 
 
 def test_delta_example1():
-    sc = Scenario((-1.0, 1.5), (0.0,))
+    sc = load_fixture("example1").scenario
     assert delta(sc, [-1.0, 1.5]) == 1.0
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyline import (
-    DeclaredState,
     EmptyElectorateError,
     Scenario,
     ScenarioValidationError,
@@ -17,16 +16,17 @@ from proxyline import (
     weighted_median,
     wm_winner,
 )
+from proxyline.fixtures import load_fixture
 
 
 @pytest.fixture
 def example1():
-    return Scenario((-1.0, 1.5), (0.0,))
+    return load_fixture("example1").scenario
 
 
 @pytest.fixture
 def appendix_b():
-    return Scenario((-30.0, 90.0), (-50.0, 0.0, 10.0))
+    return load_fixture("appendix_b").scenario
 
 
 class TestDelegate:
@@ -175,18 +175,3 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError):
             wm_winner(example1, [0.0])
 
-
-class TestDeclaredState:
-    def test_derived_fields(self, example1):
-        state = DeclaredState(example1, [-1.0, 1.5])
-        assert state.assignment == [0]
-        assert state.weights == [2.0, 1.0]
-        assert state.winner_id == 0
-        assert state.winner_position == -1.0
-        assert state.median == 0.0
-
-    def test_replace_is_functional(self, example1):
-        state = DeclaredState(example1, [-1.0, 1.5])
-        moved = state.replace(1, 0.5)
-        assert moved.winner_id == 1 and moved.winner_position == 0.5
-        assert state.declared == [-1.0, 1.5]  # original untouched

@@ -16,7 +16,7 @@ from proxyline import (
     oracle_best_deviation,
     oracle_dominating_check,
 )
-from proxyline.fixtures import appendix_b_scenario, example1_scenario, fig3_scenario
+from proxyline.fixtures import load_fixture
 
 
 def test_gridspec_budget_guard():
@@ -25,7 +25,7 @@ def test_gridspec_budget_guard():
 
 
 def test_example2_best_deviation_just_left_of_one():
-    sc = example1_scenario()
+    sc = load_fixture("example1").scenario
     best = oracle_best_deviation(sc, sc.truthful_state(), 1, GridSpec(-5.0, 5.0, 0.01))
     assert best is not None
     pos, improvement = best
@@ -34,7 +34,7 @@ def test_example2_best_deviation_just_left_of_one():
 
 
 def test_pne_state_has_no_deviation():
-    sc = fig3_scenario()
+    sc = load_fixture("fig3_one_side").scenario
     grid = GridSpec(-10.0, 10.0, 0.25)
     for j in range(sc.num_proxies):
         assert oracle_best_deviation(sc, sc.truthful_state(), j, grid) is None
@@ -71,26 +71,26 @@ def test_agreement_with_better_response_set():
 
 class TestDominatingCheck:
     def test_appendix_b_29_dominates(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         res = oracle_dominating_check(sc, obs, 1, 29.0, profile_samples=300, seed=5)
         assert res.verdict == DominatingVerdict.DOMINATING
 
     def test_staying_put_never_strictly_better(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         res = oracle_dominating_check(sc, obs, 1, 90.0, profile_samples=100, seed=5)
         assert res.verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
 
     def test_crossing_far_past_winner_hurts_somewhere(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         res = oracle_dominating_check(sc, obs, 1, -60.0, profile_samples=500, seed=5)
         assert res.verdict == DominatingVerdict.NOT_WEAKLY_BETTER
         assert res.counterexample is not None
 
     def test_requires_samples(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         with pytest.raises(ValueError):
             oracle_dominating_check(sc, obs, 1, 29.0, profile_samples=0, seed=5)

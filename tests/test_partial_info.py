@@ -29,17 +29,18 @@ from proxyline import (
     unweighted_median,
     update_median_interval,
 )
-from proxyline.fixtures import appendix_b_opening, appendix_b_scenario, fig7_scenarios
+from proxyline.fixtures import appendix_b_opening, load_fixture
 from proxyline.oracle import DominatingVerdict, oracle_dominating_check
 
 
 class TestObserve:
     def test_fig7_pair_indistinguishable(self):
-        top, bottom = fig7_scenarios()
+        sf = load_fixture("fig7_pair")
+        top, bottom = sf.scenario, sf.scenario.with_followers(sf.alt_followers)
         assert observe(top, top.truthful_state()) == observe(bottom, bottom.truthful_state())
 
     def test_appendix_b_truthful(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         assert obs.declared == (-30.0, 90.0)
         assert obs.winner_id == 0
@@ -52,7 +53,7 @@ class TestObserve:
 
 class TestInitInterval:
     def test_appendix_b_unbounded_left(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         iv = init_median_interval(observe(sc, sc.truthful_state()))
         assert math.isinf(iv.lo) and iv.lo < 0
         assert iv.hi == 30.0
@@ -76,8 +77,8 @@ class TestInitInterval:
 
 class TestUpdateInterval:
     def test_appendix_b_updates(self):
-        sc = appendix_b_scenario()
-        _, belief, trace = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, trace = appendix_b_opening(load_fixture("appendix_b"))
         history = trace.interval_history
         assert [iv.lo for iv in history] == [-math.inf, -0.5, -0.5]
         assert [iv.hi for iv in history] == [30.0, 30.0, 27.0]
@@ -128,16 +129,16 @@ class TestUpdateInterval:
 
 class TestDominatingSets:
     def test_appendix_b_s3_proxy2(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         dom = dominating_set_nonwinner(belief, 1, 90.0)
         assert len(dom.intervals) == 1
         iv = dom.intervals[0]
         assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == (25.0, 29.0, True, True)
 
     def test_winner_raises_in_nonwinner_call(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         with pytest.raises(ValueError):
             dominating_set_nonwinner(belief, 0, -30.0)
 
@@ -147,13 +148,13 @@ class TestDominatingSets:
         assert dominating_set_nonwinner(belief, 1, -20.0).is_empty()
 
     def test_winner_at_peak_empty(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         belief = init_belief(observe(sc, sc.truthful_state()))
         assert dominating_set_winner(belief, -30.0).is_empty()
 
     def test_appendix_b_limit_regime_winner_empty(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         # winner at 25 with interval reaching below it: the meta condition fails
         assert dominating_set_winner(belief, -30.0).is_empty()
 
@@ -172,8 +173,8 @@ class TestDominatingSets:
                 assert abs(x - med) < abs(12.0 - med)
 
     def test_nonwinner_members_dominate_under_sampling(self):
-        sc = appendix_b_scenario()
-        declared, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        declared, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         dom = dominating_set_nonwinner(belief, 1, 90.0)
         obs = observe(sc, declared)
         for x in (25.5, 27.0, 28.5):
@@ -232,8 +233,8 @@ class TestMaxRegret:
 
 class TestMinimaxStrategy:
     def test_nonwinner_moves_to_relevant_bound(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         decision = minimax_regret_strategy(belief, 1, 90.0)
         assert decision.chosen == 27.0
         assert max_regret(belief, 1, 27.0, peak=90.0) == pytest.approx(
@@ -241,8 +242,8 @@ class TestMinimaxStrategy:
         )
 
     def test_winner_stays_put(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         decision = minimax_regret_strategy(belief, 0, -30.0)
         assert decision.chosen == 25.0
 
@@ -255,8 +256,8 @@ class TestMinimaxStrategy:
         assert decision.chosen == 3.0  # current report 20 is outside the argmin set
 
     def test_chosen_beats_grid_alternatives(self):
-        sc = appendix_b_scenario()
-        _, belief, _ = appendix_b_opening(sc)
+        sc = load_fixture("appendix_b").scenario
+        _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         best = max_regret(belief, 1, 27.0, peak=90.0)
         for k in range(-100, 900):
             x = k * 0.05
@@ -265,7 +266,8 @@ class TestMinimaxStrategy:
 
 class TestSampling:
     def test_fig7_profiles_both_consistent(self):
-        top, bottom = fig7_scenarios()
+        sf = load_fixture("fig7_pair")
+        top, bottom = sf.scenario, sf.scenario.with_followers(sf.alt_followers)
         obs = observe(top, top.truthful_state())
         from proxyline import wm_winner
 
@@ -274,7 +276,7 @@ class TestSampling:
             assert wm_winner(world, list(obs.declared))[0] == obs.winner_id
 
     def test_samples_keep_median_in_initial_interval(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         iv = init_median_interval(obs)
         for seed in range(50):
@@ -284,7 +286,7 @@ class TestSampling:
             assert iv.contains(med)
 
     def test_deterministic_per_seed(self):
-        sc = appendix_b_scenario()
+        sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
         a = sample_consistent_profile(obs, 3, rng_seed=9)
         b = sample_consistent_profile(obs, 3, rng_seed=9)
