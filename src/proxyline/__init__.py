@@ -16,6 +16,7 @@ from .dynamics import (
     Scheduler,
     StopReason,
     check_bound_invariant,
+    check_delta_lemmas,
     classify_meta_steps,
     detect_meta_moves,
     monotone_median_check,

@@ -103,16 +103,7 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
 
     lemmas_ok = dyn.check_bound_invariant(trace)
     if dyn.trace_is_monotone(trace):
-        for seg in dyn.detect_meta_moves(trace):
-            if not seg.exit_delta < seg.entry_delta:
-                lemmas_ok = False
-        base = trace.initial_delta
-        prev = base
-        for rec in trace.records:
-            if rec.mover != rec.winner_before and rec.winner_after != rec.mover:
-                if not rec.delta_after < prev:
-                    lemmas_ok = False
-            prev = rec.delta_after
+        lemmas_ok &= dyn.check_delta_lemmas(trace)
     results.append(("delta_lemmas_and_bound", lemmas_ok, ""))
 
     part = random_scenario(rng, min_proxies=2, both_sides=True, no_peak_at_median=True)

@@ -20,13 +20,15 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
-from .intervals import Interval
+from .intervals import INF, Interval
 from .manipulation import is_better_response, outcome_pieces
 from .metrics import delta, true_median
 from .model import Scenario, unweighted_median, wm_winner
 from .partial_info import BeliefState, init_belief, minimax_regret_strategy, observe, update_belief
 
 OSCILLATION_TOL = 1e-9
+OSCILLATION_WINDOW = 16  # moves in the tail that must repeat with period 2
+BOUND_TOL = 1e-9  # float slack of the bound invariant
 
 
 class PolicyKind(enum.Enum):
@@ -67,33 +69,26 @@ class PolicySpec:
                     raise ConfigurationError(f"scripted position {p} off grid")
 
 
-class SchedulerKind(enum.Enum):
-    ROUND_ROBIN = "round_robin"
-    SCRIPTED = "scripted"
-
-
 @dataclass(frozen=True)
 class Scheduler:
-    """Turn order. A scripted order falls back to round-robin afterwards,
-    so every proxy keeps getting turns (no starvation) and a full passing
-    round can certify a PNE."""
+    """Turn order: the scripted ``order`` first, then round-robin, so every
+    proxy keeps getting turns (no starvation) and a full passing round can
+    certify a PNE. An empty order is plain round-robin."""
 
-    kind: SchedulerKind = SchedulerKind.ROUND_ROBIN
     order: tuple[int, ...] = ()
 
     @staticmethod
     def round_robin() -> "Scheduler":
-        return Scheduler(SchedulerKind.ROUND_ROBIN)
+        return Scheduler()
 
     @staticmethod
     def scripted(order: list[int]) -> "Scheduler":
-        return Scheduler(SchedulerKind.SCRIPTED, tuple(order))
+        return Scheduler(tuple(order))
 
     def proxy_at(self, turn: int, num_proxies: int) -> int:
-        if self.kind == SchedulerKind.SCRIPTED and turn < len(self.order):
+        if turn < len(self.order):
             return self.order[turn]
-        offset = turn - (len(self.order) if self.kind == SchedulerKind.SCRIPTED else 0)
-        return offset % num_proxies
+        return (turn - len(self.order)) % num_proxies
 
     def validate(self, num_proxies: int) -> None:
         for j in self.order:
@@ -167,22 +162,6 @@ def _moves_by(records: list[MoveRecord], mover: int) -> int:
     return sum(1 for r in records if r.mover == mover)
 
 
-def _best_grid_in_open(a: float, b: float, target: float, step: float) -> float | None:
-    """Grid point in the open interval (a, b) nearest to target."""
-    if a >= b:
-        return None
-    k_lo = math.ceil(a / step - 1e-9)
-    if abs(k_lo * step - a) <= 1e-9 * max(1.0, abs(a)):
-        k_lo += 1
-    k_hi = math.floor(b / step + 1e-9)
-    if abs(k_hi * step - b) <= 1e-9 * max(1.0, abs(b)):
-        k_hi -= 1
-    if k_lo > k_hi:
-        return None
-    k = min(max(round(target / step), k_lo), k_hi)
-    return k * step
-
-
 def _propose_monotone(
     scenario: Scenario, declared: list[float], mover: int, spec: PolicySpec
 ) -> float | None:
@@ -205,7 +184,7 @@ def _propose_monotone(
                 if x >= limit:
                     x = (cur + limit) / 2.0
                 if space.is_discrete:
-                    return _best_grid_in_open(cur, limit, x, space.step)
+                    return Interval.open(cur, limit).nearest_grid_point(x, space.step)
                 return x
         else:
             limit = max(pieces.left_edge, 2.0 * peak - cur)
@@ -214,7 +193,7 @@ def _propose_monotone(
                 if x <= limit:
                     x = (cur + limit) / 2.0
                 if space.is_discrete:
-                    return _best_grid_in_open(limit, cur, x, space.step)
+                    return Interval.open(limit, cur).nearest_grid_point(x, space.step)
                 return x
         return None
 
@@ -229,25 +208,10 @@ def _propose_monotone(
     if dlt == 0:
         return None
     target = (1.0 - spec.fraction) * dlt
-    if space.is_discrete:
-        target = space.snap_down(target)
+    if space.is_discrete:  # largest grid point <= target
+        target = Interval(-INF, target, True, False).nearest_grid_point(target, space.step)
     x = med + own * target
     return x if x != cur else None
-
-
-def _grid_below(edge: float, target: float, step: float) -> float:
-    """Grid point strictly below ``edge`` nearest to ``target``."""
-    k_max = math.floor(edge / step + 1e-9)
-    if abs(k_max * step - edge) <= 1e-9 * max(1.0, abs(edge)):
-        k_max -= 1
-    return min(round(target / step), k_max) * step
-
-
-def _grid_above(edge: float, target: float, step: float) -> float:
-    k_min = math.ceil(edge / step - 1e-9)
-    if abs(k_min * step - edge) <= 1e-9 * max(1.0, abs(edge)):
-        k_min += 1
-    return max(round(target / step), k_min) * step
 
 
 def _propose_discrete_best(
@@ -266,23 +230,18 @@ def _propose_discrete_best(
     # identity stretch (strict wins only: open interval, tie boundaries skipped)
     a = max(pieces.left_edge, peak - cur_d)
     b = min(pieces.right_edge, peak + cur_d)
-    if math.isinf(a) and math.isinf(b):
-        x: float | None = peak  # single proxy: anything wins; the peak is optimal
-        if x != cur:
-            candidates.append((0.0, abs(x - cur), x))
-    else:
-        x = _best_grid_in_open(a, b, peak, step)
-        if x is not None and x != cur:
-            candidates.append((abs(x - peak), abs(x - cur), x))
+    x = Interval.open(a, b).nearest_grid_point(peak, step) if a < b else None
+    if x is not None and x != cur:
+        candidates.append((abs(x - peak), abs(x - cur), x))
     # constant tails: outcome does not depend on where in the tail we stand
     if pieces.left_const is not None and math.isfinite(pieces.left_edge):
         if abs(pieces.left_const - peak) < cur_d:
-            x = _grid_below(pieces.left_edge, peak, step)
+            x = Interval(-INF, pieces.left_edge).nearest_grid_point(peak, step)
             if x != cur:
                 candidates.append((abs(pieces.left_const - peak), abs(x - cur), x))
     if pieces.right_const is not None and math.isfinite(pieces.right_edge):
         if abs(pieces.right_const - peak) < cur_d:
-            x = _grid_above(pieces.right_edge, peak, step)
+            x = Interval(pieces.right_edge, INF).nearest_grid_point(peak, step)
             if x != cur:
                 candidates.append((abs(pieces.right_const - peak), abs(x - cur), x))
     if not candidates:
@@ -370,9 +329,11 @@ def propose(
     spec: PolicySpec,
     records: list[MoveRecord],
     belief: BeliefState | None,
-    mode: str,
 ) -> float | None:
-    if spec.truth_oriented and mode == "full_info":
+    """The policy's proposed report, or None to pass. ``belief`` is None
+    under full information, where truth-oriented policies may report
+    their peak first."""
+    if spec.truth_oriented and belief is None:
         override = _truth_override(scenario, declared, mover)
         if override is not None:
             return override
@@ -398,20 +359,21 @@ def step(
     spec: PolicySpec,
     records: list[MoveRecord] | None = None,
     belief: BeliefState | None = None,
-    mode: str = "full_info",
 ) -> MoveRecord | None:
     """One proxy's turn: propose, validate, and build the move record.
 
-    Returns None when the proxy passes (no proposal, or a proposal that
-    is not acceptable under the mode's rules).
+    Without a belief the full-information rules apply and a proposal must
+    be a strict better response; with one (partial information) any
+    on-grid position change is accepted. Returns None when the proxy
+    passes (no proposal, or a proposal those rules reject).
     """
     records = records if records is not None else []
-    proposal = propose(scenario, declared, mover, spec, records, belief, mode)
+    proposal = propose(scenario, declared, mover, spec, records, belief)
     if proposal is None or proposal == declared[mover]:
         return None
     if scenario.space.is_discrete and not scenario.space.on_grid(proposal):
         return None
-    if mode == "full_info" and not is_better_response(scenario, declared, mover, proposal):
+    if belief is None and not is_better_response(scenario, declared, mover, proposal):
         return None
     winner_before, wm_before = wm_winner(scenario, declared)
     after = list(declared)
@@ -432,13 +394,13 @@ def step(
     )
 
 
-def _detect_oscillation(records: list[MoveRecord], window: int) -> bool:
-    if len(records) < window or window < 4:
+def _detect_oscillation(records: list[MoveRecord]) -> bool:
+    if len(records) < OSCILLATION_WINDOW:
         return False
-    tail = records[-window:]
+    tail = records[-OSCILLATION_WINDOW:]
     wm = [r.wm_after for r in tail]
     dl = [r.delta_after for r in tail]
-    for i in range(2, window):
+    for i in range(2, OSCILLATION_WINDOW):
         if abs(wm[i] - wm[i - 2]) > OSCILLATION_TOL:
             return False
         if abs(dl[i] - dl[i - 2]) > OSCILLATION_TOL:
@@ -451,7 +413,6 @@ def run_dynamics(
     scheduler: Scheduler,
     policies: list[PolicySpec],
     max_steps: int,
-    oscillation_window: int = 16,
     mode: str = "full_info",
     initial_declared: list[float] | None = None,
     initial_belief: BeliefState | None = None,
@@ -466,6 +427,8 @@ def run_dynamics(
         raise ConfigurationError("max_steps must be >= 1")
     if mode not in ("full_info", "partial_info"):
         raise ConfigurationError(f"unknown mode {mode!r}")
+    if initial_belief is not None and mode == "full_info":
+        raise ConfigurationError("an initial belief needs partial_info mode")
     if len(policies) != scenario.num_proxies:
         raise ConfigurationError("one policy per proxy required")
     for spec in policies:
@@ -491,7 +454,7 @@ def run_dynamics(
             break
         mover = scheduler.proxy_at(turn, scenario.num_proxies)
         turn += 1
-        rec = step(scenario, declared, mover, policies[mover], records, belief, mode)
+        rec = step(scenario, declared, mover, policies[mover], records, belief)
         if rec is None:
             passed.add(mover)
             if len(passed) == scenario.num_proxies:
@@ -501,11 +464,10 @@ def run_dynamics(
         passed.clear()
         declared[mover] = rec.to_pos
         records.append(rec)
-        if mode == "partial_info":
-            assert belief is not None
+        if belief is not None:
             belief = update_belief(belief, rec, observe(scenario, declared))
             interval_history.append(belief.interval)
-        if _detect_oscillation(records, oscillation_window):
+        if _detect_oscillation(records):
             stop = StopReason.OSCILLATION_DETECTED
             limit_delta = records[-1].delta_after
             break
@@ -599,13 +561,13 @@ def classify_meta_steps(trace: DynamicsTrace, alpha: float) -> list[MetaStepLabe
     return labels
 
 
-def check_bound_invariant(trace: DynamicsTrace, tol: float = 1e-9) -> bool:
+def check_bound_invariant(trace: DynamicsTrace) -> bool:
     """Medians and outcomes stay within the truthful Δ-ball around the
     true median, and no mover ever declares across the far bound."""
     scenario = trace.scenario
     med0 = true_median(scenario)
     dlt0 = delta(scenario, scenario.truthful_state())
-    lo, hi = med0 - dlt0 - tol, med0 + dlt0 + tol
+    lo, hi = med0 - dlt0 - BOUND_TOL, med0 + dlt0 + BOUND_TOL
     for rec in trace.records:
         if not lo <= rec.median_after <= hi:
             return False
@@ -619,6 +581,20 @@ def check_bound_invariant(trace: DynamicsTrace, tol: float = 1e-9) -> bool:
         if peak == med0 and not lo <= rec.to_pos <= hi:
             return False
     return True
+
+
+def check_delta_lemmas(trace: DynamicsTrace) -> bool:
+    """Lemma 3: every move by a non-winner strictly shrinks Δ. Lemma 4:
+    every meta-move leaves Δ below its entry value. Both are stated for
+    monotone traces; they are exact on a grid and hold up to 1e-12 of
+    rounding in continuous space."""
+    tol = 0.0 if trace.scenario.space.is_discrete else 1e-12
+    prev = trace.initial_delta
+    for rec in trace.records:
+        if rec.mover != rec.winner_before and not rec.delta_after < prev + tol:
+            return False
+        prev = rec.delta_after
+    return all(seg.exit_delta < seg.entry_delta + tol for seg in detect_meta_moves(trace))
 
 
 def monotone_median_check(trace: DynamicsTrace) -> bool:

@@ -7,13 +7,14 @@ import random
 from .metrics import true_median
 from .model import Scenario, Space
 
+MAX_PROXIES = 4
+MAX_FOLLOWERS = 6
+LO, HI = -10, 10  # integer position range
+SPREAD = 3  # largest perturbation random_state applies to a peak
+
 
 def random_scenario(
     rng: random.Random,
-    max_proxies: int = 4,
-    max_followers: int = 6,
-    lo: int = -10,
-    hi: int = 10,
     space: Space | None = None,
     both_sides: bool = False,
     no_peak_at_median: bool = False,
@@ -25,10 +26,10 @@ def random_scenario(
     if both_sides:
         min_proxies = max(min_proxies, 2)
     for _ in range(500):
-        m = rng.randint(min_proxies, max_proxies)
-        n = rng.randint(0, max_followers)
-        peaks = tuple(float(rng.randint(lo, hi)) for _ in range(m))
-        followers = tuple(float(rng.randint(lo, hi)) for _ in range(n))
+        m = rng.randint(min_proxies, MAX_PROXIES)
+        n = rng.randint(0, MAX_FOLLOWERS)
+        peaks = tuple(float(rng.randint(LO, HI)) for _ in range(m))
+        followers = tuple(float(rng.randint(LO, HI)) for _ in range(n))
         scenario = Scenario(peaks, followers, space)
         med = true_median(scenario)
         if no_peak_at_median and any(p == med for p in peaks):
@@ -41,6 +42,6 @@ def random_scenario(
     raise RuntimeError("could not generate a scenario matching the constraints")
 
 
-def random_state(rng: random.Random, scenario: Scenario, spread: int = 3) -> list[float]:
+def random_state(rng: random.Random, scenario: Scenario) -> list[float]:
     """A declared vector obtained by integer perturbations of the peaks."""
-    return [p + rng.randint(-spread, spread) for p in scenario.proxy_peaks]
+    return [p + rng.randint(-SPREAD, SPREAD) for p in scenario.proxy_peaks]

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 INF = math.inf
+GRID_BUDGET = 1_000_000  # longest list grid_points builds
 
 
 @dataclass(frozen=True)
@@ -75,24 +76,41 @@ class Interval:
     def is_finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def grid_points(self, step: float, limit: int = 1_000_000) -> list[float]:
+    def _grid_index_range(self, step: float) -> tuple[float, float]:
+        """First and last k with k * step inside the interval; an unbounded
+        end gives an infinite index."""
+        k_lo: float = -INF
+        if math.isfinite(self.lo):
+            k_lo = math.ceil(self.lo / step - 1e-9)
+            if self.lo_open and abs(k_lo * step - self.lo) <= 1e-9 * max(1.0, abs(self.lo)):
+                k_lo += 1
+        k_hi: float = INF
+        if math.isfinite(self.hi):
+            k_hi = math.floor(self.hi / step + 1e-9)
+            if self.hi_open and abs(k_hi * step - self.hi) <= 1e-9 * max(1.0, abs(self.hi)):
+                k_hi -= 1
+        return k_lo, k_hi
+
+    def grid_points(self, step: float) -> list[float]:
         """All multiples of ``step`` inside the interval (finite intervals)."""
         if not self.is_finite():
             raise ValueError("grid_points requires a finite interval")
-        k_lo = math.ceil(self.lo / step - 1e-9)
-        if self.lo_open and abs(k_lo * step - self.lo) <= 1e-9 * max(1.0, abs(self.lo)):
-            k_lo += 1
-        k_hi = math.floor(self.hi / step + 1e-9)
-        if self.hi_open and abs(k_hi * step - self.hi) <= 1e-9 * max(1.0, abs(self.hi)):
-            k_hi -= 1
-        if k_hi - k_lo + 1 > limit:
+        k_lo, k_hi = self._grid_index_range(step)
+        if k_hi - k_lo + 1 > GRID_BUDGET:
             raise ValueError("grid budget exceeded")
         return [k * step for k in range(k_lo, k_hi + 1)]
 
     def has_grid_point(self, step: float) -> bool:
-        if math.isinf(self.lo) or math.isinf(self.hi):
-            return True  # a half-line always contains grid points
-        return bool(self.grid_points(step))
+        k_lo, k_hi = self._grid_index_range(step)
+        return k_lo <= k_hi
+
+    def nearest_grid_point(self, target: float, step: float) -> float | None:
+        """Multiple of ``step`` inside the interval nearest to ``target``
+        (None when the interval holds none)."""
+        k_lo, k_hi = self._grid_index_range(step)
+        if k_lo > k_hi:
+            return None
+        return min(max(round(target / step), k_lo), k_hi) * step
 
     def __str__(self) -> str:
         lb = "(" if self.lo_open else "["
@@ -141,12 +159,6 @@ class IntervalSet:
 
     def has_grid_point(self, step: float) -> bool:
         return any(iv.has_grid_point(step) for iv in self.intervals)
-
-    def grid_points(self, step: float, limit: int = 1_000_000) -> list[float]:
-        pts: list[float] = []
-        for iv in self.intervals:
-            pts.extend(iv.grid_points(step, limit=limit))
-        return pts
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.intervals == other.intervals

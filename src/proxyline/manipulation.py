@@ -230,10 +230,10 @@ def characterize_truthful_manipulability(scenario: Scenario) -> ManipulationVerd
 def follower_manipulation_scan(
     scenario: Scenario,
     grid_step: float,
-    box: tuple[float, float] | None = None,
 ) -> tuple[int, float] | None:
     """Brute-force search for an improving follower misreport.
 
+    Scans the grid of ``grid_step`` over the scenario's bounding box.
     Exists to test follower strategyproofness: the expected return is
     always None. A found witness is (follower index, misreport).
     """
@@ -241,7 +241,7 @@ def follower_manipulation_scan(
         raise ScenarioValidationError("grid_step", "must be positive")
     if scenario.num_followers == 0:
         return None
-    lo, hi = box if box is not None else scenario.bounding_box()
+    lo, hi = scenario.bounding_box()
     declared = scenario.truthful_state()
     _, truthful_outcome = wm_winner(scenario, declared)
     steps = int(round((hi - lo) / grid_step))

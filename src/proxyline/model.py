@@ -8,48 +8,40 @@ index) pair, never to randomness or history.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 from .errors import EmptyElectorateError, ScenarioValidationError
 
 
-class SpaceKind(enum.Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
-
-
 @dataclass(frozen=True)
 class Space:
-    kind: SpaceKind = SpaceKind.CONTINUOUS
-    step: float = 1.0
+    """The report space: the real line when ``step`` is None, else the
+    multiples of ``step``."""
+
+    step: float | None = None
+
+    def __post_init__(self):
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ScenarioValidationError("scenario.space.step", "step must be finite and positive")
 
     @staticmethod
     def continuous() -> "Space":
-        return Space(SpaceKind.CONTINUOUS)
+        return Space()
 
     @staticmethod
     def discrete(step: float = 1.0) -> "Space":
-        if step <= 0:
-            raise ScenarioValidationError("space.step", "step must be positive")
-        return Space(SpaceKind.DISCRETE, step)
+        return Space(step)
 
     @property
     def is_discrete(self) -> bool:
-        return self.kind == SpaceKind.DISCRETE
+        return self.step is not None
 
     def on_grid(self, x: float) -> bool:
-        if not self.is_discrete:
+        if self.step is None:
             return True
         q = x / self.step
         return abs(q - round(q)) <= 1e-9
-
-    def snap_down(self, x: float) -> float:
-        """Largest grid point <= x (identity in continuous space)."""
-        if not self.is_discrete:
-            return x
-        return math.floor(x / self.step + 1e-9) * self.step
 
 
 @dataclass(frozen=True)
@@ -67,18 +59,18 @@ class Scenario:
         )
         if not self.proxy_peaks:
             raise ScenarioValidationError("scenario.proxies", "at least one proxy required")
-        if self.space.is_discrete:
-            for i, p in enumerate(self.proxy_peaks):
-                if not self.space.on_grid(p):
-                    raise ScenarioValidationError(
-                        f"scenario.proxies[{i}]", f"{p} is not a multiple of step {self.space.step}"
-                    )
-            for i, p in enumerate(self.follower_positions):
-                if not self.space.on_grid(p):
-                    raise ScenarioValidationError(
-                        f"scenario.followers[{i}]",
-                        f"{p} is not a multiple of step {self.space.step}",
-                    )
+        discrete = self.space.is_discrete
+        if discrete or not all(map(math.isfinite, self.proxy_peaks + self.follower_positions)):
+            named = (("proxies", self.proxy_peaks), ("followers", self.follower_positions))
+            for name, values in named:
+                for i, p in enumerate(values):
+                    if not math.isfinite(p):
+                        raise ScenarioValidationError(f"scenario.{name}[{i}]", f"{p} is not finite")
+                    if discrete and not self.space.on_grid(p):
+                        raise ScenarioValidationError(
+                            f"scenario.{name}[{i}]",
+                            f"{p} is not a multiple of step {self.space.step}",
+                        )
 
     @property
     def num_proxies(self) -> int:

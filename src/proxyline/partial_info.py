@@ -20,6 +20,8 @@ from .errors import InconsistentObservationError, SamplingBudgetError
 from .intervals import INF, Interval, IntervalSet
 from .model import Scenario, wm_winner
 
+SAMPLING_BUDGET = 20_000  # profiles sample_consistent_profile draws before giving up
+
 
 @dataclass(frozen=True)
 class ObservedState:
@@ -43,8 +45,6 @@ class Neighbor:
 class BeliefState:
     observed: ObservedState
     interval: Interval
-    left_neighbor: Neighbor | None
-    right_neighbor: Neighbor | None
 
     @property
     def winner_position(self) -> float:
@@ -98,8 +98,7 @@ def init_median_interval(observed: ObservedState) -> Interval:
 
 
 def init_belief(observed: ObservedState) -> BeliefState:
-    left, right = _neighbors(observed)
-    return BeliefState(observed, init_median_interval(observed), left, right)
+    return BeliefState(observed, init_median_interval(observed))
 
 
 def update_median_interval(
@@ -132,9 +131,7 @@ def update_median_interval(
 
 
 def update_belief(belief: BeliefState, move, observed_after: ObservedState) -> BeliefState:
-    interval = update_median_interval(belief, move, observed_after)
-    left, right = _neighbors(observed_after)
-    return BeliefState(observed_after, interval, left, right)
+    return BeliefState(observed_after, update_median_interval(belief, move, observed_after))
 
 
 def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) -> IntervalSet:
@@ -149,13 +146,14 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
         raise ValueError("proxy is the current winner; use dominating_set_winner")
     w = belief.winner_position
     iv = belief.interval
+    left, right = _neighbors(belief.observed)
     if peak <= w:
         ell = iv.lo
         if ell >= w:
             return IntervalSet.empty()
         parts = [w - 2.0 * abs(w - ell)]
-        if belief.left_neighbor is not None:
-            parts.append(belief.left_neighbor.position)
+        if left is not None:
+            parts.append(left.position)
         lower = max(min(parts), 2.0 * peak - w)
         if lower >= w:
             return IntervalSet.empty()
@@ -164,8 +162,8 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
     if r <= w:
         return IntervalSet.empty()
     parts = [w + 2.0 * abs(r - w)]
-    if belief.right_neighbor is not None:
-        parts.append(belief.right_neighbor.position)
+    if right is not None:
+        parts.append(right.position)
     upper = min(max(parts), 2.0 * peak - w)
     if upper <= w:
         return IntervalSet.empty()
@@ -182,10 +180,11 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     """
     w = belief.winner_position
     iv = belief.interval
+    left, right = _neighbors(belief.observed)
     if peak < w < iv.lo:
-        if belief.right_neighbor is None or not math.isfinite(iv.hi):
+        if right is None or not math.isfinite(iv.hi):
             return IntervalSet.empty()
-        r, s_r = iv.hi, belief.right_neighbor.position
+        r, s_r = iv.hi, right.position
         if not abs(r - s_r) > abs(r - w):
             return IntervalSet.empty()
         lower = max(r - abs(r - s_r), 2.0 * peak - w)
@@ -193,9 +192,9 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
             return IntervalSet.empty()
         return IntervalSet([Interval(lower, w, True, True)])
     if peak > w > iv.hi:
-        if belief.left_neighbor is None or not math.isfinite(iv.lo):
+        if left is None or not math.isfinite(iv.lo):
             return IntervalSet.empty()
-        ell, s_l = iv.lo, belief.left_neighbor.position
+        ell, s_l = iv.lo, left.position
         if not abs(ell - s_l) > abs(ell - w):
             return IntervalSet.empty()
         upper = min(ell + abs(ell - s_l), 2.0 * peak - w)
@@ -287,21 +286,20 @@ def sample_consistent_profile(
     observed: ObservedState,
     n: int,
     rng_seed: int,
-    box: tuple[float, float] | None = None,
-    budget: int = 20_000,
 ) -> tuple[float, ...]:
-    """Rejection-sample follower positions reproducing the observed winner."""
+    """Rejection-sample follower positions reproducing the observed winner.
+
+    Followers are drawn uniformly from the bounding box of the declared
+    positions, at most ``SAMPLING_BUDGET`` profiles in all.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     declared = list(observed.declared)
-    if box is None:
-        lo, hi = min(declared), max(declared)
-        span = max(hi - lo, 1.0)
-        box = (lo - span, hi + span)
     rng = random.Random(rng_seed)
     probe = Scenario(proxy_peaks=tuple(declared))
-    for _ in range(budget):
-        followers = tuple(rng.uniform(box[0], box[1]) for _ in range(n))
+    lo, hi = probe.bounding_box()
+    for _ in range(SAMPLING_BUDGET):
+        followers = tuple(rng.uniform(lo, hi) for _ in range(n))
         trial = probe.with_followers(followers)
         winner_id, _ = wm_winner(trial, declared)
         if winner_id == observed.winner_id:

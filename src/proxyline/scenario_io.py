@@ -1,7 +1,8 @@
 """Scenario-file schema (version 1), trace and summary serialization.
 
 Files use 1-based proxy ids; the library is 0-based. Unknown fields are
-rejected so typos fail loudly, with dotted-path diagnostics.
+rejected so typos fail loudly, and so are fields that the chosen kind
+ignores; every error carries a dotted path.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class ScenarioFile:
     policies: list[PolicySpec]
     scheduler: Scheduler
     max_steps: int = 100
-    oscillation_window: int = 16
     mode: str = "full_info"
     trace_path: str = "trace.jsonl"
     summary_path: str = "summary.json"
@@ -82,27 +82,43 @@ def _number_list(obj, path: str) -> list[float]:
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(obj)]
 
 
-def _parse_space(obj, path: str) -> Space:
+def _reject_unused(obj: dict, unused: set[str], path: str, kind: str) -> None:
+    """Reject fields that the object's kind ignores."""
+    present = sorted(unused & obj.keys())
+    if present:
+        raise ScenarioValidationError(f"{path}.{present[0]}", f"not used by kind {kind!r}")
+
+
+def _parse_space_step(obj, path: str) -> float | None:
+    """The grid step of a space object; None for the continuous line."""
     _require_keys(_object(obj, path), {"kind", "step"}, path)
     kind = obj.get("kind")
     if kind == "continuous":
-        return Space.continuous()
+        _reject_unused(obj, {"step"}, path, kind)
+        return None
     if kind == "discrete":
-        return Space.discrete(_number(obj.get("step", 1.0), f"{path}.step"))
+        return _number(obj.get("step", 1.0), f"{path}.step")
     raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
+# the parameter fields each policy kind reads; every kind reads truth_oriented
+_POLICY_FIELDS = {
+    PolicyKind.MONOTONE_BETTER_RESPONSE: {"fraction"},
+    PolicyKind.DISCRETE_BEST_RESPONSE: set(),
+    PolicyKind.OSCILLATING_ALPHA: {"alpha1", "decay"},
+    PolicyKind.MINIMAX_REGRET: set(),
+    PolicyKind.SCRIPTED: {"positions"},
+}
+_ALL_POLICY_FIELDS = set().union(*_POLICY_FIELDS.values())
+
+
 def _parse_policy(obj, path: str) -> PolicySpec:
-    _require_keys(
-        _object(obj, path),
-        {"kind", "fraction", "alpha1", "decay", "positions", "truth_oriented"},
-        path,
-    )
+    _require_keys(_object(obj, path), {"kind", "truth_oriented"} | _ALL_POLICY_FIELDS, path)
     try:
         kind = PolicyKind(obj.get("kind"))
     except ValueError:
         raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
-    return PolicySpec(
+    spec = PolicySpec(
         kind=kind,
         fraction=_number(obj.get("fraction", 0.5), f"{path}.fraction"),
         alpha1=_number(obj.get("alpha1", 0.25), f"{path}.alpha1"),
@@ -110,12 +126,15 @@ def _parse_policy(obj, path: str) -> PolicySpec:
         positions=tuple(_number_list(obj.get("positions", []), f"{path}.positions")),
         truth_oriented=_bool(obj.get("truth_oriented", False), f"{path}.truth_oriented"),
     )
+    _reject_unused(obj, _ALL_POLICY_FIELDS - _POLICY_FIELDS[kind], path, kind.value)
+    return spec
 
 
 def _parse_scheduler(obj, path: str) -> Scheduler:
     _require_keys(_object(obj, path), {"kind", "order"}, path)
     kind = obj.get("kind")
     if kind == "round_robin":
+        _reject_unused(obj, {"order"}, path, kind)
         return Scheduler.round_robin()
     if kind == "scripted":
         order = obj.get("order", [])
@@ -142,8 +161,11 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
     if not proxies:
         raise ScenarioValidationError("$.scenario.proxies", "at least one proxy required")
     followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers")
-    space = _parse_space(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
-    scenario = Scenario(tuple(proxies), tuple(followers), space)
+    step = _parse_space_step(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
+    try:
+        scenario = Scenario(tuple(proxies), tuple(followers), Space(step))
+    except ScenarioValidationError as exc:  # model paths start below the document root
+        raise ScenarioValidationError(f"$.{exc.path}", exc.message) from None
     alt = None
     if "alt_followers" in sc_obj:
         alt = tuple(_number_list(sc_obj["alt_followers"], "$.scenario.alt_followers"))
@@ -156,10 +178,15 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
     scheduler = _parse_scheduler(doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler")
 
     run_obj = _object(doc.get("run", {}), "$.run")
-    _require_keys(run_obj, {"max_steps", "oscillation_window"}, "$.run")
+    _require_keys(run_obj, {"max_steps"}, "$.run")
     mode = doc.get("mode", "full_info")
     if mode not in ("full_info", "partial_info"):
         raise ScenarioValidationError("$.mode", f"unknown mode {mode!r}")
+    for i, spec in enumerate(policies):
+        if spec.truth_oriented and mode == "partial_info":
+            raise ScenarioValidationError(
+                f"$.policies[{i}].truth_oriented", "not used under partial_info mode"
+            )
 
     out_obj = _object(doc.get("output", {}), "$.output")
     _require_keys(out_obj, {"trace", "summary"}, "$.output")
@@ -169,7 +196,6 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         policies=policies,
         scheduler=scheduler,
         max_steps=_int(run_obj.get("max_steps", 100), "$.run.max_steps"),
-        oscillation_window=_int(run_obj.get("oscillation_window", 16), "$.run.oscillation_window"),
         mode=mode,
         trace_path=_str(out_obj.get("trace", "trace.jsonl"), "$.output.trace"),
         summary_path=_str(out_obj.get("summary", "summary.json"), "$.output.summary"),
@@ -193,7 +219,6 @@ def run_scenario_file(sf: ScenarioFile) -> DynamicsTrace:
         sf.scheduler,
         sf.policies,
         max_steps=sf.max_steps,
-        oscillation_window=sf.oscillation_window,
         mode=sf.mode,
     )
 

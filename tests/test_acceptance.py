@@ -18,7 +18,7 @@ from proxyline import (
     Space,
     StopReason,
 )
-from proxyline.dynamics import detect_meta_moves, trace_is_monotone
+from proxyline.dynamics import check_delta_lemmas, trace_is_monotone
 from proxyline.fixtures import appendix_b_opening, load_fixture, replicate
 from proxyline.scenario_io import run_scenario_file
 from proxyline.generators import random_scenario
@@ -62,7 +62,7 @@ def test_criterion_3_follower_strategyproofness():
     with criterion(3, "Theorem 1: zero improving follower misreports (200 seeds)", budget=30.0):
         for i in range(200):
             rng = random.Random(40_000 + i)
-            sc = random_scenario(rng, max_proxies=4, max_followers=6)
+            sc = random_scenario(rng)
             assert px.follower_manipulation_scan(sc, grid_step=0.1) is None
 
 
@@ -71,7 +71,7 @@ def test_criterion_4_manipulability_characterization():
         disagreements = 0
         for i in range(500):
             rng = random.Random(50_000 + i)
-            sc = random_scenario(rng, max_proxies=4, max_followers=6, lo=-10, hi=10)
+            sc = random_scenario(rng)
             verdict = px.characterize_truthful_manipulability(sc)
             lo, hi = sc.bounding_box()
             grid = GridSpec(lo, hi, 0.25)
@@ -150,18 +150,6 @@ def _discrete_monotone_runs(count):
     return runs
 
 
-def _assert_delta_lemmas(trace, exact):
-    """Lemma 3: non-winner moves strictly contract; Lemma 4: metas net-contract."""
-    tol = 0.0 if exact else 1e-12
-    prev = trace.initial_delta
-    for rec in trace.records:
-        if rec.mover != rec.winner_before:
-            assert rec.delta_after < prev + tol, (trace.scenario, rec, prev)
-        prev = rec.delta_after
-    for seg in detect_meta_moves(trace):
-        assert seg.exit_delta < seg.entry_delta + tol, (trace.scenario, seg)
-
-
 def test_criterion_5_and_6_bounds_and_delta_lemmas():
     traces = _mixed_truth_oriented_runs(500)
     with criterion(5, "Theorem 3: bound invariant on 500 truth-oriented runs"):
@@ -171,7 +159,7 @@ def test_criterion_5_and_6_bounds_and_delta_lemmas():
         monotone = [t for t in traces if trace_is_monotone(t) and t.records]
         assert len(monotone) >= 100  # the pool must actually exercise the lemmas
         for trace in monotone:
-            _assert_delta_lemmas(trace, exact=trace.scenario.space.is_discrete)
+            assert check_delta_lemmas(trace), trace.scenario
 
 
 def test_criterion_7_example3_divergence():

@@ -152,6 +152,17 @@ class TestSchema:
             (None, "run", [], "$.run"),
             (None, "output", "out", "$.output"),
             ("output", "trace", 5, "$.output.trace"),
+            # fields the chosen kind ignores, and grid steps the model rejects
+            ("scenario", "space", {"kind": "discrete", "step": 0}, "$.scenario.space.step"),
+            ("scenario", "space", {"kind": "discrete", "step": -0.5}, "$.scenario.space.step"),
+            ("scenario", "space", {"kind": "continuous", "step": 1}, "$.scenario.space.step"),
+            ("scenario", "space", {"kind": "discrete", "step": 1}, "$.scenario.proxies[1]"),
+            ("policies", "alpha1", 0.25, "$.policies[0].alpha1"),
+            ("policies", "decay", 0.5, "$.policies[0].decay"),
+            ("policies", "positions", [1.0], "$.policies[0].positions"),
+            ("policies", "kind", "oscillating_alpha", "$.policies[0].fraction"),
+            (None, "mode", "partial_info", "$.policies[0].truth_oriented"),
+            (None, "scheduler", {"kind": "round_robin", "order": [1]}, "$.scheduler.order"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, section, key, value, path):

@@ -13,7 +13,9 @@ from proxyline import (
     check_bound_invariant,
     classify_meta_steps,
     detect_meta_moves,
+    init_belief,
     monotone_median_check,
+    observe,
     run_dynamics,
     step,
     true_median,
@@ -115,6 +117,11 @@ class TestRunDynamics:
             run_dynamics(
                 sc, Scheduler.round_robin(),
                 [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2, max_steps=5,
+            )
+        with pytest.raises(ConfigurationError):  # a belief needs partial information
+            run_dynamics(
+                sc, Scheduler.round_robin(), [MONO] * 2, max_steps=5,
+                initial_belief=init_belief(observe(sc, sc.truthful_state())),
             )
 
 

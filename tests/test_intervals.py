@@ -66,6 +66,15 @@ def test_halfline_always_has_grid_points():
     assert Interval(-math.inf, 0.0).has_grid_point(1.0)
 
 
+def test_nearest_grid_point_clamps_into_interval():
+    assert Interval.open(0.0, 3.0).nearest_grid_point(7.4, 1.0) == 2.0
+    assert Interval.closed(0.0, 3.0).nearest_grid_point(-5.0, 1.0) == 0.0
+    assert Interval.open(0.0, 3.0).nearest_grid_point(1.4, 0.5) == 1.5
+    assert Interval(-math.inf, 2.0).nearest_grid_point(9.0, 1.0) == 1.0
+    assert Interval(2.0, math.inf).nearest_grid_point(-9.0, 1.0) == 3.0
+    assert Interval.open(5.0, 6.0).nearest_grid_point(5.5, 1.0) is None
+
+
 finite_floats = st.integers(-40, 40).map(lambda k: k / 4.0)
 
 

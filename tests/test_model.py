@@ -1,5 +1,7 @@
 """Core model: delegation, weighted median, winner routes, tie rules."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,23 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError):
             Scenario((0.5,), (), Space.discrete(1.0))
         Scenario((0.5,), (), Space.discrete(0.25))  # fine
+        for step in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ScenarioValidationError):
+                Space(step)
+
+    @pytest.mark.parametrize("space", [Space.continuous(), Space.discrete(0.5)])
+    @pytest.mark.parametrize(
+        "proxies, followers, path",
+        [
+            ((math.nan, 1.0), (0.0,), "scenario.proxies[0]"),
+            ((0.0, 1.0), (0.0, math.inf), "scenario.followers[1]"),
+            ((0.0, -math.inf), (), "scenario.proxies[1]"),
+        ],
+    )
+    def test_nonfinite_positions_rejected(self, space, proxies, followers, path):
+        with pytest.raises(ScenarioValidationError) as exc:
+            Scenario(proxies, followers, space)
+        assert exc.value.path == path
 
     def test_state_length_checked(self, example1):
         with pytest.raises(ScenarioValidationError):

@@ -9,7 +9,6 @@ from proxyline import (
     BeliefState,
     InconsistentObservationError,
     Interval,
-    Neighbor,
     ObservedState,
     PolicyKind,
     PolicySpec,
@@ -144,7 +143,7 @@ class TestDominatingSets:
 
     def test_left_bound_at_or_above_winner_means_empty(self):
         obs = ObservedState((0.0, 10.0), 0)
-        belief = BeliefState(obs, Interval(0.0, 5.0, False, True), None, Neighbor(10.0, 1))
+        belief = BeliefState(obs, Interval(0.0, 5.0, False, True))
         assert dominating_set_nonwinner(belief, 1, -20.0).is_empty()
 
     def test_winner_at_peak_empty(self):
@@ -162,7 +161,7 @@ class TestDominatingSets:
         # winner at 3, peak 0, interval (5, 6], right neighbor at 12:
         # safe stretch is (2*6-12, 3) = (0, 3)
         obs = ObservedState((3.0, 12.0), 0)
-        belief = BeliefState(obs, Interval(5.0, 6.0, True, False), None, Neighbor(12.0, 1))
+        belief = BeliefState(obs, Interval(5.0, 6.0, True, False))
         dom = dominating_set_winner(belief, 0.0)
         assert len(dom.intervals) == 1
         iv = dom.intervals[0]
@@ -189,7 +188,7 @@ class TestDominatingSets:
 class TestMaxRegret:
     def _belief(self, ell=2.0, w=3.0, hi=10.0):
         obs = ObservedState((3.0, 20.0), 0)
-        return BeliefState(obs, Interval(ell, hi, True, True), None, Neighbor(20.0, 1))
+        return BeliefState(obs, Interval(ell, hi, True, True))
 
     def test_regret_at_lower_bound_is_gap(self):
         belief = self._belief()
@@ -249,7 +248,7 @@ class TestMinimaxStrategy:
 
     def test_zero_gap_halfline_argmin(self):
         obs = ObservedState((3.0, 20.0), 0)
-        belief = BeliefState(obs, Interval(3.0, 9.0, True, True), None, Neighbor(20.0, 1))
+        belief = BeliefState(obs, Interval(3.0, 9.0, True, True))
         decision = minimax_regret_strategy(belief, 1, -5.0)
         assert decision.argmin.intervals[0].hi == 3.0
         assert math.isinf(decision.argmin.intervals[0].lo)
@@ -295,7 +294,7 @@ class TestSampling:
     def test_impossible_observation_exhausts_budget(self):
         bogus = ObservedState((0.0, 1.0), 1)  # ties always favor proxy 0
         with pytest.raises(SamplingBudgetError):
-            sample_consistent_profile(bogus, 0, rng_seed=1, budget=50)
+            sample_consistent_profile(bogus, 0, rng_seed=1)
 
 
 def test_minimax_play_converges_to_true_median_from_truth():
