@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 INF = math.inf
-GRID_BUDGET = 1_000_000  # longest list grid_points builds
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,6 @@ class Interval:
             return None
         return Interval(lo, hi, lo_open, hi_open)
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def _grid_index_range(self, step: float) -> tuple[float, float]:
         """First and last k with k * step inside the interval; an unbounded
         end gives an infinite index."""
@@ -90,15 +86,6 @@ class Interval:
             if self.hi_open and abs(k_hi * step - self.hi) <= 1e-9 * max(1.0, abs(self.hi)):
                 k_hi -= 1
         return k_lo, k_hi
-
-    def grid_points(self, step: float) -> list[float]:
-        """All multiples of ``step`` inside the interval (finite intervals)."""
-        if not self.is_finite():
-            raise ValueError("grid_points requires a finite interval")
-        k_lo, k_hi = self._grid_index_range(step)
-        if k_hi - k_lo + 1 > GRID_BUDGET:
-            raise ValueError("grid budget exceeded")
-        return [k * step for k in range(k_lo, k_hi + 1)]
 
     def has_grid_point(self, step: float) -> bool:
         k_lo, k_hi = self._grid_index_range(step)

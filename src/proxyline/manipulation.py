@@ -66,11 +66,14 @@ def _median_window(scenario: Scenario, declared: list[float], proxy_id: int):
     declares x.
     """
     others = [(p, k) for k, p in enumerate(declared) if k != proxy_id]
-    pool = sorted([p for p, _ in others] + list(scenario.follower_positions))
-    total = scenario.num_proxies + scenario.num_followers
-    r = (total + 1) // 2  # rank of the median element, 1-based
-    lo = pool[r - 2] if r >= 2 else -INF
-    hi = pool[r - 1] if r - 1 < len(pool) else INF
+    fs = scenario.sorted_followers
+    k = (len(declared) + len(fs) - 1) // 2  # 0-based rank of ``hi`` in the pool
+    # with m-1 others, only fs[k-m : k+1] can sit at rank k-1 or k; the
+    # stable sort keeps the objects (and zero signs) a whole-pool sort picks
+    start = max(0, k - len(declared))
+    pool = sorted([p for p, _ in others] + fs[start : k + 1])
+    lo = pool[k - 1 - start] if k >= 1 else -INF
+    hi = pool[k - start] if k - start < len(pool) else INF
     return lo, hi, others
 
 

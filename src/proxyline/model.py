@@ -9,9 +9,17 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import truediv
 
 from .errors import EmptyElectorateError, ScenarioValidationError
+
+# Most followers ``delegate`` serves with the plain scan; above it the
+# bisection over sorted followers is faster, for any number of proxies.
+SCAN_MAX_FOLLOWERS = 32
 
 
 @dataclass(frozen=True)
@@ -53,14 +61,19 @@ class Scenario:
     space: Space = field(default_factory=Space.continuous)
 
     def __post_init__(self):
-        object.__setattr__(self, "proxy_peaks", tuple(float(p) for p in self.proxy_peaks))
-        object.__setattr__(
-            self, "follower_positions", tuple(float(p) for p in self.follower_positions)
-        )
+        object.__setattr__(self, "proxy_peaks", tuple(map(float, self.proxy_peaks)))
+        object.__setattr__(self, "follower_positions", tuple(map(float, self.follower_positions)))
         if not self.proxy_peaks:
             raise ScenarioValidationError("scenario.proxies", "at least one proxy required")
-        discrete = self.space.is_discrete
-        if discrete or not all(map(math.isfinite, self.proxy_peaks + self.follower_positions)):
+        step = self.space.step
+        discrete = step is not None
+        positions = self.proxy_peaks + self.follower_positions
+        # C-level passes accept finite exact multiples of the step; anything
+        # else goes through the loop, which applies the grid tolerance and
+        # reports the first offending position
+        if not all(map(math.isfinite, positions)) or (
+            discrete and not all(map(float.is_integer, map(truediv, positions, repeat(step))))
+        ):
             named = (("proxies", self.proxy_peaks), ("followers", self.follower_positions))
             for name, values in named:
                 for i, p in enumerate(values):
@@ -79,6 +92,21 @@ class Scenario:
     @property
     def num_followers(self) -> int:
         return len(self.follower_positions)
+
+    @cached_property
+    def sorted_followers(self) -> list[float]:
+        """Follower positions in ascending order (the same float objects),
+        sorted on first use. Stable: equal positions keep their input order."""
+        return sorted(self.follower_positions)
+
+    @cached_property
+    def follower_ranks(self) -> list[int]:
+        """Index of each follower in :attr:`sorted_followers`."""
+        fps = self.follower_positions
+        ranks = [0] * len(fps)
+        for r, i in enumerate(sorted(range(len(fps)), key=fps.__getitem__)):
+            ranks[i] = r
+        return ranks
 
     def truthful_state(self) -> list[float]:
         return list(self.proxy_peaks)
@@ -101,18 +129,56 @@ class Scenario:
 
 
 def _check_state(scenario: Scenario, declared: list[float]) -> None:
-    if len(declared) != scenario.num_proxies:
+    if len(declared) != len(scenario.proxy_peaks):
         raise ScenarioValidationError(
             "state", f"expected {scenario.num_proxies} declared positions, got {len(declared)}"
         )
 
 
+def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | None:
+    """:func:`delegate` by bisection on the sorted followers, O(m log n) plus
+    one C-level pass over the labels; None when the scan must decide.
+
+    Only the nearest declared position on either side can win a follower,
+    so each pair of adjacent distinct positions needs one cut point, found
+    with the scan's own (distance, index) comparison. That holds while float
+    rounding cannot make two different distances equal, which is certain
+    when every adjacent gap exceeds span·2⁻⁵⁰ (each distance is off by at
+    most span·2⁻⁵³).
+    """
+    first: dict[float, int] = {}
+    for j, p in enumerate(declared):
+        first.setdefault(p, j)
+    stops = sorted(first.items())
+    fs = scenario.sorted_followers
+    n = len(fs)
+    span = max(fs[-1], stops[-1][0]) - min(fs[0], stops[0][0])
+    # written so that a NaN gap or span also falls back to the scan
+    if not all(b - a > span * 2**-50 for (a, _), (b, _) in zip(stops, stops[1:])):
+        return None
+    labels: list[int] = []
+    cut = 0
+    a, ja = stops[0]
+    for b, jb in stops[1:]:
+        nxt = bisect_left(fs, True, cut, n, key=lambda f: (abs(b - f), jb) < (abs(a - f), ja))
+        labels += [ja] * (nxt - cut)
+        cut, a, ja = nxt, b, jb
+    labels += [ja] * (n - cut)
+    return list(map(labels.__getitem__, scenario.follower_ranks))
+
+
 def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     """Map each follower to its nearest declared proxy (Tullock delegation).
 
-    Exact distance ties go to the lower proxy index.
+    Exact distance ties go to the lower proxy index. Electorates with more
+    than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, the
+    rest the scan.
     """
     _check_state(scenario, declared)
+    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
+        labels = _delegate_sorted(scenario, declared)
+        if labels is not None:
+            return labels
     out = []
     for fp in scenario.follower_positions:
         best_j, best_d = 0, abs(declared[0] - fp)
@@ -130,41 +196,41 @@ def weighted_median(values: list[float], weights: list[float]) -> tuple[int, flo
     Returns the (index, value) of an element whose strictly-smaller
     complement weight and strictly-larger complement weight are each at
     most half the total. Among qualifying elements the smallest
-    (value, index) pair wins.
+    (value, index) pair wins. Raises ValueError for a value that is not
+    finite, or a weight that is not finite and positive.
     """
     if not values:
         raise EmptyElectorateError("empty electorate")
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    if any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive")
     total = sum(weights)
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    # prefix[k] = weight of elements sorted strictly before rank k
-    below = 0.0
-    best: tuple[float, int] | None = None
+    # a NaN or infinite weight makes the sum NaN or infinite
+    if not (min(weights) > 0 and total < math.inf):
+        raise ValueError("weights must be positive and finite, with a finite sum")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    # stable: equal values stay in index order, so this is (value, index)
+    # order and the first qualifying run starts with the winning pair
+    order = sorted(range(len(values)), key=values.__getitem__)
+    below = 0.0  # weight of the elements sorted strictly before the run
     k = 0
     n = len(order)
     while k < n:
-        v = values[order[k]]
-        run = [order[k]]
-        w_run = weights[order[k]]
+        i = order[k]
+        v = values[i]
+        w_run = weights[i]
         k += 1
         while k < n and values[order[k]] == v:
-            run.append(order[k])
             w_run += weights[order[k]]
             k += 1
         above = total - below - w_run
         # each element of the run shares the same strict-complement sums,
         # except that equal-valued siblings never count as strictly smaller
         if below <= total / 2 and above <= total / 2:
-            idx = min(run)
-            if best is None or (v, idx) < best:
-                best = (v, idx)
+            return i, v
         below += w_run
-    if best is None:  # unreachable: some element always qualifies
-        raise EmptyElectorateError("no qualifying weighted-median element")
-    return best[1], best[0]
+    # unreachable: some element always qualifies
+    raise EmptyElectorateError("no qualifying weighted-median element")
 
 
 def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
@@ -172,10 +238,31 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
 
     Even-sized multisets resolve to the lower of the two middle elements
     (that is what the position-first tie rule yields with unit weights).
+    Among equal values the first declared, else the first follower, is
+    returned, which fixes the sign of a zero.
+
+    The median has rank k = ⌊(n+m−1)/2⌋, so only the declared positions and
+    the sorted followers ``fs[k−m : k+1]`` can hold it. The followers below
+    that window count as one point at ``fs[lo−1]`` weighted by their number,
+    those above as one at ``fs[hi]``: at most 2m+3 weighted items.
     """
     _check_state(scenario, declared)
-    pool = list(declared) + list(scenario.follower_positions)
-    _, value = weighted_median(pool, [1.0] * len(pool))
+    fs = scenario.sorted_followers
+    n, m = len(fs), len(declared)
+    k = (n + m - 1) // 2
+    lo, hi = max(0, k - m), min(n, k + 1)
+    values = list(declared)
+    weights = [1.0] * m
+    if lo:
+        # the first of its run of equal values: the lowest follower index
+        values.append(fs[bisect_left(fs, fs[lo - 1], 0, lo)])
+        weights.append(float(lo))
+    values += fs[lo:hi]
+    weights += [1.0] * (hi - lo)
+    if hi < n:
+        values.append(fs[hi])
+        weights.append(float(n - hi))
+    _, value = weighted_median(values, weights)
     return value
 
 

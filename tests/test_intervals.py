@@ -56,8 +56,14 @@ def test_point_merges_into_open_interval():
 
 
 def test_grid_points_respect_openness():
-    assert Interval.open(0.0, 3.0).grid_points(1.0) == [1.0, 2.0]
-    assert Interval.closed(0.0, 3.0).grid_points(1.0) == [0.0, 1.0, 2.0, 3.0]
+    # open ends exclude their own grid points, closed ends keep them
+    assert Interval.open(0.0, 3.0).nearest_grid_point(-1.0, 1.0) == 1.0
+    assert Interval.open(0.0, 3.0).nearest_grid_point(4.0, 1.0) == 2.0
+    assert Interval.closed(0.0, 3.0).nearest_grid_point(-1.0, 1.0) == 0.0
+    assert Interval.closed(0.0, 3.0).nearest_grid_point(4.0, 1.0) == 3.0
+    assert not Interval.open(0.0, 1.0).has_grid_point(1.0)
+    assert Interval(0.0, 1.0, True, False).has_grid_point(1.0)
+    assert Interval(0.0, 1.0, False, True).has_grid_point(1.0)
     assert not Interval.open(5.0, 6.0).has_grid_point(1.0)
     assert Interval.open(5.0, 6.0).has_grid_point(0.25)
 

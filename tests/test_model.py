@@ -1,6 +1,8 @@
 """Core model: delegation, weighted median, winner routes, tie rules."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from proxyline import (
     weighted_median,
     wm_winner,
 )
+from proxyline import model
 from proxyline.fixtures import load_fixture
+from proxyline.manipulation import _median_window
 
 
 @pytest.fixture
@@ -71,6 +75,23 @@ class TestWeightedMedian:
         with pytest.raises(ValueError):
             weighted_median([1.0], [0.0])
 
+    @pytest.mark.parametrize(
+        "values, weights",
+        [
+            ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
+            ([1.0, 2.0, 3.0], [math.nan, 1.0, 1.0]),
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0]),
+            ([1.0, 2.0], [1.0, -math.inf]),
+            ([1.0, 2.0], [1e308, 1e308]),  # the total overflows
+            ([math.nan, 1.0], [1.0, 1.0]),
+            ([1.0, math.inf], [1.0, 1.0]),
+            ([-math.inf, 1.0, 2.0], [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_nonfinite_input_rejected(self, values, weights):
+        with pytest.raises(ValueError):
+            weighted_median(values, weights)
+
     @given(
         st.lists(st.integers(-20, 20), min_size=1, max_size=9),
         st.data(),
@@ -105,6 +126,104 @@ class TestUnweightedMedian:
     def test_even_multiset_lower_middle(self):
         sc = Scenario((0.0, 1.0), (2.0, 3.0))
         assert unweighted_median(sc, [0.0, 1.0]) == 1.0
+
+
+# Three kinds of state for the sorted routes: tie-heavy half-integers,
+# mixes of 0.0 and -0.0 (the median's zero sign must match), and the scale
+# where float subtraction collapses distances (0.0 vs 1e-20 next to 1e17).
+STATE_KINDS = {
+    "half_integers": st.integers(-8, 8).map(lambda k: k / 2),
+    "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    "collapse": st.sampled_from([0.0, -0.0, 1e-20, -1e-20, 1e17, -1e17, 0.3]),
+}
+
+
+def _scan(scenario, declared):
+    """Reference delegation: nearest declared proxy, lower index on ties."""
+    return [
+        min(range(len(declared)), key=lambda j: (abs(declared[j] - f), j))
+        for f in scenario.follower_positions
+    ]
+
+
+def _pool_median(scenario, declared):
+    """Reference median: the lower middle value, as its first occurrence in
+    declared + followers (which fixes the sign of a zero)."""
+    pool = list(declared) + list(scenario.follower_positions)
+    v = sorted(pool)[(len(pool) - 1) // 2]
+    return next(x for x in pool if x == v)
+
+
+def _pool_window(scenario, declared, proxy_id):
+    """Reference ``_median_window``: order statistics of the whole pool."""
+    others = [(p, k) for k, p in enumerate(declared) if k != proxy_id]
+    pool = sorted([p for p, _ in others] + list(scenario.follower_positions))
+    r = (len(declared) + scenario.num_followers + 1) // 2
+    lo = pool[r - 2] if r >= 2 else -math.inf
+    hi = pool[r - 1] if r - 1 < len(pool) else math.inf
+    return lo, hi, others
+
+
+class TestSortedRoutes:
+    @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_agree_with_scan_and_pool(self, kind, data):
+        pos = STATE_KINDS[kind]
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 12))
+        sc = Scenario(
+            tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n))
+        )
+        declared = [data.draw(pos) for _ in range(m)]
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # sorted route at any n
+            labels = delegate(sc, declared)
+        assert labels == _scan(sc, declared)
+        if n and kind != "collapse":  # gaps of 0.5 or more: bisection decides alone
+            assert model._delegate_sorted(sc, declared) == labels
+        assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
+        for j in range(m):
+            assert repr(_median_window(sc, declared, j)) == repr(_pool_window(sc, declared, j))
+
+    def test_rounding_collapse_falls_back_to_scan(self):
+        # 1.0 - 0.3 rounds so that the distances to 0.0 and 1e-20 are equal:
+        # the scan gives the tie to id 0, which is not adjacent to id 2
+        sc = Scenario((0.0, 1e-20, 1.0), (0.3,))
+        assert model._delegate_sorted(sc, [0.0, 1e-20, 1.0]) is None
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
+            assert delegate(sc, [0.0, 1e-20, 1.0]) == [0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_declared_position_delegates_like_the_scan(self, bad):
+        followers = tuple(float(k % 9 - 4) for k in range(model.SCAN_MAX_FOLLOWERS + 8))
+        sc = Scenario((0.0, 1.0, 2.0), followers)
+        for declared in ([bad, 1.0, -2.0], [-2.0, bad, 3.0], [bad, bad, 0.5]):
+            with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", len(followers)):
+                scan = delegate(sc, declared)
+            assert delegate(sc, declared) == scan
+
+    def test_large_electorate_takes_sorted_route(self):
+        followers = tuple((k * 37 % 101 - 50) / 2 for k in range(model.SCAN_MAX_FOLLOWERS + 40))
+        sc = Scenario((-3.0, 0.5, 0.5, 7.0), followers)
+        declared = [-3.0, 0.5, 0.5, 7.0]
+        assert delegate(sc, declared) == _scan(sc, declared)
+        assert "follower_ranks" in vars(sc)
+        assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
+
+    def test_cache_leaves_equality_hash_and_repr(self):
+        followers = (2.0, -1.0, 0.0, -0.0, 2.0)
+        sc = Scenario((1.0, -2.0), followers)
+        fresh = Scenario((1.0, -2.0), followers)
+        before = (hash(sc), repr(sc))
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
+            wm_winner(sc, [1.0, -2.0])
+        assert {"sorted_followers", "follower_ranks"} <= set(vars(sc))
+        assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
+        assert sc.follower_ranks == [3, 0, 1, 2, 4]
+        assert sc == fresh and (hash(sc), repr(sc)) == before == (hash(fresh), repr(fresh))
+        assert [f.name for f in dataclasses.fields(sc)] == [
+            "proxy_peaks", "follower_positions", "space"
+        ]
 
 
 class TestWmWinner:
@@ -172,6 +291,11 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError):
             Scenario((0.5,), (), Space.discrete(1.0))
         Scenario((0.5,), (), Space.discrete(0.25))  # fine
+        # inexact quotients (0.7 / 0.1 != 7.0) still pass within tolerance
+        Scenario((0.1 * 3,), (0.7, -0.7), Space.discrete(0.1))
+        with pytest.raises(ScenarioValidationError) as exc:
+            Scenario((0.0,), (1.0, 2.5, 3.5), Space.discrete(1.0))
+        assert exc.value.path == "scenario.followers[1]"
         for step in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ScenarioValidationError):
                 Space(step)
