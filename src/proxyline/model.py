@@ -9,7 +9,7 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -99,15 +99,6 @@ class Scenario:
         sorted on first use. Stable: equal positions keep their input order."""
         return sorted(self.follower_positions)
 
-    @cached_property
-    def follower_ranks(self) -> list[int]:
-        """Index of each follower in :attr:`sorted_followers`."""
-        fps = self.follower_positions
-        ranks = [0] * len(fps)
-        for r, i in enumerate(sorted(range(len(fps)), key=fps.__getitem__)):
-            ranks[i] = r
-        return ranks
-
     def truthful_state(self) -> list[float]:
         return list(self.proxy_peaks)
 
@@ -135,16 +126,69 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
         )
 
 
-def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | None:
-    """:func:`delegate` by bisection on the sorted followers, O(m log n) plus
-    one C-level pass over the labels; None when the scan must decide.
+class Delegation:
+    """How the followers delegate: ``counts[j]`` followers go to proxy j.
+
+    Read-only: callers change neither ``counts`` nor the labels. It reads as
+    the list of labels (the proxy id of each follower, in follower order):
+    indexing, iterating, ``len`` and ``==`` with a list or another
+    ``Delegation``. The scan keeps the labels it made. The sorted route keeps
+    only its runs over ``scenario.sorted_followers`` (the least follower of
+    each non-empty run but the first, and each run's proxy) and builds the
+    labels when they are first read. A follower's run is found by bisection
+    over those least followers, which is exact because a cut never splits
+    equal values.
+    """
+
+    __slots__ = ("counts", "_followers", "_labels", "_runs")
+
+    def __init__(
+        self,
+        counts: list[int],
+        followers: tuple[float, ...],
+        labels: list[int] | None,
+        runs: tuple[list[float], list[int]] | None = None,
+    ):
+        self.counts = counts
+        self._followers = followers
+        self._labels = labels
+        self._runs = runs
+
+    def _materialize(self) -> list[int]:
+        if self._labels is None:
+            bounds, owners = self._runs
+            run_ids = map(bisect_right, repeat(bounds), self._followers)
+            self._labels = list(map(owners.__getitem__, run_ids))
+        return self._labels
+
+    def __len__(self) -> int:
+        return len(self._followers)
+
+    def __getitem__(self, i):
+        return self._materialize()[i]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __eq__(self, other):
+        if isinstance(other, Delegation):
+            other = other._materialize()
+        return self._materialize() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Delegation({self._materialize()!r})"
+
+
+def _delegate_sorted(scenario: Scenario, declared: list[float]) -> Delegation | None:
+    """:func:`delegate` by bisection on the sorted followers, O(m log n);
+    None when the scan must decide.
 
     Only the nearest declared position on either side can win a follower,
     so each pair of adjacent distinct positions needs one cut point, found
     with the scan's own (distance, index) comparison. That holds while float
     rounding cannot make two different distances equal, which is certain
     when every adjacent gap exceeds span·2⁻⁵⁰ (each distance is off by at
-    most span·2⁻⁵³).
+    most span·2⁻⁵³). A proxy's count is the length of its run.
     """
     first: dict[float, int] = {}
     for j, p in enumerate(declared):
@@ -156,38 +200,48 @@ def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | N
     # written so that a NaN gap or span also falls back to the scan
     if not all(b - a > span * 2**-50 for (a, _), (b, _) in zip(stops, stops[1:])):
         return None
-    labels: list[int] = []
-    cut = 0
-    a, ja = stops[0]
-    for b, jb in stops[1:]:
-        nxt = bisect_left(fs, True, cut, n, key=lambda f: (abs(b - f), jb) < (abs(a - f), ja))
-        labels += [ja] * (nxt - cut)
-        cut, a, ja = nxt, b, jb
-    labels += [ja] * (n - cut)
-    return list(map(labels.__getitem__, scenario.follower_ranks))
+    cuts = [0]
+    for (a, ja), (b, jb) in zip(stops, stops[1:]):
+        key = lambda f: (abs(b - f), jb) < (abs(a - f), ja)
+        cuts.append(bisect_left(fs, True, cuts[-1], n, key=key))
+    cuts.append(n)
+    counts = [0] * len(declared)
+    bounds: list[float] = []
+    owners: list[int] = []
+    for (_, j), lo, hi in zip(stops, cuts, cuts[1:]):
+        if hi > lo:
+            counts[j] = hi - lo
+            bounds.append(fs[lo])
+            owners.append(j)
+    return Delegation(counts, scenario.follower_positions, None, (bounds[1:], owners))
 
 
-def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
+def delegate(scenario: Scenario, declared: list[float]) -> Delegation:
     """Map each follower to its nearest declared proxy (Tullock delegation).
 
     Exact distance ties go to the lower proxy index. Electorates with more
-    than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, the
-    rest the scan.
+    than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, which
+    finds each proxy's count as a run length and builds no per-follower
+    labels until they are read; the rest take the scan.
     """
     _check_state(scenario, declared)
-    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
-        labels = _delegate_sorted(scenario, declared)
-        if labels is not None:
-            return labels
-    out = []
-    for fp in scenario.follower_positions:
-        best_j, best_d = 0, abs(declared[0] - fp)
-        for j in range(1, len(declared)):
+    fps = scenario.follower_positions
+    if len(fps) > SCAN_MAX_FOLLOWERS:
+        found = _delegate_sorted(scenario, declared)
+        if found is not None:
+            return found
+    counts = [0] * len(declared)
+    labels = []
+    first, rest = declared[0], range(1, len(declared))
+    for fp in fps:
+        best_j, best_d = 0, abs(first - fp)
+        for j in rest:
             d = abs(declared[j] - fp)
             if d < best_d:
                 best_j, best_d = j, d
-        out.append(best_j)
-    return out
+        labels.append(best_j)
+        counts[best_j] += 1
+    return Delegation(counts, fps, labels)
 
 
 def weighted_median(values: list[float], weights: list[float]) -> tuple[int, float]:
@@ -213,6 +267,7 @@ def weighted_median(values: list[float], weights: list[float]) -> tuple[int, flo
     # order and the first qualifying run starts with the winning pair
     order = sorted(range(len(values)), key=values.__getitem__)
     below = 0.0  # weight of the elements sorted strictly before the run
+    half = total / 2
     k = 0
     n = len(order)
     while k < n:
@@ -226,7 +281,7 @@ def weighted_median(values: list[float], weights: list[float]) -> tuple[int, flo
         above = total - below - w_run
         # each element of the run shares the same strict-complement sums,
         # except that equal-valued siblings never count as strictly smaller
-        if below <= total / 2 and above <= total / 2:
+        if below <= half and above <= half:
             return i, v
         below += w_run
     # unreachable: some element always qualifies
@@ -267,16 +322,14 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
 
 
 def delegation_weights(scenario: Scenario, declared: list[float]) -> list[float]:
-    """w_j = (# followers delegating to j) + 1."""
-    weights = [1.0] * scenario.num_proxies
-    for j in delegate(scenario, declared):
-        weights[j] += 1.0
-    return weights
+    """w_j = (# followers delegating to j) + 1, from :attr:`Delegation.counts`."""
+    return [c + 1.0 for c in delegate(scenario, declared).counts]
 
 
 def wm_winner(scenario: Scenario, declared: list[float]) -> tuple[int, float]:
-    """Winner under the weighted-median rule: (proxy id, winning position)."""
-    _check_state(scenario, declared)
+    """Winner under the weighted-median rule: (proxy id, winning position).
+
+    The state is checked by :func:`delegate`, before any other work."""
     weights = delegation_weights(scenario, declared)
     return weighted_median(declared, weights)
 

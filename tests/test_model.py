@@ -146,6 +146,10 @@ def _scan(scenario, declared):
     ]
 
 
+def _histogram(labels, m):
+    return [labels.count(j) for j in range(m)]
+
+
 def _pool_median(scenario, declared):
     """Reference median: the lower middle value, as its first occurrence in
     declared + followers (which fixes the sign of a zero)."""
@@ -177,10 +181,14 @@ class TestSortedRoutes:
         )
         declared = [data.draw(pos) for _ in range(m)]
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # sorted route at any n
-            labels = delegate(sc, declared)
-        assert labels == _scan(sc, declared)
+            found = delegate(sc, declared)
+        scan = _scan(sc, declared)
+        assert found.counts == _histogram(scan, m)
+        assert list(found) == scan and len(found) == n
         if n and kind != "collapse":  # gaps of 0.5 or more: bisection decides alone
-            assert model._delegate_sorted(sc, declared) == labels
+            runs = model._delegate_sorted(sc, declared)
+            assert runs.counts == _histogram(scan, m)
+            assert list(runs) == scan and runs == found
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
         for j in range(m):
             assert repr(_median_window(sc, declared, j)) == repr(_pool_window(sc, declared, j))
@@ -206,9 +214,20 @@ class TestSortedRoutes:
         followers = tuple((k * 37 % 101 - 50) / 2 for k in range(model.SCAN_MAX_FOLLOWERS + 40))
         sc = Scenario((-3.0, 0.5, 0.5, 7.0), followers)
         declared = [-3.0, 0.5, 0.5, 7.0]
-        assert delegate(sc, declared) == _scan(sc, declared)
-        assert "follower_ranks" in vars(sc)
+        found = delegate(sc, declared)
+        assert "sorted_followers" in vars(sc)  # filled by the sorted route, not the scan
+        scan = _scan(sc, declared)
+        assert found == scan and found.counts == _histogram(scan, len(declared))
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
+
+    def test_winner_on_sorted_route_builds_no_labels(self):
+        followers = tuple(float(k * 37 % 101 - 50) for k in range(model.SCAN_MAX_FOLLOWERS + 40))
+        sc = Scenario((-30.0, 4.0, 4.0, 20.0), followers)
+        declared = [-30.0, 4.0, 4.0, 20.0]
+        weights = [c + 1.0 for c in _histogram(_scan(sc, declared), len(declared))]
+        with mock.patch.object(model.Delegation, "_materialize", side_effect=AssertionError):
+            assert delegation_weights(sc, declared) == weights
+            assert wm_winner(sc, declared) == weighted_median(declared, weights)
 
     def test_cache_leaves_equality_hash_and_repr(self):
         followers = (2.0, -1.0, 0.0, -0.0, 2.0)
@@ -217,9 +236,10 @@ class TestSortedRoutes:
         before = (hash(sc), repr(sc))
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
             wm_winner(sc, [1.0, -2.0])
-        assert {"sorted_followers", "follower_ranks"} <= set(vars(sc))
+        assert "sorted_followers" in vars(sc)
         assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
-        assert sc.follower_ranks == [3, 0, 1, 2, 4]
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
+            assert delegate(sc, [1.0, -2.0]) == [0, 1, 0, 0, 0]  # 0.0 and -0.0 share a run
         assert sc == fresh and (hash(sc), repr(sc)) == before == (hash(fresh), repr(fresh))
         assert [f.name for f in dataclasses.fields(sc)] == [
             "proxy_peaks", "follower_positions", "space"
@@ -262,7 +282,10 @@ class TestNearestProxyRoute:
         followers = tuple(data.draw(grid) for _ in range(n))
         declared = [data.draw(grid) for _ in range(m)]
         sc = Scenario(peaks, followers)
-        assert nearest_proxy_to_median(sc, declared) == wm_winner(sc, declared)[0]
+        winner = wm_winner(sc, declared)
+        assert nearest_proxy_to_median(sc, declared) == winner[0]
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the counts route at any n
+            assert wm_winner(sc, declared) == winner
 
 
 class TestInvariants:
@@ -277,7 +300,11 @@ class TestInvariants:
             tuple(data.draw(grid) for _ in range(n)),
         )
         declared = [data.draw(grid) for _ in range(m)]
+        weights = [c + 1.0 for c in _histogram(_scan(sc, declared), m)]
         assert sum(delegation_weights(sc, declared)) == m + n
+        assert delegation_weights(sc, declared) == weights
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the counts route at any n
+            assert delegation_weights(sc, declared) == weights
 
     def test_determinism(self, appendix_b):
         runs = {wm_winner(appendix_b, [-30.0, 90.0]) for _ in range(20)}
