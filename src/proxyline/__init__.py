@@ -44,7 +44,6 @@ from .manipulation import (
 )
 from .metrics import OutcomeReport, delta, outcome_report, social_cost, true_median
 from .model import (
-    Delegation,
     Scenario,
     Space,
     delegate,

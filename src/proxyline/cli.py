@@ -18,7 +18,7 @@ from . import manipulation as manip
 from . import metrics, model
 from . import partial_info as pinfo
 from .dynamics import PolicyKind, PolicySpec, Scheduler
-from .errors import ProxylineError, ScenarioValidationError
+from .errors import ProxylineError
 from .fixtures import REPLICATIONS, replicate
 from .generators import random_scenario, random_state
 from .model import Space
@@ -33,11 +33,7 @@ from .scenario_io import (
 
 
 def cmd_run(args) -> int:
-    try:
-        sf = load_scenario_file(args.file)
-    except (ScenarioValidationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sf = load_scenario_file(args.file)
     if args.max_steps is not None:
         sf = replace(sf, max_steps=args.max_steps)
     trace = run_scenario_file(sf)
@@ -144,11 +140,7 @@ def _check_file(path: str) -> list[tuple[str, bool, str]]:
 def cmd_check(args) -> int:
     rows: list[tuple[str, bool, str]] = []
     if args.file:
-        try:
-            rows = _check_file(args.file)
-        except (ScenarioValidationError, FileNotFoundError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        rows = _check_file(args.file)
     elif args.random < 1:
         print("error: --random must be at least 1", file=sys.stderr)
         return 2

@@ -81,7 +81,7 @@ def _diff_expected(report: ReplicationReport) -> None:
 def replicate_example1(r: ReplicationReport) -> None:
     sc = load_fixture("example1").scenario
     truthful = sc.truthful_state()
-    r.check("delegation_to_proxy_1", model.delegate(sc, truthful) == [0])
+    r.check("delegation_to_proxy_1", model.delegate(sc, truthful) == [1, 0])
     wid, wpos = model.wm_winner(sc, truthful)
     r.check("winner_is_proxy_1", wid == 0, f"winner id {wid + 1}")
     r.record("winner_position", wpos)

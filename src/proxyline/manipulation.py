@@ -84,7 +84,7 @@ def _nearest_others(others: list[tuple[float, int]], target: float):
     best_pos = math.nan
     for pos, k in others:
         d = abs(pos - target)
-        if d < best_d or (d == best_d and k < best_k):
+        if d < best_d:  # ``others`` ascends by id, so a tie keeps the lower one
             best_d, best_k, best_pos = d, k, pos
     return best_d, best_k, best_pos
 

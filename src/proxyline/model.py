@@ -9,7 +9,7 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -126,60 +126,7 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
         )
 
 
-class Delegation:
-    """How the followers delegate: ``counts[j]`` followers go to proxy j.
-
-    Read-only: callers change neither ``counts`` nor the labels. It reads as
-    the list of labels (the proxy id of each follower, in follower order):
-    indexing, iterating, ``len`` and ``==`` with a list or another
-    ``Delegation``. The scan keeps the labels it made. The sorted route keeps
-    only its runs over ``scenario.sorted_followers`` (the least follower of
-    each non-empty run but the first, and each run's proxy) and builds the
-    labels when they are first read. A follower's run is found by bisection
-    over those least followers, which is exact because a cut never splits
-    equal values.
-    """
-
-    __slots__ = ("counts", "_followers", "_labels", "_runs")
-
-    def __init__(
-        self,
-        counts: list[int],
-        followers: tuple[float, ...],
-        labels: list[int] | None,
-        runs: tuple[list[float], list[int]] | None = None,
-    ):
-        self.counts = counts
-        self._followers = followers
-        self._labels = labels
-        self._runs = runs
-
-    def _materialize(self) -> list[int]:
-        if self._labels is None:
-            bounds, owners = self._runs
-            run_ids = map(bisect_right, repeat(bounds), self._followers)
-            self._labels = list(map(owners.__getitem__, run_ids))
-        return self._labels
-
-    def __len__(self) -> int:
-        return len(self._followers)
-
-    def __getitem__(self, i):
-        return self._materialize()[i]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __eq__(self, other):
-        if isinstance(other, Delegation):
-            other = other._materialize()
-        return self._materialize() == other if isinstance(other, list) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Delegation({self._materialize()!r})"
-
-
-def _delegate_sorted(scenario: Scenario, declared: list[float]) -> Delegation | None:
+def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | None:
     """:func:`delegate` by bisection on the sorted followers, O(m log n);
     None when the scan must decide.
 
@@ -206,23 +153,18 @@ def _delegate_sorted(scenario: Scenario, declared: list[float]) -> Delegation | 
         cuts.append(bisect_left(fs, True, cuts[-1], n, key=key))
     cuts.append(n)
     counts = [0] * len(declared)
-    bounds: list[float] = []
-    owners: list[int] = []
     for (_, j), lo, hi in zip(stops, cuts, cuts[1:]):
-        if hi > lo:
-            counts[j] = hi - lo
-            bounds.append(fs[lo])
-            owners.append(j)
-    return Delegation(counts, scenario.follower_positions, None, (bounds[1:], owners))
+        counts[j] = hi - lo
+    return counts
 
 
-def delegate(scenario: Scenario, declared: list[float]) -> Delegation:
-    """Map each follower to its nearest declared proxy (Tullock delegation).
+def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
+    """Followers per proxy under Tullock delegation: entry j counts the
+    followers whose nearest declared position is proxy j's.
 
     Exact distance ties go to the lower proxy index. Electorates with more
     than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, which
-    finds each proxy's count as a run length and builds no per-follower
-    labels until they are read; the rest take the scan.
+    finds each count as a run length; the rest take the scan.
     """
     _check_state(scenario, declared)
     fps = scenario.follower_positions
@@ -231,7 +173,6 @@ def delegate(scenario: Scenario, declared: list[float]) -> Delegation:
         if found is not None:
             return found
     counts = [0] * len(declared)
-    labels = []
     first, rest = declared[0], range(1, len(declared))
     for fp in fps:
         best_j, best_d = 0, abs(first - fp)
@@ -239,9 +180,8 @@ def delegate(scenario: Scenario, declared: list[float]) -> Delegation:
             d = abs(declared[j] - fp)
             if d < best_d:
                 best_j, best_d = j, d
-        labels.append(best_j)
         counts[best_j] += 1
-    return Delegation(counts, fps, labels)
+    return counts
 
 
 def weighted_median(values: list[float], weights: list[float]) -> tuple[int, float]:
@@ -322,8 +262,8 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
 
 
 def delegation_weights(scenario: Scenario, declared: list[float]) -> list[float]:
-    """w_j = (# followers delegating to j) + 1, from :attr:`Delegation.counts`."""
-    return [c + 1.0 for c in delegate(scenario, declared).counts]
+    """w_j = (# followers delegating to j) + 1."""
+    return [c + 1.0 for c in delegate(scenario, declared)]
 
 
 def wm_winner(scenario: Scenario, declared: list[float]) -> tuple[int, float]:

@@ -206,9 +206,15 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
 def load_scenario_file(path: str | Path) -> ScenarioFile:
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(str(p), f"invalid JSON at line {exc.lineno}: {exc.msg}")
+    except OSError as exc:
+        raise ScenarioValidationError(str(p), f"cannot read file: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError(str(p), f"not UTF-8 text: invalid byte at offset {exc.start}")
+    except RecursionError:
+        raise ScenarioValidationError(str(p), "JSON nested too deeply")
     return parse_scenario_file(doc)
 
 

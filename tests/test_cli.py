@@ -1,5 +1,6 @@
 """CLI surface: run/check/replicate, schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -57,13 +58,58 @@ class TestRun:
         assert (a / "appendix_a_trace.jsonl").read_bytes() == (b / "appendix_a_trace.jsonl").read_bytes()
         assert (a / "appendix_a_summary.json").read_bytes() == (b / "appendix_a_summary.json").read_bytes()
 
+    # sha256 of every file that `run` writes for the committed fixtures. A
+    # change to any byte of a trace or summary must update this table
+    # on purpose.
+    FIXTURE_OUTPUT_SHA256 = {
+        "appendix_a_summary.json": "91baafb40cdfe4b185191516ed4b8038988bb65dbb788574e6e1725ab08d8c1f",
+        "appendix_a_trace.jsonl": "333cd8219b741325db471551820e31cc5d25db574409bfb72b22e6986a37af4a",
+        "appendix_b_summary.json": "efe5ab8794391551bbb6a23f805b62c2ef4641c4e510062f0f63c905eea43467",
+        "appendix_b_trace.jsonl": "e8d135da5bca7c0a334f3361bed1434dc919ed5a0b30b7a49c0547da364dee9d",
+        "example1_summary.json": "b255054191c6a3569157b47c8d36810e1b1b233a7c64d43fc2f93878fac6c29a",
+        "example1_trace.jsonl": "c1ef0ebef3813547b0ec867666e9c7d7e01a789a83f627f2592d808071b7d133",
+        "example2_summary.json": "1b1d9167582ef18f75eccb8e2e12475afd1fcec10c4b960a047ff5ef0e503703",
+        "example2_trace.jsonl": "ce272a2ea63ea10158d5d58cb43ad0799e58b80ef9efb262e03e603fc853a589",
+        "example3_summary.json": "86e02268d1dd922b00821d396c433ca6febeda80379f5bcf78035366a220bf03",
+        "example3_trace.jsonl": "2b658785f28a3698e70589acaa79e321a6ffba17cfaabc34109ffb51c773ebfe",
+        "fig3_summary.json": "617d87bafbeb25de6465983ad5540480a7edc7941191f8e2257ea6a26ed94fe4",
+        "fig3_trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "fig5_summary.json": "6c0bb34be11c7706e8bf9b313947a77bd7b2bcecba8396462175e2b26f8cc8ff",
+        "fig5_trace.jsonl": "30dd0a50ee7165bbce72a890e82915e4d11945321a6c48c8af378b1da20d70af",
+        "fig7_summary.json": "ccace4bfbbc0ba45ec301902eefc79734f925286d0d7827bae0f6dcf753d8781",
+        "fig7_trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "footnote_summary.json": "d8ba3d3e5546ab6eace4d8d065f94b862fe35aefca17c3fe88f0d37cb86c6e2b",
+        "footnote_trace.jsonl": "496b3c3b6652064ab1cad98333005b8fa08392f9052eda884cf9649bf6618e3f",
+        "theorem2_fig2_summary.json": "d722d31321c1c64e48d6227418711c53819a4ea5c862c788308d4a82cca98ba9",
+        "theorem2_fig2_trace.jsonl": "3bfea4314afef460f32e0ace6e3eb0c6a545c07f83cf53898952b6a412a3059c",
+    }
+
+    def test_fixture_outputs_match_committed_digests(self, tmp_path):
+        for path in sorted(fixtures_dir().glob("*.json")):
+            assert main(["--output-dir", str(tmp_path), "run", str(path)]) == 0
+        written = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+        }
+        assert written == self.FIXTURE_OUTPUT_SHA256
+
     def test_summary_reparses(self, tmp_path):
         main(["--output-dir", str(tmp_path), "run", fixture_path("example1")])
         summary = json.loads((tmp_path / "example1_summary.json").read_text())
         assert summary["schema_version"] == 1
 
-    def test_missing_file_exits_2(self, tmp_path):
-        assert main(["--output-dir", str(tmp_path), "run", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize(
+        "content", [None, "dir", b"\xff\xfe{}", b"[" * 100_000],
+        ids=["missing", "directory", "not_utf8", "deeply_nested"],
+    )
+    def test_missing_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "in.json"
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["--output-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
