@@ -9,7 +9,7 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -68,11 +68,14 @@ class Scenario:
         step = self.space.step
         discrete = step is not None
         positions = self.proxy_peaks + self.follower_positions
-        # C-level passes accept finite exact multiples of the step; anything
-        # else goes through the loop, which applies the grid tolerance and
-        # reports the first offending position
-        if not all(map(math.isfinite, positions)) or (
-            discrete and not all(map(float.is_integer, map(truediv, positions, repeat(step))))
+        # a C-level pass accepts finite positions, or on a grid exact multiples
+        # of the step (NaN and ±inf are no multiple); anything else goes through
+        # the loop, which applies the grid tolerance and reports the first
+        # offending position
+        if not (
+            all(map(float.is_integer, map(truediv, positions, repeat(step))))
+            if discrete
+            else all(map(math.isfinite, positions))
         ):
             named = (("proxies", self.proxy_peaks), ("followers", self.follower_positions))
             for name, values in named:
@@ -130,12 +133,18 @@ def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | N
     """:func:`delegate` by bisection on the sorted followers, O(m log n);
     None when the scan must decide.
 
-    Only the nearest declared position on either side can win a follower,
-    so each pair of adjacent distinct positions needs one cut point, found
-    with the scan's own (distance, index) comparison. That holds while float
-    rounding cannot make two different distances equal, which is certain
-    when every adjacent gap exceeds span·2⁻⁵⁰ (each distance is off by at
-    most span·2⁻⁵³). A proxy's count is the length of its run.
+    Each distance is off by at most span·2⁻⁵³. When every adjacent gap
+    exceeds span·2⁻⁵⁰, that guarantees only that no stop but the two
+    adjacent to a follower can win it: rounding can still make those two
+    distances equal away from their midpoint (stops at ±1e17 hand a
+    follower at 0.3 to the lower id). So each cut point is found with the
+    scan's own (distance, index) comparison, which is monotone in the
+    follower, but only inside a window of span·2⁻⁴⁹ around the midpoint that
+    float bisection finds. Outside it the two exact distances differ by more
+    than span·2⁻⁴⁹, more than rounding can close; where the positions dwarf
+    the span, the midpoint's own rounding is larger, but every distance is
+    then exact. A floor of four subnormal ulps covers the midpoint's
+    rounding at subnormal scale. A proxy's count is the length of its run.
     """
     first: dict[float, int] = {}
     for j, p in enumerate(declared):
@@ -147,10 +156,14 @@ def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | N
     # written so that a NaN gap or span also falls back to the scan
     if not all(b - a > span * 2**-50 for (a, _), (b, _) in zip(stops, stops[1:])):
         return None
+    eps = span * 2**-49 + 4 * math.ulp(0.0)
     cuts = [0]
     for (a, ja), (b, jb) in zip(stops, stops[1:]):
+        mid = a / 2 + b / 2
+        lo = bisect_left(fs, mid - eps, cuts[-1], n)
+        hi = bisect_right(fs, mid + eps, lo, n)
         key = lambda f: (abs(b - f), jb) < (abs(a - f), ja)
-        cuts.append(bisect_left(fs, True, cuts[-1], n, key=key))
+        cuts.append(bisect_left(fs, True, lo, hi, key=key))
     cuts.append(n)
     counts = [0] * len(declared)
     for (_, j), lo, hi in zip(stops, cuts, cuts[1:]):

@@ -205,8 +205,18 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
 
 def load_scenario_file(path: str | Path) -> ScenarioFile:
     p = Path(path)
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        # json keeps the last of a repeated key; a scenario file may not repeat one
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ScenarioValidationError(str(p), f"duplicate key {key!r} in one object")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(str(p), f"invalid JSON at line {exc.lineno}: {exc.msg}")
     except OSError as exc:

@@ -111,6 +111,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        text = (fixtures_dir() / "example1.json").read_text()
+        assert text.count('"proxies"') == 1
+        dup = tmp_path / "dup.json"
+        dup.write_text(text.replace('"proxies"', '"proxies": [7.0, 9.0], "proxies"'))
+        assert main(["--output-dir", str(tmp_path / "out"), "run", str(dup)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {dup}: duplicate key 'proxies' in one object\n"
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -135,6 +136,7 @@ STATE_KINDS = {
     "half_integers": st.integers(-8, 8).map(lambda k: k / 2),
     "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
     "collapse": st.sampled_from([0.0, -0.0, 1e-20, -1e-20, 1e17, -1e17, 0.3]),
+    "subnormal": st.integers(-12, 12).map(lambda k: k * 5e-324),
 }
 
 
@@ -196,6 +198,43 @@ class TestSortedRoutes:
         assert model._delegate_sorted(sc, [0.0, 1e-20, 1.0]) is None
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
             assert delegate(sc, [0.0, 1e-20, 1.0]) == [1, 0, 0]
+
+    def test_rounded_tie_far_from_the_midpoint(self):
+        # abs() rounds every distance from +-1e17 to a follower this small to
+        # 1e17, so the scan hands all of them to id 0, not just those at 0
+        followers = (0.0, -0.0, 1e-20, -1e-20, 0.3, 0.5, 1.0) * 6
+        sc = Scenario((-1e17, 1e17), followers)
+        declared = [-1e17, 1e17]
+        assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [42, 0]
+        assert model._delegate_sorted(sc, declared) == [42, 0]  # bisection decides
+
+    def test_subnormal_midpoint_tie(self):
+        # 5e-324/2 + 2.5e-323/2 rounds to 1e-323, one subnormal ulp below the
+        # exact midpoint 1.5e-323, where the followers tie and go to id 0
+        sc = Scenario((5e-324, 2.5e-323), (1.5e-323,) * 40)
+        declared = [5e-324, 2.5e-323]
+        assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [40, 0]
+        assert model._delegate_sorted(sc, declared) == [40, 0]  # bisection decides
+
+    def test_midpoint_of_huge_positions_does_not_overflow(self):
+        # (a + b) / 2 would be inf here; a / 2 + b / 2 is the midpoint
+        followers = tuple(1.25e308 + k * 1e305 for k in range(-20, 20))
+        sc = Scenario((1e308, 1.5e308), followers)
+        declared = [1e308, 1.5e308]
+        assert model._delegate_sorted(sc, declared) == _histogram(_scan(sc, declared), 2)
+
+    def test_many_proxies_integer_grid(self):
+        # the dyn_many_proxies shape: m=50 integer positions, some repeated,
+        # over 10 000 integer followers, 8 of them at a midpoint tie
+        rng = random.Random(8)
+        followers = tuple(float(rng.randint(-10_000, 10_000)) for _ in range(10_000))
+        declared = [float(rng.randint(-9_000, 9_000)) for _ in range(45)]
+        declared += [declared[k] for k in rng.sample(range(45), 5)]
+        rng.shuffle(declared)
+        sc = Scenario(tuple(declared), followers, Space.discrete(1.0))
+        found = delegate(sc, declared)
+        assert found == _histogram(_scan(sc, declared), 50)
+        assert model._delegate_sorted(sc, declared) == found  # bisection decides
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_declared_position_delegates_like_the_scan(self, bad):
