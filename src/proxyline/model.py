@@ -49,7 +49,8 @@ class Space:
         if self.step is None:
             return True
         q = x / self.step
-        return abs(q - round(q)) <= 1e-9
+        # a quotient that overflows (or a NaN or infinite x) is on no grid
+        return math.isfinite(q) and abs(q - round(q)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,13 @@ class Scenario:
         """Follower positions in ascending order (the same float objects),
         sorted on first use. Stable: equal positions keep their input order."""
         return sorted(self.follower_positions)
+
+    @cached_property
+    def _delegations(self) -> dict[tuple[float, ...], list[int]]:
+        """:func:`delegate`'s memo on the sorted route: the counts of the
+        last two states it served, keyed by the declared positions, least
+        recently used first."""
+        return {}
 
     def truthful_state(self) -> list[float]:
         return list(self.proxy_peaks)
@@ -178,13 +186,28 @@ def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     Exact distance ties go to the lower proxy index. Electorates with more
     than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, which
     finds each count as a run length; the rest take the scan.
+
+    On the sorted route the scenario remembers the counts of the last two
+    states served, and every call returns a fresh copy. Two is enough: a
+    turn only evaluates the state being played and one proposal, and a
+    passing round re-evaluates one unchanged state. States are keyed by
+    ``tuple(declared)``, so 0.0 and -0.0 share a key. That is exact:
+    ``abs(0.0 - f) == abs(-0.0 - f)`` for every f, and the sorted route
+    already keeps one stop per ``==``-equal position.
     """
     _check_state(scenario, declared)
     fps = scenario.follower_positions
     if len(fps) > SCAN_MAX_FOLLOWERS:
-        found = _delegate_sorted(scenario, declared)
+        memo = scenario._delegations
+        key = tuple(declared)
+        found = memo.pop(key, None)
+        if found is None:
+            found = _delegate_sorted(scenario, declared)
         if found is not None:
-            return found
+            if len(memo) > 1:
+                del memo[next(iter(memo))]
+            memo[key] = found
+            return list(found)
     counts = [0] * len(declared)
     first, rest = declared[0], range(1, len(declared))
     for fp in fps:

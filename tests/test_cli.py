@@ -120,6 +120,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"error: {dup}: duplicate key 'proxies' in one object\n"
 
+    def test_position_whose_grid_quotient_overflows_exits_2(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = [1e308, 2e-10]
+        doc["scenario"]["space"] = {"kind": "discrete", "step": 1e-10}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scenario.proxies[0]" in err
+        assert err.count("\n") == 1
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

@@ -118,6 +118,12 @@ class TestRunDynamics:
                 sc, Scheduler.round_robin(),
                 [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2, max_steps=5,
             )
+        with pytest.raises(ConfigurationError):  # 1e308 / 1e-10 overflows: off grid
+            run_dynamics(
+                Scenario((0.0, 2e-10), (1e-10,), Space.discrete(1e-10)),
+                Scheduler.round_robin(),
+                [PolicySpec(PolicyKind.SCRIPTED, positions=(1e308,)), MONO], max_steps=5,
+            )
         with pytest.raises(ConfigurationError):  # a belief needs partial information
             run_dynamics(
                 sc, Scheduler.round_robin(), [MONO] * 2, max_steps=5,

@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 
 from proxyline import (
     EmptyElectorateError,
+    PolicyKind,
+    PolicySpec,
     Scenario,
     ScenarioValidationError,
+    Scheduler,
     Space,
+    StopReason,
     delegate,
     delegation_weights,
     nearest_proxy_to_median,
+    run_dynamics,
     unweighted_median,
     weighted_median,
     wm_winner,
@@ -259,16 +264,57 @@ class TestSortedRoutes:
         sc = Scenario((1.0, -2.0), followers)
         fresh = Scenario((1.0, -2.0), followers)
         before = (hash(sc), repr(sc))
+        assert delegate(sc, [1.0, -2.0]) == [4, 1]
+        assert "_delegations" not in vars(sc)  # the scan keeps no memo
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
             wm_winner(sc, [1.0, -2.0])
-        assert "sorted_followers" in vars(sc)
-        assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
-            assert delegate(sc, [1.0, -2.0]) == [4, 1]  # 0.0 and -0.0 share a run
+            assert "sorted_followers" in vars(sc)
+            assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
+            found = delegate(sc, [1.0, -2.0])
+            assert found == [4, 1]  # 0.0 and -0.0 share a run
+            found[0] = 99  # a caller's copy, not the memo's
+            assert delegate(sc, [1.0, -2.0]) == [4, 1]
+            for declared in ([0.0, 1.0], [-0.0, 1.0]):
+                assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2)
+        # the -0.0 state was served from the 0.0 entry, which it did not evict
+        assert list(sc._delegations) == [(1.0, -2.0), (0.0, 1.0)]
         assert sc == fresh and (hash(sc), repr(sc)) == before == (hash(fresh), repr(fresh))
         assert [f.name for f in dataclasses.fields(sc)] == [
             "proxy_peaks", "follower_positions", "space"
         ]
+
+    def test_each_state_delegated_once(self):
+        # the dyn_many_proxies shape at a smaller n: m=50 on an integer grid,
+        # monotone truth-oriented round-robin play to a PNE
+        rng = random.Random(3)
+        n, m = 2_000, 50
+        followers = tuple(float(rng.randint(-n, n)) for _ in range(n))
+        mid = sorted(followers)[(n - 1) // 2]
+        peaks = [mid + rng.choice((-1, 1)) * rng.randint(20, 1_800) for _ in range(m)]
+        assert min(peaks) < mid < max(peaks)
+        spec = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
+
+        def play():
+            sc = Scenario(tuple(peaks), followers, Space.discrete(1.0))
+            trace = run_dynamics(sc, Scheduler.round_robin(), [spec] * m, max_steps=10_000)
+            assert trace.stop_reason == StopReason.PNE and trace.records
+            return sc, trace
+
+        states = []
+        sorted_route = model._delegate_sorted
+
+        def counted(scenario, declared):
+            states.append(tuple(declared))
+            return sorted_route(scenario, declared)
+
+        with mock.patch.object(model, "_delegate_sorted", counted):
+            sc, trace = play()
+        assert len(states) == len(set(states))
+        assert len(sc._delegations) <= 2
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", n):  # the scan, no memo
+            scan_sc, scan_trace = play()
+        assert "_delegations" not in vars(scan_sc)
+        assert repr(scan_trace.records) == repr(trace.records)
 
 
 class TestWmWinner:
@@ -348,6 +394,10 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError) as exc:
             Scenario((0.0,), (1.0, 2.5, 3.5), Space.discrete(1.0))
         assert exc.value.path == "scenario.followers[1]"
+        # 1e308 / 1e-10 overflows to inf, which is on no grid
+        with pytest.raises(ScenarioValidationError) as exc:
+            Scenario((1e308, 2e-10), (0.0,), Space.discrete(1e-10))
+        assert exc.value.path == "scenario.proxies[0]"
         for step in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ScenarioValidationError):
                 Space(step)
