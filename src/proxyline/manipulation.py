@@ -17,6 +17,7 @@ from .errors import ScenarioValidationError
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
 from .model import Scenario, wm_winner
+from .oracle import GridSpec
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,8 @@ def follower_manipulation_scan(
 ) -> tuple[int, float] | None:
     """Brute-force search for an improving follower misreport.
 
-    Scans the grid of ``grid_step`` over the scenario's bounding box.
+    Scans the grid of ``grid_step`` over the scenario's bounding box,
+    which :class:`~proxyline.oracle.GridSpec` bounds by its point budget.
     Exists to test follower strategyproofness: the expected return is
     always None. A found witness is (follower index, misreport).
     """
@@ -244,14 +246,12 @@ def follower_manipulation_scan(
         raise ScenarioValidationError("grid_step", "must be positive")
     if scenario.num_followers == 0:
         return None
-    lo, hi = scenario.bounding_box()
+    grid = GridSpec(*scenario.bounding_box(), grid_step).points()
     declared = scenario.truthful_state()
     _, truthful_outcome = wm_winner(scenario, declared)
-    steps = int(round((hi - lo) / grid_step))
     for i, peak in enumerate(scenario.follower_positions):
         base = abs(truthful_outcome - peak)
-        for k in range(steps + 1):
-            x = lo + k * grid_step
+        for x in grid:
             followers = list(scenario.follower_positions)
             followers[i] = x
             trial = scenario.with_followers(tuple(followers))

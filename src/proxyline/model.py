@@ -104,10 +104,11 @@ class Scenario:
         return sorted(self.follower_positions)
 
     @cached_property
-    def _delegations(self) -> dict[tuple[float, ...], list[int]]:
-        """:func:`delegate`'s memo on the sorted route: the counts of the
-        last two states it served, keyed by the declared positions, least
-        recently used first."""
+    def _states(self) -> dict[tuple[float, ...], list]:
+        """Records of the last two states evaluated on the sorted route,
+        keyed by the declared positions, least recently used first. A
+        record is ``[winner id, median's (index, value)]``, each None until
+        first use."""
         return {}
 
     def truthful_state(self) -> list[float]:
@@ -135,6 +136,30 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
         raise ScenarioValidationError(
             "state", f"expected {scenario.num_proxies} declared positions, got {len(declared)}"
         )
+
+
+def _record(scenario: Scenario, declared: list[float]) -> list:
+    """The scenario's record of ``declared``, made (after checking the
+    state) when it is not one of the last two states evaluated.
+
+    Two states are enough: a turn only evaluates the state being played and
+    one proposal, and a passing round re-evaluates one unchanged state.
+    States are keyed by ``tuple(declared)``, so 0.0 and -0.0, or 1 and 1.0,
+    share a key. That is exact: ``==``-equal positions are at equal
+    distance from every follower and sort identically, so they give the
+    same winner id and median index; the callers read the position back
+    from ``declared``, which keeps its zero sign and type.
+    """
+    states = scenario._states
+    key = tuple(declared)
+    record = states.pop(key, None)
+    if record is None:
+        _check_state(scenario, declared)
+        record = [None, None]
+        if len(states) > 1:
+            del states[next(iter(states))]
+    states[key] = record
+    return record
 
 
 def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | None:
@@ -186,28 +211,13 @@ def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     Exact distance ties go to the lower proxy index. Electorates with more
     than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, which
     finds each count as a run length; the rest take the scan.
-
-    On the sorted route the scenario remembers the counts of the last two
-    states served, and every call returns a fresh copy. Two is enough: a
-    turn only evaluates the state being played and one proposal, and a
-    passing round re-evaluates one unchanged state. States are keyed by
-    ``tuple(declared)``, so 0.0 and -0.0 share a key. That is exact:
-    ``abs(0.0 - f) == abs(-0.0 - f)`` for every f, and the sorted route
-    already keeps one stop per ``==``-equal position.
     """
     _check_state(scenario, declared)
     fps = scenario.follower_positions
     if len(fps) > SCAN_MAX_FOLLOWERS:
-        memo = scenario._delegations
-        key = tuple(declared)
-        found = memo.pop(key, None)
-        if found is None:
-            found = _delegate_sorted(scenario, declared)
+        found = _delegate_sorted(scenario, declared)
         if found is not None:
-            if len(memo) > 1:
-                del memo[next(iter(memo))]
-            memo[key] = found
-            return list(found)
+            return found
     counts = [0] * len(declared)
     first, rest = declared[0], range(1, len(declared))
     for fp in fps:
@@ -275,9 +285,19 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
     The median has rank k = ⌊(n+m−1)/2⌋, so only the declared positions and
     the sorted followers ``fs[k−m : k+1]`` can hold it. The followers below
     that window count as one point at ``fs[lo−1]`` weighted by their number,
-    those above as one at ``fs[hi]``: at most 2m+3 weighted items.
+    those above as one at ``fs[hi]``: at most 2m+3 weighted items. With
+    more than :data:`SCAN_MAX_FOLLOWERS` followers the median's (index,
+    value) is kept in the scenario's record of the state, so a repeated
+    state is not ranked again.
     """
-    _check_state(scenario, declared)
+    record = None
+    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
+        record = _record(scenario, declared)
+        if record[1] is not None:
+            i, value = record[1]
+            return declared[i] if i < len(declared) else value
+    else:
+        _check_state(scenario, declared)
     fs = scenario.sorted_followers
     n, m = len(fs), len(declared)
     k = (n + m - 1) // 2
@@ -293,8 +313,10 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
     if hi < n:
         values.append(fs[hi])
         weights.append(float(n - hi))
-    _, value = weighted_median(values, weights)
-    return value
+    found = weighted_median(values, weights)
+    if record is not None:
+        record[1] = found
+    return found[1]
 
 
 def delegation_weights(scenario: Scenario, declared: list[float]) -> list[float]:
@@ -305,9 +327,17 @@ def delegation_weights(scenario: Scenario, declared: list[float]) -> list[float]
 def wm_winner(scenario: Scenario, declared: list[float]) -> tuple[int, float]:
     """Winner under the weighted-median rule: (proxy id, winning position).
 
-    The state is checked by :func:`delegate`, before any other work."""
-    weights = delegation_weights(scenario, declared)
-    return weighted_median(declared, weights)
+    The state is checked before any other work. With more than
+    :data:`SCAN_MAX_FOLLOWERS` followers the winner id is kept in the
+    scenario's record of the state, so a repeated state is neither
+    delegated nor ranked again."""
+    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
+        record = _record(scenario, declared)
+        if record[0] is None:
+            record[0] = weighted_median(declared, delegation_weights(scenario, declared))[0]
+        i = record[0]
+        return i, declared[i]
+    return weighted_median(declared, delegation_weights(scenario, declared))
 
 
 def nearest_proxy_to_median(scenario: Scenario, declared: list[float]) -> int:

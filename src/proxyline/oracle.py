@@ -8,15 +8,21 @@ re-derive outcomes move by move from the delegation-weight definition.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import GridBudgetError
 from .model import Scenario, wm_winner
 from .partial_info import ObservedState, sample_consistent_profile
 
+GRID_BUDGET = 1_000_000  # most points in one grid scan
+
 
 @dataclass(frozen=True)
 class GridSpec:
+    """The points ``lower + k·step`` from ``lower`` to ``upper``; building
+    one past :data:`GRID_BUDGET` points raises :class:`GridBudgetError`."""
+
     lower: float
     upper: float
     step: float
@@ -24,8 +30,13 @@ class GridSpec:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.count() > 1_000_000:
-            raise GridBudgetError("grid exceeds the one-million-point budget")
+        steps = (self.upper - self.lower) / self.step
+        # a bound too wide for the step makes the quotient infinite (or NaN)
+        if not (math.isfinite(steps) and round(steps) < GRID_BUDGET):
+            raise GridBudgetError(
+                f"grid from {self.lower} to {self.upper} by {self.step}"
+                f" exceeds the {GRID_BUDGET:,}-point budget"
+            )
 
     def count(self) -> int:
         return int(round((self.upper - self.lower) / self.step)) + 1

@@ -269,6 +269,17 @@ class TestCheck:
         assert main(["check", "--random", count]) == 2
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("proxies", [[-1e308, 1e308], [-1e6, 1e6]], ids=["overflow", "over_budget"])
+    def test_follower_scan_grid_too_large_exits_2(self, tmp_path, capsys, proxies):
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = proxies
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid from ") and err.endswith(" budget\n")
+        assert err.count("\n") == 1
+
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0
 

@@ -262,26 +262,62 @@ class TestSortedRoutes:
     def test_cache_leaves_equality_hash_and_repr(self):
         followers = (2.0, -1.0, 0.0, -0.0, 2.0)
         sc = Scenario((1.0, -2.0), followers)
-        fresh = Scenario((1.0, -2.0), followers)
         before = (hash(sc), repr(sc))
-        assert delegate(sc, [1.0, -2.0]) == [4, 1]
-        assert "_delegations" not in vars(sc)  # the scan keeps no memo
+        assert wm_winner(sc, [0.0, 1.0]) == (0, 0.0)
+        assert unweighted_median(sc, [0.0, 1.0]) == 0.0
+        assert "_states" not in vars(sc)  # the scan keeps no record
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
-            wm_winner(sc, [1.0, -2.0])
-            assert "sorted_followers" in vars(sc)
+            first, second = delegate(sc, [1.0, -2.0]), delegate(sc, [1.0, -2.0])
+            assert first == second == [4, 1] and first is not second
+            assert set(vars(sc)) == {
+                "proxy_peaks", "follower_positions", "space", "sorted_followers"
+            }  # delegate keeps no memo, only the sorted followers
             assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
-            found = delegate(sc, [1.0, -2.0])
-            assert found == [4, 1]  # 0.0 and -0.0 share a run
-            found[0] = 99  # a caller's copy, not the memo's
-            assert delegate(sc, [1.0, -2.0]) == [4, 1]
-            for declared in ([0.0, 1.0], [-0.0, 1.0]):
-                assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2)
-        # the -0.0 state was served from the 0.0 entry, which it did not evict
-        assert list(sc._delegations) == [(1.0, -2.0), (0.0, 1.0)]
-        assert sc == fresh and (hash(sc), repr(sc)) == before == (hash(fresh), repr(fresh))
+            # 0.0, -0.0 and 0 share a key; the answers keep each call's own
+            # zero. [2.0, 2.0] evicts the least recently used state
+            states = ([1.0, -2.0], [0.0, 1.0], [-0.0, 1.0], [0, 1], [2.0, 2.0], [-0.0, 1.0])
+            for declared in states:
+                for evaluate in (wm_winner, unweighted_median):
+                    fresh = Scenario((1.0, -2.0), followers)
+                    assert repr(evaluate(sc, declared)) == repr(evaluate(fresh, declared))
+                assert len(sc._states) <= 2
+        assert list(sc._states) == [(2.0, 2.0), (0.0, 1.0)]
+        assert sc == Scenario((1.0, -2.0), followers)
+        assert (hash(sc), repr(sc)) == before
         assert [f.name for f in dataclasses.fields(sc)] == [
             "proxy_peaks", "follower_positions", "space"
         ]
+
+    @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_record_answers_like_a_fresh_scenario(self, kind, data):
+        # repeated states on one Scenario, with zero signs flipped and
+        # integral positions given as int between calls
+        pos = STATE_KINDS[kind]
+        m = data.draw(st.integers(1, 5))
+        n = model.SCAN_MAX_FOLLOWERS + data.draw(st.integers(1, 4))
+        peaks = tuple(data.draw(pos) for _ in range(m))
+        followers = tuple(data.draw(pos) for _ in range(n))
+        sc = Scenario(peaks, followers)
+        states = [[data.draw(pos) for _ in range(m)] for _ in range(3)]
+
+        def spellings(x):
+            if x == 0:
+                return [0.0, -0.0, 0]
+            return [x, int(x)] if x.is_integer() else [x]
+
+        for _ in range(data.draw(st.integers(1, 12))):
+            state = data.draw(st.sampled_from(states))
+            declared = [data.draw(st.sampled_from(spellings(x))) for x in state]
+            evaluate = data.draw(st.sampled_from([wm_winner, unweighted_median]))
+            got = evaluate(sc, declared)
+            want = evaluate(Scenario(peaks, followers), declared)
+            assert repr(got) == repr(want)
+            assert type(got) is type(want)
+            if evaluate is wm_winner:
+                assert type(got[1]) is type(want[1])
+            assert len(sc._states) <= 2
 
     def test_each_state_delegated_once(self):
         # the dyn_many_proxies shape at a smaller n: m=50 on an integer grid,
@@ -301,19 +337,27 @@ class TestSortedRoutes:
             return sc, trace
 
         states = []
-        sorted_route = model._delegate_sorted
+        ranked = []  # (state, winner or median) per weighted_median call
+        sorted_route, median = model._delegate_sorted, model.weighted_median
 
         def counted(scenario, declared):
             states.append(tuple(declared))
             return sorted_route(scenario, declared)
 
-        with mock.patch.object(model, "_delegate_sorted", counted):
+        def counted_median(values, weights):
+            ranked.append((tuple(values[:m]), len(values) == m))
+            return median(values, weights)
+
+        with mock.patch.object(model, "_delegate_sorted", counted), \
+                mock.patch.object(model, "weighted_median", counted_median):
             sc, trace = play()
         assert len(states) == len(set(states))
-        assert len(sc._delegations) <= 2
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", n):  # the scan, no memo
+        # once for the winner and once for the median, at most
+        assert len(ranked) == len(set(ranked)) <= 2 * len({state for state, _ in ranked})
+        assert len(sc._states) <= 2
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", n):  # the scan, no record
             scan_sc, scan_trace = play()
-        assert "_delegations" not in vars(scan_sc)
+        assert "_states" not in vars(scan_sc)
         assert repr(scan_trace.records) == repr(trace.records)
 
 
