@@ -68,7 +68,6 @@ from .partial_info import (
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
-    init_median_interval,
     max_regret,
     minimax_regret_strategy,
     observe,

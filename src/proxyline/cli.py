@@ -70,7 +70,7 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
             ok = False
     results.append(("lemma1_equivalence", ok, ""))
 
-    witness = manip.follower_manipulation_scan(scenario, grid_step=0.5)
+    witness = manip.follower_manipulation_scan(scenario)
     results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
 
     verdict = manip.characterize_truthful_manipulability(scenario)
@@ -128,7 +128,7 @@ def _check_file(path: str) -> list[tuple[str, bool, str]]:
         ("lemma1_equivalence",
          model.nearest_proxy_to_median(scenario, state) == model.wm_winner(scenario, state)[0], "")
     )
-    witness = manip.follower_manipulation_scan(scenario, grid_step=0.5)
+    witness = manip.follower_manipulation_scan(scenario)
     results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
     if sf.alt_followers is not None:
         alt = scenario.with_followers(sf.alt_followers)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .intervals import INF, Interval
@@ -39,9 +39,20 @@ class PolicyKind(enum.Enum):
     SCRIPTED = "scripted"
 
 
+# the parameter fields each policy kind reads; every kind reads truth_oriented
+POLICY_FIELDS = {
+    PolicyKind.MONOTONE_BETTER_RESPONSE: {"fraction"},
+    PolicyKind.DISCRETE_BEST_RESPONSE: set(),
+    PolicyKind.OSCILLATING_ALPHA: {"alpha1", "decay"},
+    PolicyKind.MINIMAX_REGRET: set(),
+    PolicyKind.SCRIPTED: {"positions"},
+}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
-    """Declarative description of one proxy's strategy rule."""
+    """Declarative description of one proxy's strategy rule. A parameter
+    that the kind does not read must keep its default."""
 
     kind: PolicyKind
     fraction: float = 0.5
@@ -51,6 +62,11 @@ class PolicySpec:
     truth_oriented: bool = False
 
     def validate(self, scenario: Scenario, mode: str) -> None:
+        for name, default in _IGNORED_DEFAULTS[self.kind]:
+            if getattr(self, name) != default:
+                raise ConfigurationError(f"{self.kind.value} does not use {name}")
+        if self.truth_oriented and mode == "partial_info":
+            raise ConfigurationError("truth_oriented is not used under partial_info mode")
         if self.kind == PolicyKind.OSCILLATING_ALPHA and scenario.space.is_discrete:
             raise ConfigurationError("oscillating_alpha requires continuous space")
         if self.kind == PolicyKind.DISCRETE_BEST_RESPONSE and not scenario.space.is_discrete:
@@ -67,6 +83,17 @@ class PolicySpec:
             for p in self.positions:
                 if not scenario.space.on_grid(p):
                     raise ConfigurationError(f"scripted position {p} off grid")
+
+
+# per kind, the (name, default) of each parameter field it does not read
+_IGNORED_DEFAULTS = {
+    kind: [
+        (f.name, f.default)
+        for f in fields(PolicySpec)
+        if f.name in set().union(*POLICY_FIELDS.values()) - read
+    ]
+    for kind, read in POLICY_FIELDS.items()
+}
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ScenarioValidationError
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
 from .model import Scenario, wm_winner
-from .oracle import GridSpec
 
 
 @dataclass(frozen=True)
@@ -231,27 +229,22 @@ def characterize_truthful_manipulability(scenario: Scenario) -> ManipulationVerd
     return ManipulationVerdict(True, witness_proxy=witness, witness_position=med)
 
 
-def follower_manipulation_scan(
-    scenario: Scenario,
-    grid_step: float,
-) -> tuple[int, float] | None:
-    """Brute-force search for an improving follower misreport.
+def follower_manipulation_scan(scenario: Scenario) -> tuple[int, float] | None:
+    """Exhaustive search for an improving follower misreport (Theorem 1).
 
-    Scans the grid of ``grid_step`` over the scenario's bounding box,
-    which :class:`~proxyline.oracle.GridSpec` bounds by its point budget.
-    Exists to test follower strategyproofness: the expected return is
-    always None. A found witness is (follower index, misreport).
+    A report changes the outcome only through the proxy that gets the
+    follower's weight. A report at a declared position p goes to the first
+    proxy at p, at distance 0, and every report goes to some proxy that is
+    first at its position; so one report at each distinct declared
+    position reaches every outcome any report can, and the search is
+    complete and exact. The expected return is always None; a found
+    witness is (follower index, misreport).
     """
-    if grid_step <= 0:
-        raise ScenarioValidationError("grid_step", "must be positive")
-    if scenario.num_followers == 0:
-        return None
-    grid = GridSpec(*scenario.bounding_box(), grid_step).points()
     declared = scenario.truthful_state()
     _, truthful_outcome = wm_winner(scenario, declared)
     for i, peak in enumerate(scenario.follower_positions):
         base = abs(truthful_outcome - peak)
-        for x in grid:
+        for x in dict.fromkeys(declared):
             followers = list(scenario.follower_positions)
             followers[i] = x
             trial = scenario.with_followers(tuple(followers))

@@ -92,13 +92,8 @@ def _midpoint_interval(observed: ObservedState) -> Interval:
     return Interval(lo, hi, lo_open, hi_open)
 
 
-def init_median_interval(observed: ObservedState) -> Interval:
-    """The interval of consistent medians at the truthful first poll."""
-    return _midpoint_interval(observed)
-
-
 def init_belief(observed: ObservedState) -> BeliefState:
-    return BeliefState(observed, init_median_interval(observed))
+    return BeliefState(observed, _midpoint_interval(observed))
 
 
 def update_median_interval(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dynamics import (
+    POLICY_FIELDS,
     DynamicsTrace,
     MoveRecord,
     PolicyKind,
@@ -101,15 +102,7 @@ def _parse_space_step(obj, path: str) -> float | None:
     raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
-# the parameter fields each policy kind reads; every kind reads truth_oriented
-_POLICY_FIELDS = {
-    PolicyKind.MONOTONE_BETTER_RESPONSE: {"fraction"},
-    PolicyKind.DISCRETE_BEST_RESPONSE: set(),
-    PolicyKind.OSCILLATING_ALPHA: {"alpha1", "decay"},
-    PolicyKind.MINIMAX_REGRET: set(),
-    PolicyKind.SCRIPTED: {"positions"},
-}
-_ALL_POLICY_FIELDS = set().union(*_POLICY_FIELDS.values())
+_ALL_POLICY_FIELDS = set().union(*POLICY_FIELDS.values())
 
 
 def _parse_policy(obj, path: str) -> PolicySpec:
@@ -126,11 +119,11 @@ def _parse_policy(obj, path: str) -> PolicySpec:
         positions=tuple(_number_list(obj.get("positions", []), f"{path}.positions")),
         truth_oriented=_bool(obj.get("truth_oriented", False), f"{path}.truth_oriented"),
     )
-    _reject_unused(obj, _ALL_POLICY_FIELDS - _POLICY_FIELDS[kind], path, kind.value)
+    _reject_unused(obj, _ALL_POLICY_FIELDS - POLICY_FIELDS[kind], path, kind.value)
     return spec
 
 
-def _parse_scheduler(obj, path: str) -> Scheduler:
+def _parse_scheduler(obj, path: str, num_proxies: int) -> Scheduler:
     _require_keys(_object(obj, path), {"kind", "order"}, path)
     kind = obj.get("kind")
     if kind == "round_robin":
@@ -140,9 +133,14 @@ def _parse_scheduler(obj, path: str) -> Scheduler:
         order = obj.get("order", [])
         if not isinstance(order, list):
             raise ScenarioValidationError(f"{path}.order", "expected a list of 1-based proxy ids")
-        return Scheduler.scripted(
-            [_int(x, f"{path}.order[{i}]") - 1 for i, x in enumerate(order)]
-        )
+        ids = []
+        for i, x in enumerate(order):
+            if not 1 <= _int(x, f"{path}.order[{i}]") <= num_proxies:
+                raise ScenarioValidationError(
+                    f"{path}.order[{i}]", f"expected a proxy id from 1 to {num_proxies}"
+                )
+            ids.append(x - 1)
+        return Scheduler.scripted(ids)
     raise ScenarioValidationError(f"{path}.kind", f"unknown scheduler kind {kind!r}")
 
 
@@ -175,7 +173,9 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         raise ScenarioValidationError("$.policies", "expected one policy per proxy")
     policies = [_parse_policy(p, f"$.policies[{i}]") for i, p in enumerate(pol_obj)]
 
-    scheduler = _parse_scheduler(doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler")
+    scheduler = _parse_scheduler(
+        doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler", len(proxies)
+    )
 
     run_obj = _object(doc.get("run", {}), "$.run")
     _require_keys(run_obj, {"max_steps"}, "$.run")

@@ -229,6 +229,9 @@ class TestSchema:
             ("policies", "kind", "oscillating_alpha", "$.policies[0].fraction"),
             (None, "mode", "partial_info", "$.policies[0].truth_oriented"),
             (None, "scheduler", {"kind": "round_robin", "order": [1]}, "$.scheduler.order"),
+            # 1-based proxy ids out of range (example1 has 2 proxies)
+            ("scheduler", "order", [0], "$.scheduler.order[0]"),
+            ("scheduler", "order", [1, 3], "$.scheduler.order[1]"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, section, key, value, path):
@@ -270,15 +273,16 @@ class TestCheck:
         assert "PASS" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("proxies", [[-1e308, 1e308], [-1e6, 1e6]], ids=["overflow", "over_budget"])
-    def test_follower_scan_grid_too_large_exits_2(self, tmp_path, capsys, proxies):
+    def test_wide_scenario_checks_without_a_grid(self, tmp_path, capsys, proxies):
+        # the follower scan tries declared positions only, so no width is too wide
         doc = json.loads((fixtures_dir() / "example1.json").read_text())
         doc["scenario"]["proxies"] = proxies
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        assert main(["check", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: grid from ") and err.endswith(" budget\n")
-        assert err.count("\n") == 1
+        assert main(["check", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "PASS  theorem1_no_follower_manipulation" in out and "FAIL" not in out
+        assert err == ""
 
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0

@@ -130,6 +130,28 @@ class TestRunDynamics:
                 initial_belief=init_belief(observe(sc, sc.truthful_state())),
             )
 
+    @pytest.mark.parametrize(
+        "spec, mode, field",
+        [
+            (PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, alpha1=7.0), "full_info", "alpha1"),
+            (PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE, fraction=0.25), "full_info", "fraction"),
+            (PolicySpec(PolicyKind.OSCILLATING_ALPHA, positions=(1.0,)), "full_info", "positions"),
+            (PolicySpec(PolicyKind.SCRIPTED, decay=0.9), "full_info", "decay"),
+            (PolicySpec(PolicyKind.MINIMAX_REGRET, fraction=1.0), "partial_info", "fraction"),
+            (PolicySpec(PolicyKind.MINIMAX_REGRET, truth_oriented=True), "partial_info",
+             "truth_oriented"),
+        ],
+    )
+    def test_ignored_parameter_rejected(self, spec, mode, field):
+        sc = load_fixture("example1").scenario
+        with pytest.raises(ConfigurationError, match=field):
+            run_dynamics(sc, Scheduler.round_robin(), [spec] * 2, max_steps=5, mode=mode)
+
+    def test_parameters_at_their_defaults_accepted(self):
+        sc = load_fixture("example1").scenario
+        spec = PolicySpec(PolicyKind.SCRIPTED, fraction=0.5, alpha1=0.25, decay=0.5)
+        run_dynamics(sc, Scheduler.round_robin(), [spec, MONO], max_steps=5)
+
 
 def fig5_trace():
     return run_scenario_file(load_fixture("fig5_metamove"))

@@ -9,12 +9,14 @@ from proxyline import (
     Space,
     better_response_set,
     characterize_truthful_manipulability,
+    delegation_weights,
     follower_manipulation_scan,
     is_better_response,
     is_pne,
     true_median,
     wm_winner,
 )
+from proxyline import manipulation
 from proxyline.fixtures import load_fixture
 
 
@@ -145,19 +147,49 @@ class TestIsPne:
         assert not is_pne(sc, [5.0])
 
 
+def _reached(sc, follower, reports):
+    """(winner, outcome) pairs of the truthful state as one follower reports each of ``reports``."""
+    declared = sc.truthful_state()
+    pairs = set()
+    for x in reports:
+        followers = list(sc.follower_positions)
+        followers[follower] = x
+        pairs.add(wm_winner(sc.with_followers(tuple(followers)), declared))
+    return pairs
+
+
 class TestFollowerScan:
     def test_example1_no_witness(self, example1):
-        assert follower_manipulation_scan(example1, 0.1) is None
+        assert follower_manipulation_scan(example1) is None
 
     def test_appendix_b_no_witness(self):
         sc = load_fixture("appendix_b").scenario
-        assert follower_manipulation_scan(sc, 1.0) is None
+        assert follower_manipulation_scan(sc) is None
 
     def test_no_followers_vacuous(self):
-        assert follower_manipulation_scan(Scenario((0.0, 1.0)), 0.5) is None
+        assert follower_manipulation_scan(Scenario((0.0, 1.0))) is None
 
-    def test_rejects_bad_step(self, example1):
-        from proxyline import ScenarioValidationError
+    @pytest.mark.parametrize("unit", [1.0, 0.1], ids=["integer", "decimal"])
+    def test_declared_positions_reach_every_outcome(self, unit):
+        # the scan's completeness: no report on a fine grid reaches a
+        # (winner, outcome) that a report at a declared position misses
+        rng = random.Random(11)
+        for _ in range(60):
+            peaks = tuple(round(rng.randint(-20, 20) * unit, 1) for _ in range(rng.randint(1, 4)))
+            followers = tuple(round(rng.randint(-20, 20) * unit, 1) for _ in range(rng.randint(1, 5)))
+            sc = Scenario(peaks, followers)
+            lo, hi = sc.bounding_box()
+            grid = [lo - 1.0 + k * (hi - lo + 2.0) / 400 for k in range(401)]
+            follower = rng.randrange(len(followers))
+            assert _reached(sc, follower, grid) <= _reached(sc, follower, dict.fromkeys(peaks))
 
-        with pytest.raises(ScenarioValidationError):
-            follower_manipulation_scan(example1, 0.0)
+    def test_finds_a_witness_under_a_manipulable_rule(self, monkeypatch):
+        # under a delegation-weighted mean, the follower at 4 pulls the
+        # outcome from 2 to its peak by reporting the far proxy's position
+        def weighted_mean(scenario, declared):
+            weights = delegation_weights(scenario, declared)
+            return -1, sum(w * p for w, p in zip(weights, declared)) / sum(weights)
+
+        monkeypatch.setattr(manipulation, "wm_winner", weighted_mean)
+        sc = Scenario((0.0, 10.0), (4.0, 0.0, 0.0))
+        assert follower_manipulation_scan(sc) == (0, 10.0)

@@ -18,7 +18,6 @@ from proxyline import (
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
-    init_median_interval,
     max_regret,
     minimax_regret_strategy,
     observe,
@@ -53,7 +52,7 @@ class TestObserve:
 class TestInitInterval:
     def test_appendix_b_unbounded_left(self):
         sc = load_fixture("appendix_b").scenario
-        iv = init_median_interval(observe(sc, sc.truthful_state()))
+        iv = init_belief(observe(sc, sc.truthful_state())).interval
         assert math.isinf(iv.lo) and iv.lo < 0
         assert iv.hi == 30.0
         # the winner (lower index) keeps the exact-midpoint tie, so 30 stays in
@@ -63,12 +62,12 @@ class TestInitInterval:
         sc = Scenario((-3.0, 0.0, 3.0), (-0.1, 0.1))
         obs = observe(sc, sc.truthful_state())
         assert obs.winner_id == 1
-        iv = init_median_interval(obs)
+        iv = init_belief(obs).interval
         assert (iv.lo, iv.hi) == (-1.5, 1.5)
 
     def test_three_proxies_winner_in_middle(self):
         obs = ObservedState((0.0, 4.0, 10.0), 1)
-        iv = init_median_interval(obs)
+        iv = init_belief(obs).interval
         assert (iv.lo, iv.hi) == (2.0, 7.0)
         assert iv.lo_open  # tie at 2 goes to the lower-index neighbor
         assert not iv.hi_open  # tie at 7 stays with the winner
@@ -277,7 +276,7 @@ class TestSampling:
     def test_samples_keep_median_in_initial_interval(self):
         sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
-        iv = init_median_interval(obs)
+        iv = init_belief(obs).interval
         for seed in range(50):
             profile = sample_consistent_profile(obs, sc.num_followers, rng_seed=seed)
             world = sc.with_followers(profile)
