@@ -57,6 +57,7 @@ from .oracle import (
     DominatingCheck,
     DominatingVerdict,
     GridSpec,
+    deviation_reports,
     oracle_best_deviation,
     oracle_dominating_check,
 )

@@ -22,7 +22,7 @@ from .errors import ProxylineError
 from .fixtures import REPLICATIONS, replicate
 from .generators import random_scenario, random_state
 from .model import Space
-from .oracle import GridSpec, oracle_best_deviation
+from .oracle import deviation_reports, oracle_best_deviation
 from .scenario_io import (
     load_scenario_file,
     run_scenario_file,
@@ -57,6 +57,20 @@ def cmd_run(args) -> int:
 # invariant checks
 
 
+def _theorem2_row(scenario: model.Scenario) -> tuple[str, bool, str]:
+    """Theorem 2 on the truthful state: the analytic verdict against the
+    oracle tried at every proxy's complete list of deviation reports."""
+    verdict = manip.characterize_truthful_manipulability(scenario)
+    truthful = scenario.truthful_state()
+    found = any(
+        oracle_best_deviation(scenario, truthful, j, deviation_reports(scenario, truthful, j))
+        is not None
+        for j in range(scenario.num_proxies)
+    )
+    return ("theorem2_oracle_agreement", verdict.manipulable == found,
+            f"analytic {verdict.manipulable}, oracle {found}")
+
+
 def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
     """Full invariant sweep on one seeded random scenario."""
     rng = random.Random(seed)
@@ -73,17 +87,7 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
     witness = manip.follower_manipulation_scan(scenario)
     results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
 
-    verdict = manip.characterize_truthful_manipulability(scenario)
-    lo, hi = scenario.bounding_box()
-    grid = GridSpec(lo, hi, 0.25)
-    found = any(
-        oracle_best_deviation(scenario, scenario.truthful_state(), j, grid) is not None
-        for j in range(scenario.num_proxies)
-    )
-    results.append(
-        ("theorem2_oracle_agreement", verdict.manipulable == found,
-         f"analytic {verdict.manipulable}, oracle {found}")
-    )
+    results.append(_theorem2_row(scenario))
 
     disc = random_scenario(rng, space=Space.discrete(1.0), both_sides=True, no_peak_at_median=True)
     policies = [
@@ -130,6 +134,7 @@ def _check_file(path: str) -> list[tuple[str, bool, str]]:
     )
     witness = manip.follower_manipulation_scan(scenario)
     results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
+    results.append(_theorem2_row(scenario))
     if sf.alt_followers is not None:
         alt = scenario.with_followers(sf.alt_followers)
         same = pinfo.observe(scenario, state) == pinfo.observe(alt, state)

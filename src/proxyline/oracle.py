@@ -3,12 +3,19 @@
 These deliberately avoid the geometric shortcuts in
 :mod:`proxyline.manipulation` and :mod:`proxyline.partial_info`; they
 re-derive outcomes move by move from the delegation-weight definition.
+:func:`oracle_best_deviation` returns the best of the reports it is given;
+on :func:`deviation_reports` its yes/no answer is exact, and its
+improvement is a lower bound on the supremum when the improving reports
+form an open set.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import GridBudgetError
@@ -44,22 +51,79 @@ class GridSpec:
     def points(self) -> list[float]:
         return [self.lower + k * self.step for k in range(self.count())]
 
+    def __iter__(self):
+        return iter(self.points())
+
+
+def _reflect(f: float, p: float) -> float | None:
+    """2f − p correctly rounded, or None beyond the float range."""
+    try:
+        return math.fsum((f, f, -p))
+    except OverflowError:  # an intermediate sum overflowed; the result may not
+        from fractions import Fraction  # imported here: rare, and slow to import
+
+        exact = 2 * Fraction(f) - Fraction(p)
+        return float(exact) if abs(exact) <= sys.float_info.max else None
+
+
+def deviation_reports(scenario: Scenario, declared: list[float], proxy_id: int) -> list[float]:
+    """Finite reports that reach every outcome proxy ``proxy_id`` can get.
+
+    The breakpoints are the other declared positions and, for each follower
+    f, its reflections 2f − L and 2f − R across the nearest other positions
+    L ≤ f ≤ R. Between consecutive breakpoints every follower's delegation
+    and the report's rank among the others are fixed, so the winner is too,
+    and the outcome is constant or equals the report. The reports are the
+    breakpoints plus one per open gap (the tails clipped at the float
+    range): the peak if the gap holds it, else a point stepped in from the
+    edge e nearest the peak by min(s/2, half the gap), s = base − |e − peak|,
+    which improves whenever any report in the gap does; the midpoint when
+    s ≤ 0.
+    """
+    peak = scenario.proxy_peaks[proxy_id]
+    _, current = wm_winner(scenario, declared)
+    base = abs(current - peak)
+    others = sorted({p for k, p in enumerate(declared) if k != proxy_id})
+    breaks = set(others)
+    for f in scenario.follower_positions:
+        i, k = bisect_right(others, f), bisect_left(others, f)
+        breaks.update(_reflect(f, p) for p in others[i - 1 : i] + others[k : k + 1])
+    breaks.discard(None)
+    cuts = sorted(breaks)
+    top = sys.float_info.max
+    reports = list(cuts)
+    for a, b in zip([-top] + cuts, cuts + [top]):
+        if not a < b:
+            continue
+        if a < peak < b:
+            reports.append(peak)
+            continue
+        e, inward = (b, -1.0) if b <= peak else (a, 1.0)
+        s = base - abs(e - peak)
+        # halves, so that no width overflows; a NaN s (both distances
+        # overflowed) improves nowhere, like s <= 0
+        reports.append(e + inward * min(s / 2, b / 2 - a / 2) if s > 0 else a / 2 + b / 2)
+    return sorted(reports)
+
 
 def oracle_best_deviation(
-    scenario: Scenario, declared: list[float], proxy_id: int, grid: GridSpec
+    scenario: Scenario, declared: list[float], proxy_id: int, reports: Iterable[float]
 ) -> tuple[float, float] | None:
-    """Exhaustive scan for the best single-proxy deviation on a grid.
+    """Exhaustive scan for the best single-proxy deviation among ``reports``
+    (any iterable of finite positions, a :class:`GridSpec` included).
 
-    Returns (position, improvement) for the deviation whose outcome is
-    nearest the proxy's peak, or None when no grid deviation strictly
-    improves on the status quo.
+    Returns (position, improvement) for the report whose outcome is nearest
+    the proxy's peak, the first such in ``reports``, or None when no report
+    strictly improves on the status quo. On :func:`deviation_reports` the
+    None-or-not answer is exact; the improvement is the best among the
+    reports, a lower bound on the supremum when the improving set is open.
     """
     peak = scenario.proxy_peaks[proxy_id]
     _, current = wm_winner(scenario, declared)
     base = abs(current - peak)
     best: tuple[float, float] | None = None
     trial = list(declared)
-    for x in grid.points():
+    for x in reports:
         trial[proxy_id] = x
         _, outcome = wm_winner(scenario, trial)
         d = abs(outcome - peak)

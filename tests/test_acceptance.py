@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 import proxyline as px
 from proxyline import (
-    GridSpec,
     PolicyKind,
     PolicySpec,
     Scheduler,
@@ -73,11 +72,10 @@ def test_criterion_4_manipulability_characterization():
             rng = random.Random(50_000 + i)
             sc = random_scenario(rng)
             verdict = px.characterize_truthful_manipulability(sc)
-            lo, hi = sc.bounding_box()
-            grid = GridSpec(lo, hi, 0.25)
             truthful = sc.truthful_state()
             oracle_found = any(
-                px.oracle_best_deviation(sc, truthful, j, grid) is not None
+                px.oracle_best_deviation(sc, truthful, j, px.deviation_reports(sc, truthful, j))
+                is not None
                 for j in range(sc.num_proxies)
             )
             if verdict.manipulable != oracle_found:

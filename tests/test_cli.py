@@ -274,7 +274,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("proxies", [[-1e308, 1e308], [-1e6, 1e6]], ids=["overflow", "over_budget"])
     def test_wide_scenario_checks_without_a_grid(self, tmp_path, capsys, proxies):
-        # the follower scan tries declared positions only, so no width is too wide
+        # both scans try breakpoints of the positions only, so no width is too wide
         doc = json.loads((fixtures_dir() / "example1.json").read_text())
         doc["scenario"]["proxies"] = proxies
         path = tmp_path / "wide.json"
@@ -282,6 +282,7 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         out, err = capsys.readouterr()
         assert "PASS  theorem1_no_follower_manipulation" in out and "FAIL" not in out
+        assert "PASS  theorem2_oracle_agreement" in out
         assert err == ""
 
     def test_jobs_flag(self):

@@ -1,5 +1,6 @@
 """Brute-force oracle behavior and agreement with the analytic machinery."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from proxyline import (
     Scenario,
     better_response_set,
     characterize_truthful_manipulability,
+    deviation_reports,
+    is_better_response,
     observe,
     oracle_best_deviation,
     oracle_dominating_check,
@@ -36,40 +39,95 @@ def test_example2_best_deviation_just_left_of_one():
     assert improvement > 1.98
 
 
+def test_gridspec_iterates_its_points():
+    assert list(GridSpec(0.0, 1.0, 0.5)) == [0.0, 0.5, 1.0]
+
+
+def exact_best(sc, state, j):
+    return oracle_best_deviation(sc, state, j, deviation_reports(sc, state, j))
+
+
+def test_example1_exact_deviation_wins_left_of_one():
+    sc = load_fixture("example1").scenario
+    best = exact_best(sc, sc.truthful_state(), 1)
+    assert best is not None
+    pos, improvement = best
+    assert 0.0 <= pos < 1.0  # the improving reports are the open interval (-1, 1)
+    assert is_better_response(sc, sc.truthful_state(), 1, pos)
+
+
 def test_pne_state_has_no_deviation():
     sc = load_fixture("fig3_one_side").scenario
-    grid = GridSpec(-10.0, 10.0, 0.25)
     for j in range(sc.num_proxies):
-        assert oracle_best_deviation(sc, sc.truthful_state(), j, grid) is None
+        assert exact_best(sc, sc.truthful_state(), j) is None
 
 
 def test_nonmanipulable_scenarios_scan_clean():
     sc = Scenario((-1.0, 0.0, 2.0), (0.5, -0.5))  # a peak sits at the median
     assert not characterize_truthful_manipulability(sc).manipulable
-    grid = GridSpec(-8.0, 8.0, 0.25)
     for j in range(sc.num_proxies):
-        assert oracle_best_deviation(sc, sc.truthful_state(), j, grid) is None
+        assert exact_best(sc, sc.truthful_state(), j) is None
+
+
+def random_states(seed, count, draw):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = rng.randint(0, 6)
+        sc = Scenario(tuple(draw(rng) for _ in range(m)), tuple(draw(rng) for _ in range(n)))
+        yield sc, [draw(rng) for _ in range(m)]
+
+
+FAMILIES = {
+    "integer": lambda rng: float(rng.randint(-6, 6)),
+    "decimal": lambda rng: round(rng.randint(-20, 20) / 10, 1),
+}
 
 
 def test_agreement_with_better_response_set():
-    rng = random.Random(23)
-    for _ in range(80):
-        m = rng.randint(1, 4)
-        n = rng.randint(0, 6)
-        sc = Scenario(
-            tuple(float(rng.randint(-6, 6)) for _ in range(m)),
-            tuple(float(rng.randint(-6, 6)) for _ in range(n)),
-        )
-        state = [float(rng.randint(-6, 6)) for _ in range(m)]
+    # on integer states every edge of the analytic set is exact
+    for sc, state in random_states(23, 200, FAMILIES["integer"]):
+        for j in range(sc.num_proxies):
+            found = exact_best(sc, state, j)
+            assert (found is not None) == (not better_response_set(sc, state, j).is_empty())
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_no_report_improves_where_the_exact_oracle_finds_none(family):
+    for sc, state in random_states(31, 60, FAMILIES[family]):
         lo, hi = sc.bounding_box()
-        grid = GridSpec(lo, hi, 0.25)
-        for j in range(m):
-            brs = better_response_set(sc, state, j)
-            found = oracle_best_deviation(sc, state, j, grid)
-            has_grid_member = any(
-                brs.contains(x) for x in grid.points()
-            )
-            assert (found is not None) == has_grid_member
+        grid = GridSpec(lo - 1.0, hi + 1.0, 0.05)
+        for j in range(sc.num_proxies):
+            if exact_best(sc, state, j) is None:
+                assert not any(is_better_response(sc, state, j, x) for x in grid)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_returned_position_is_a_better_response(family):
+    for sc, state in random_states(37, 100, FAMILIES[family]):
+        for j in range(sc.num_proxies):
+            found = exact_best(sc, state, j)
+            if found is not None:
+                assert is_better_response(sc, state, j, found[0])
+
+
+@pytest.mark.parametrize("followers", [(0.0,), (1e308, -1e308, 0.0)])
+@pytest.mark.parametrize("proxies", [(-1e308, 1e308), (-1.7e308, 1.7e308)])
+def test_wide_positions_give_finite_reports(proxies, followers):
+    sc = Scenario(proxies, followers)
+    truthful = sc.truthful_state()
+    reports = [deviation_reports(sc, truthful, j) for j in range(sc.num_proxies)]
+    assert all(math.isfinite(x) for rs in reports for x in rs)
+    found = any(
+        oracle_best_deviation(sc, truthful, j, rs) is not None for j, rs in enumerate(reports)
+    )
+    assert found == characterize_truthful_manipulability(sc).manipulable
+
+
+def test_reflection_past_an_intermediate_overflow():
+    # 2·1e308 − 5e307 overflows on the way but not in the end
+    sc = Scenario((5e307, 1.7e308), (1e308,))
+    assert 1.5e308 in deviation_reports(sc, sc.truthful_state(), 1)
 
 
 class TestDominatingCheck:
