@@ -9,7 +9,6 @@ Proxy ids are 0-based in this API and 1-based in CLI reports.
 from .dynamics import (
     DynamicsTrace,
     MetaSegment,
-    MetaStepLabel,
     MoveRecord,
     PolicyKind,
     PolicySpec,
@@ -17,7 +16,6 @@ from .dynamics import (
     StopReason,
     check_bound_invariant,
     check_delta_lemmas,
-    classify_meta_steps,
     detect_meta_moves,
     monotone_median_check,
     run_dynamics,
@@ -27,7 +25,6 @@ from .dynamics import (
 from .errors import (
     ConfigurationError,
     EmptyElectorateError,
-    GridBudgetError,
     InconsistentObservationError,
     ProxylineError,
     SamplingBudgetError,
@@ -42,7 +39,7 @@ from .manipulation import (
     is_better_response,
     is_pne,
 )
-from .metrics import OutcomeReport, delta, outcome_report, social_cost, true_median
+from .metrics import delta, social_cost, true_median
 from .model import (
     Scenario,
     Space,
@@ -63,7 +60,6 @@ from .oracle import (
 )
 from .partial_info import (
     BeliefState,
-    MinimaxDecision,
     Neighbor,
     ObservedState,
     dominating_set_nonwinner,

@@ -139,6 +139,7 @@ def _check_file(path: str) -> list[tuple[str, bool, str]]:
         alt = scenario.with_followers(sf.alt_followers)
         same = pinfo.observe(scenario, state) == pinfo.observe(alt, state)
         results.append(("identical_observed_state", same, ""))
+    results.append(("trace_replays", dyn.replay_consistent(run_scenario_file(sf)), ""))
     return results
 
 

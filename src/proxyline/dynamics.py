@@ -52,7 +52,8 @@ POLICY_FIELDS = {
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative description of one proxy's strategy rule. A parameter
-    that the kind does not read must keep its default."""
+    that the kind does not read must keep its default; building a spec
+    checks that, and the ranges of the parameters the kind reads."""
 
     kind: PolicyKind
     fraction: float = 0.5
@@ -61,10 +62,19 @@ class PolicySpec:
     positions: tuple[float, ...] = ()
     truth_oriented: bool = False
 
-    def validate(self, scenario: Scenario, mode: str) -> None:
+    def __post_init__(self):
         for name, default in _IGNORED_DEFAULTS[self.kind]:
             if getattr(self, name) != default:
                 raise ConfigurationError(f"{self.kind.value} does not use {name}")
+        if self.kind == PolicyKind.MONOTONE_BETTER_RESPONSE and not 0 < self.fraction <= 1:
+            raise ConfigurationError("fraction must be in (0, 1]")
+        if self.kind == PolicyKind.OSCILLATING_ALPHA and not (
+            self.alpha1 > 0 and 0 < self.decay < 1
+        ):
+            raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
+
+    def validate(self, scenario: Scenario, mode: str) -> None:
+        """The checks that depend on the scenario's space or the mode."""
         if self.truth_oriented and mode == "partial_info":
             raise ConfigurationError("truth_oriented is not used under partial_info mode")
         if self.kind == PolicyKind.OSCILLATING_ALPHA and scenario.space.is_discrete:
@@ -73,12 +83,6 @@ class PolicySpec:
             raise ConfigurationError("discrete_best_response requires discrete space")
         if self.kind == PolicyKind.MINIMAX_REGRET and mode != "partial_info":
             raise ConfigurationError("minimax_regret requires partial_info mode")
-        if self.kind == PolicyKind.MONOTONE_BETTER_RESPONSE and not 0 < self.fraction <= 1:
-            raise ConfigurationError("fraction must be in (0, 1]")
-        if self.kind == PolicyKind.OSCILLATING_ALPHA and not (
-            self.alpha1 > 0 and 0 < self.decay < 1
-        ):
-            raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
         if self.kind == PolicyKind.SCRIPTED and scenario.space.is_discrete:
             for p in self.positions:
                 if not scenario.space.on_grid(p):
@@ -309,8 +313,8 @@ def _propose_scripted(
 def _propose_minimax(
     scenario: Scenario, declared: list[float], mover: int, belief: BeliefState
 ) -> float | None:
-    decision = minimax_regret_strategy(belief, mover, scenario.proxy_peaks[mover])
-    return decision.chosen if decision.chosen != declared[mover] else None
+    x = minimax_regret_strategy(belief, mover, scenario.proxy_peaks[mover])
+    return x if x != declared[mover] else None
 
 
 def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> float | None:
@@ -550,42 +554,6 @@ def detect_meta_moves(trace: DynamicsTrace) -> list[MetaSegment]:
         else:
             i += 1
     return segments
-
-
-@dataclass(frozen=True)
-class MetaStepLabel:
-    start: int
-    length: int
-    entry_delta: float
-    exit_delta: float
-    big: bool
-
-
-def classify_meta_steps(trace: DynamicsTrace, alpha: float) -> list[MetaStepLabel]:
-    """Label every meta-move and lone move Big/Small at contraction rate alpha."""
-    if not 0 < alpha < 1:
-        raise ConfigurationError("alpha must be in (0, 1)")
-    base = delta(trace.scenario, trace.initial_declared)
-    segments = {seg.start: seg for seg in detect_meta_moves(trace)}
-    labels = []
-    i = 0
-    records = trace.records
-    while i < len(records):
-        if i in segments:
-            seg = segments[i]
-            labels.append(
-                MetaStepLabel(
-                    seg.start, seg.length, seg.entry_delta, seg.exit_delta,
-                    big=seg.exit_delta < alpha * seg.entry_delta,
-                )
-            )
-            i += seg.length + 1
-        else:
-            entry = records[i - 1].delta_after if i > 0 else base
-            exit_ = records[i].delta_after
-            labels.append(MetaStepLabel(i, 0, entry, exit_, big=exit_ < alpha * entry))
-            i += 1
-    return labels
 
 
 def check_bound_invariant(trace: DynamicsTrace) -> bool:

@@ -32,7 +32,3 @@ class InconsistentObservationError(ProxylineError):
 
 class SamplingBudgetError(ProxylineError):
     """Raised when no consistent follower profile is found within budget."""
-
-
-class GridBudgetError(ProxylineError):
-    """Raised when a grid scan would exceed the point budget."""

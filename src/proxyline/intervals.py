@@ -35,10 +35,6 @@ class Interval:
         return Interval(x, x, False, False)
 
     @staticmethod
-    def closed(lo: float, hi: float) -> "Interval":
-        return Interval(lo, hi, False, False)
-
-    @staticmethod
     def open(lo: float, hi: float) -> "Interval":
         return Interval(lo, hi, True, True)
 

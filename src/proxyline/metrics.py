@@ -3,16 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import Scenario, unweighted_median, wm_winner
-
-
-@dataclass(frozen=True)
-class OutcomeReport:
-    outcome: float
-    distance_to_true_median: float
-    social_cost: float
 
 
 def social_cost(scenario: Scenario, outcome: float) -> float:
@@ -36,11 +28,3 @@ def true_median(scenario: Scenario) -> float:
     """Median of the full truthful population."""
     return unweighted_median(scenario, scenario.truthful_state())
 
-
-def outcome_report(scenario: Scenario, outcome: float) -> OutcomeReport:
-    med = true_median(scenario)
-    return OutcomeReport(
-        outcome=outcome,
-        distance_to_true_median=abs(outcome - med),
-        social_cost=social_cost(scenario, outcome),
-    )

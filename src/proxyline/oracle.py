@@ -18,41 +18,21 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import GridBudgetError
 from .model import Scenario, wm_winner
 from .partial_info import ObservedState, sample_consistent_profile
-
-GRID_BUDGET = 1_000_000  # most points in one grid scan
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """The points ``lower + k·step`` from ``lower`` to ``upper``; building
-    one past :data:`GRID_BUDGET` points raises :class:`GridBudgetError`."""
+    """The points ``lower + k·step`` from ``lower`` to ``upper``."""
 
     lower: float
     upper: float
     step: float
 
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        steps = (self.upper - self.lower) / self.step
-        # a bound too wide for the step makes the quotient infinite (or NaN)
-        if not (math.isfinite(steps) and round(steps) < GRID_BUDGET):
-            raise GridBudgetError(
-                f"grid from {self.lower} to {self.upper} by {self.step}"
-                f" exceeds the {GRID_BUDGET:,}-point budget"
-            )
-
-    def count(self) -> int:
-        return int(round((self.upper - self.lower) / self.step)) + 1
-
-    def points(self) -> list[float]:
-        return [self.lower + k * self.step for k in range(self.count())]
-
     def __iter__(self):
-        return iter(self.points())
+        count = round((self.upper - self.lower) / self.step) + 1
+        return (self.lower + k * self.step for k in range(count))
 
 
 def _reflect(f: float, p: float) -> float | None:

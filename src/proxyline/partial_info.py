@@ -242,39 +242,25 @@ def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float
     return _max_regret_left(2 * w - iv.hi, w, mirrored, 2 * w - candidate)
 
 
-@dataclass(frozen=True)
-class MinimaxDecision:
-    argmin: IntervalSet
-    chosen: float
-
-
-def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> MinimaxDecision:
+def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> float:
     """Report minimizing worst-case regret over the median interval.
 
     The reigning winner stays put (at its peak this is optimal outright;
     off-peak any move risks handing the win to a worse position). A
     non-winner moves to the relevant interval bound, or keeps its report
-    when the whole far half-line is regret-free.
+    when the bound is the winner itself and the report already lies
+    strictly beyond it, where the whole far half-line is regret-free.
     """
     declared = belief.observed.declared[proxy_id]
-    if proxy_id == belief.observed.winner_id:
-        return MinimaxDecision(IntervalSet([Interval.point(declared)]), declared)
     w = belief.winner_position
-    iv = belief.interval
-    if peak == w:
-        return MinimaxDecision(IntervalSet([Interval.point(declared)]), declared)
-    bound = iv.lo if peak < w else iv.hi
+    if proxy_id == belief.observed.winner_id or peak == w:
+        return declared
+    bound = belief.interval.lo if peak < w else belief.interval.hi
     if not math.isfinite(bound):
-        return MinimaxDecision(IntervalSet([Interval.point(declared)]), declared)
-    g = abs(bound - w)
-    if g > 0:
-        return MinimaxDecision(IntervalSet([Interval.point(bound)]), bound)
-    if peak < w:
-        argmin = IntervalSet([Interval(-INF, bound, True, True)])
-    else:
-        argmin = IntervalSet([Interval(bound, INF, True, True)])
-    chosen = declared if argmin.contains(declared) else bound
-    return MinimaxDecision(argmin, chosen)
+        return declared
+    if bound == w and (declared < bound if peak < w else declared > bound):
+        return declared
+    return bound
 
 
 def sample_consistent_profile(

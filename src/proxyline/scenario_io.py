@@ -22,7 +22,7 @@ from .dynamics import (
     StopReason,
     run_dynamics,
 )
-from .errors import ScenarioValidationError
+from .errors import ConfigurationError, ScenarioValidationError
 from .metrics import delta, social_cost
 from .model import Scenario, Space
 
@@ -103,24 +103,28 @@ def _parse_space_step(obj, path: str) -> float | None:
 
 
 _ALL_POLICY_FIELDS = set().union(*POLICY_FIELDS.values())
+# the reader of each optional policy field
+_POLICY_PARAMS = {
+    "fraction": _number,
+    "alpha1": _number,
+    "decay": _number,
+    "positions": lambda obj, path: tuple(_number_list(obj, path)),
+    "truth_oriented": _bool,
+}
 
 
 def _parse_policy(obj, path: str) -> PolicySpec:
-    _require_keys(_object(obj, path), {"kind", "truth_oriented"} | _ALL_POLICY_FIELDS, path)
+    _require_keys(_object(obj, path), {"kind"} | _POLICY_PARAMS.keys(), path)
     try:
         kind = PolicyKind(obj.get("kind"))
     except ValueError:
         raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
-    spec = PolicySpec(
-        kind=kind,
-        fraction=_number(obj.get("fraction", 0.5), f"{path}.fraction"),
-        alpha1=_number(obj.get("alpha1", 0.25), f"{path}.alpha1"),
-        decay=_number(obj.get("decay", 0.5), f"{path}.decay"),
-        positions=tuple(_number_list(obj.get("positions", []), f"{path}.positions")),
-        truth_oriented=_bool(obj.get("truth_oriented", False), f"{path}.truth_oriented"),
-    )
+    params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k != "kind"}
     _reject_unused(obj, _ALL_POLICY_FIELDS - POLICY_FIELDS[kind], path, kind.value)
-    return spec
+    try:
+        return PolicySpec(kind, **params)
+    except ConfigurationError as exc:
+        raise ScenarioValidationError(path, str(exc)) from None
 
 
 def _parse_scheduler(obj, path: str, num_proxies: int) -> Scheduler:

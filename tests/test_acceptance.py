@@ -285,8 +285,7 @@ def test_criterion_11_minimax_regret():
         step = 0.05
         for sc, belief, mover, peak in snapshots:
             w = belief.winner_position
-            decision = px.minimax_regret_strategy(belief, mover, peak)
-            chosen = decision.chosen
+            chosen = px.minimax_regret_strategy(belief, mover, peak)
             chosen_regret = px.max_regret(belief, mover, chosen, peak)
             # (a) matches grid minimization of the regret function
             pts = sorted(set(belief.observed.declared) | {w, chosen})

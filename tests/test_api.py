@@ -1,0 +1,38 @@
+"""The package's public names, pinned: adding or dropping an export is a
+deliberate edit of this list."""
+
+import proxyline
+
+PUBLIC_API = [
+    # submodules imported by the package
+    "dynamics", "errors", "intervals", "manipulation", "metrics", "model", "oracle",
+    "partial_info",
+    # dynamics
+    "DynamicsTrace", "MetaSegment", "MoveRecord", "PolicyKind", "PolicySpec", "Scheduler",
+    "StopReason", "check_bound_invariant", "check_delta_lemmas", "detect_meta_moves",
+    "monotone_median_check", "run_dynamics", "step", "trace_is_monotone",
+    # errors
+    "ConfigurationError", "EmptyElectorateError", "InconsistentObservationError",
+    "ProxylineError", "SamplingBudgetError", "ScenarioValidationError",
+    # intervals
+    "Interval", "IntervalSet",
+    # manipulation
+    "ManipulationVerdict", "better_response_set", "characterize_truthful_manipulability",
+    "follower_manipulation_scan", "is_better_response", "is_pne",
+    # metrics
+    "delta", "social_cost", "true_median",
+    # model
+    "Scenario", "Space", "delegate", "delegation_weights", "nearest_proxy_to_median",
+    "unweighted_median", "weighted_median", "wm_winner",
+    # oracle
+    "DominatingCheck", "DominatingVerdict", "GridSpec", "deviation_reports",
+    "oracle_best_deviation", "oracle_dominating_check",
+    # partial_info
+    "BeliefState", "Neighbor", "ObservedState", "dominating_set_nonwinner",
+    "dominating_set_winner", "init_belief", "max_regret", "minimax_regret_strategy", "observe",
+    "sample_consistent_profile", "update_belief", "update_median_interval",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(proxyline.__all__) == sorted(PUBLIC_API)

@@ -232,6 +232,8 @@ class TestSchema:
             # 1-based proxy ids out of range (example1 has 2 proxies)
             ("scheduler", "order", [0], "$.scheduler.order[0]"),
             ("scheduler", "order", [1, 3], "$.scheduler.order[1]"),
+            # a parameter out of its range: the constructor's error, at the policy
+            ("policies", "fraction", 5.0, "$.policies[0]"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, section, key, value, path):
@@ -261,6 +263,11 @@ class TestCheck:
         assert main(["check", "--random", "8", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert "lemma1_equivalence" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in fixtures_dir().glob("*.json")))
+    def test_every_fixture_checks_and_replays(self, name, capsys):
+        assert main(["check", fixture_path(name)]) == 0
+        assert "PASS  trace_replays" in capsys.readouterr().out
 
     def test_fig7_pair_file(self, capsys):
         assert main(["check", fixture_path("fig7_pair")]) == 0

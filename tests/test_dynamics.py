@@ -1,5 +1,8 @@
 """Engine behavior: steps, schedulers, traces, meta-moves, bounds, labels."""
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
 from proxyline import (
@@ -11,7 +14,6 @@ from proxyline import (
     Space,
     StopReason,
     check_bound_invariant,
-    classify_meta_steps,
     detect_meta_moves,
     init_belief,
     monotone_median_check,
@@ -93,6 +95,12 @@ class TestRunDynamics:
         trace = run_scenario_file(load_fixture("appendix_a"))
         assert replay_consistent(trace)
 
+    def test_tampered_trace_fails_replay(self):
+        trace = run_scenario_file(load_fixture("appendix_a"))
+        rec = trace.records[2]
+        trace.records[2] = replace(rec, wm_after=rec.wm_after + 1.0)
+        assert not replay_consistent(trace)
+
     def test_validation_errors(self):
         sc = load_fixture("example1").scenario
         with pytest.raises(ConfigurationError):
@@ -133,19 +141,39 @@ class TestRunDynamics:
     @pytest.mark.parametrize(
         "spec, mode, field",
         [
-            (PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, alpha1=7.0), "full_info", "alpha1"),
-            (PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE, fraction=0.25), "full_info", "fraction"),
-            (PolicySpec(PolicyKind.OSCILLATING_ALPHA, positions=(1.0,)), "full_info", "positions"),
-            (PolicySpec(PolicyKind.SCRIPTED, decay=0.9), "full_info", "decay"),
-            (PolicySpec(PolicyKind.MINIMAX_REGRET, fraction=1.0), "partial_info", "fraction"),
-            (PolicySpec(PolicyKind.MINIMAX_REGRET, truth_oriented=True), "partial_info",
+            (partial(PolicySpec, PolicyKind.MONOTONE_BETTER_RESPONSE, alpha1=7.0), "full_info",
+             "alpha1"),
+            (partial(PolicySpec, PolicyKind.DISCRETE_BEST_RESPONSE, fraction=0.25), "full_info",
+             "fraction"),
+            (partial(PolicySpec, PolicyKind.OSCILLATING_ALPHA, positions=(1.0,)), "full_info",
+             "positions"),
+            (partial(PolicySpec, PolicyKind.SCRIPTED, decay=0.9), "full_info", "decay"),
+            (partial(PolicySpec, PolicyKind.MINIMAX_REGRET, fraction=1.0), "partial_info",
+             "fraction"),
+            # only the mode makes this one ignored, so run_dynamics rejects it
+            (partial(PolicySpec, PolicyKind.MINIMAX_REGRET, truth_oriented=True), "partial_info",
              "truth_oriented"),
         ],
     )
     def test_ignored_parameter_rejected(self, spec, mode, field):
         sc = load_fixture("example1").scenario
         with pytest.raises(ConfigurationError, match=field):
-            run_dynamics(sc, Scheduler.round_robin(), [spec] * 2, max_steps=5, mode=mode)
+            run_dynamics(sc, Scheduler.round_robin(), [spec()] * 2, max_steps=5, mode=mode)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"alpha1": 7.0, "fraction": 5.0}, "alpha1"),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 5.0}, "fraction"),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 0.0}, "fraction"),
+            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": 0.0}, "alpha1"),
+            (PolicyKind.OSCILLATING_ALPHA, {"decay": 1.0}, "decay"),
+        ],
+    )
+    def test_spec_checks_its_parameters_when_built(self, kind, params, message):
+        # so step(), which never sees a whole run, cannot play a bad spec either
+        with pytest.raises(ConfigurationError, match=message):
+            PolicySpec(kind, **params)
 
     def test_parameters_at_their_defaults_accepted(self):
         sc = load_fixture("example1").scenario
@@ -206,22 +234,40 @@ class TestBoundInvariant:
         assert not trace.records and check_bound_invariant(trace)
 
 
+def big_steps(trace, alpha):
+    """Per meta-move and per lone move, in order: whether it is Big at
+    contraction rate alpha, that is, leaves Δ below alpha times its entry Δ."""
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must be in (0, 1)")
+    segments = {seg.start: seg for seg in detect_meta_moves(trace)}
+    records = trace.records
+    labels = []
+    i = 0
+    while i < len(records):
+        if i in segments:
+            seg = segments[i]
+            labels.append(seg.exit_delta < alpha * seg.entry_delta)
+            i += seg.length + 1
+        else:
+            entry = records[i - 1].delta_after if i > 0 else trace.initial_delta
+            labels.append(records[i].delta_after < alpha * entry)
+            i += 1
+    return labels
+
+
 class TestClassification:
     def test_big_small_rule(self):
         trace = fig5_trace()
-        labels = classify_meta_steps(trace, alpha=0.9)
-        assert len(labels) == 1
-        assert labels[0].big  # 3.0 < 0.9 * 4.0
-
-        labels_tight = classify_meta_steps(trace, alpha=0.5)
-        assert not labels_tight[0].big  # 3.0 >= 0.5 * 4.0
+        labels = big_steps(trace, alpha=0.9)
+        assert labels == [True]  # 3.0 < 0.9 * 4.0
+        assert big_steps(trace, alpha=0.5) == [False]  # 3.0 >= 0.5 * 4.0
 
     def test_example3_tail_goes_small(self):
         sc = load_fixture("example1").scenario
         pols = [PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=0.25, decay=0.5)] * 2
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=200)
-        labels = classify_meta_steps(trace, alpha=0.9)
-        assert all(not lab.big for lab in labels[-10:])
+        labels = big_steps(trace, alpha=0.9)
+        assert len(labels) >= 10 and not any(labels[-10:])
 
     def test_discrete_monotone_all_big_at_paper_rate(self):
         # initial distance 11; halving proposals beat alpha = 1 - 1/11 throughout
@@ -231,12 +277,12 @@ class TestClassification:
         assert trace.initial_delta == 11.0
         assert trace.stop_reason == StopReason.PNE
         assert trace.final_outcome() == 0.0
-        labels = classify_meta_steps(trace, alpha=1.0 - 1.0 / 11.0)
-        assert labels and all(lab.big for lab in labels)
+        labels = big_steps(trace, alpha=1.0 - 1.0 / 11.0)
+        assert labels and all(labels)
 
     def test_alpha_must_be_fractional(self):
-        with pytest.raises(ConfigurationError):
-            classify_meta_steps(fig5_trace(), alpha=1.0)
+        with pytest.raises(ValueError):
+            big_steps(fig5_trace(), alpha=1.0)
 
 
 class TestMonotoneMedianCheck:

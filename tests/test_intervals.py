@@ -36,7 +36,8 @@ def test_intersection_prefers_tighter_flags():
 
 def test_intersection_empty():
     assert Interval.open(0.0, 1.0).intersect(Interval.open(1.0, 2.0)) is None
-    assert Interval.closed(0.0, 1.0).intersect(Interval.closed(1.0, 2.0)) == Interval.point(1.0)
+    closed = Interval(0.0, 1.0, False, False)
+    assert closed.intersect(Interval(1.0, 2.0, False, False)) == Interval.point(1.0)
 
 
 def test_normalization_merges_touching_closed():
@@ -59,8 +60,8 @@ def test_grid_points_respect_openness():
     # open ends exclude their own grid points, closed ends keep them
     assert Interval.open(0.0, 3.0).nearest_grid_point(-1.0, 1.0) == 1.0
     assert Interval.open(0.0, 3.0).nearest_grid_point(4.0, 1.0) == 2.0
-    assert Interval.closed(0.0, 3.0).nearest_grid_point(-1.0, 1.0) == 0.0
-    assert Interval.closed(0.0, 3.0).nearest_grid_point(4.0, 1.0) == 3.0
+    assert Interval(0.0, 3.0, False, False).nearest_grid_point(-1.0, 1.0) == 0.0
+    assert Interval(0.0, 3.0, False, False).nearest_grid_point(4.0, 1.0) == 3.0
     assert not Interval.open(0.0, 1.0).has_grid_point(1.0)
     assert Interval(0.0, 1.0, True, False).has_grid_point(1.0)
     assert Interval(0.0, 1.0, False, True).has_grid_point(1.0)
@@ -74,7 +75,7 @@ def test_halfline_always_has_grid_points():
 
 def test_nearest_grid_point_clamps_into_interval():
     assert Interval.open(0.0, 3.0).nearest_grid_point(7.4, 1.0) == 2.0
-    assert Interval.closed(0.0, 3.0).nearest_grid_point(-5.0, 1.0) == 0.0
+    assert Interval(0.0, 3.0, False, False).nearest_grid_point(-5.0, 1.0) == 0.0
     assert Interval.open(0.0, 3.0).nearest_grid_point(1.4, 0.5) == 1.5
     assert Interval(-math.inf, 2.0).nearest_grid_point(9.0, 1.0) == 1.0
     assert Interval(2.0, math.inf).nearest_grid_point(-9.0, 1.0) == 3.0

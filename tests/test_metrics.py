@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxyline import Scenario, delta, outcome_report, social_cost, true_median
+from proxyline import Scenario, delta, social_cost, true_median
 from proxyline.fixtures import load_fixture
 
 
@@ -53,13 +53,6 @@ def test_delta_zero_when_winner_at_median():
 
 def test_delta_appendix_b(appendix_b):
     assert delta(appendix_b, [-30.0, 90.0]) == 30.0
-
-
-def test_outcome_report_fields(appendix_b):
-    rep = outcome_report(appendix_b, 25.0)
-    assert rep.outcome == 25.0
-    assert rep.distance_to_true_median == 25.0
-    assert rep.social_cost == 235.0
 
 
 @given(st.data())

@@ -7,7 +7,6 @@ import pytest
 
 from proxyline import (
     DominatingVerdict,
-    GridBudgetError,
     GridSpec,
     SamplingBudgetError,
     Scenario,
@@ -20,14 +19,6 @@ from proxyline import (
     oracle_dominating_check,
 )
 from proxyline.fixtures import load_fixture
-
-
-def test_gridspec_budget_guard():
-    with pytest.raises(GridBudgetError):
-        GridSpec(0.0, 100.0, 1e-6)
-    # (upper - lower) / step overflows to inf: over any budget, not an OverflowError
-    with pytest.raises(GridBudgetError):
-        GridSpec(-1e308, 1e308, 0.25)
 
 
 def test_example2_best_deviation_just_left_of_one():

@@ -233,8 +233,7 @@ class TestMinimaxStrategy:
     def test_nonwinner_moves_to_relevant_bound(self):
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
-        decision = minimax_regret_strategy(belief, 1, 90.0)
-        assert decision.chosen == 27.0
+        assert minimax_regret_strategy(belief, 1, 90.0) == 27.0
         assert max_regret(belief, 1, 27.0, peak=90.0) == pytest.approx(
             abs(27.0 - 25.0), abs=1e-9
         )
@@ -242,16 +241,16 @@ class TestMinimaxStrategy:
     def test_winner_stays_put(self):
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
-        decision = minimax_regret_strategy(belief, 0, -30.0)
-        assert decision.chosen == 25.0
+        assert minimax_regret_strategy(belief, 0, -30.0) == 25.0
 
     def test_zero_gap_halfline_argmin(self):
         obs = ObservedState((3.0, 20.0), 0)
         belief = BeliefState(obs, Interval(3.0, 9.0, True, True))
-        decision = minimax_regret_strategy(belief, 1, -5.0)
-        assert decision.argmin.intervals[0].hi == 3.0
-        assert math.isinf(decision.argmin.intervals[0].lo)
-        assert decision.chosen == 3.0  # current report 20 is outside the argmin set
+        # the bound is the winner: every report strictly left of it is regret-free
+        assert minimax_regret_strategy(belief, 1, -5.0) == 3.0  # 20 is not left of it
+        kept = BeliefState(ObservedState((3.0, 1.0), 0), belief.interval)
+        assert minimax_regret_strategy(kept, 1, -5.0) == 1.0
+        assert minimax_regret_strategy(kept, 1, 9.0) == 9.0  # a right peak moves to 9
 
     def test_chosen_beats_grid_alternatives(self):
         sc = load_fixture("appendix_b").scenario
