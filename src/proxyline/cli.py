@@ -7,7 +7,7 @@ Exit codes: 0 success / all checks pass, 1 check or replication failures,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import random
 import sys
 from dataclasses import replace
@@ -153,6 +153,9 @@ def cmd_check(args) -> int:
     else:
         seeds = [args.seed + i for i in range(args.random)]
         if args.jobs > 1:
+            # imported here: it brings in logging, which a serial check never needs
+            import concurrent.futures
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 per_seed = list(pool.map(_check_one_random, seeds))
         else:
@@ -198,7 +201,10 @@ def cmd_replicate(args) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it unchanged, so every ``main`` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="proxyline",
         description="Strategic proxy voting on the line: run, check, replicate.",
@@ -221,8 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     p_rep = sub.add_parser("replicate", help="replicate a named fixture")
     p_rep.add_argument("name")
     p_rep.set_defaults(func=cmd_replicate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ProxylineError as exc:

@@ -24,7 +24,14 @@ from .intervals import INF, Interval
 from .manipulation import is_better_response, outcome_pieces
 from .metrics import delta, true_median
 from .model import Scenario, unweighted_median, wm_winner
-from .partial_info import BeliefState, init_belief, minimax_regret_strategy, observe, update_belief
+from .partial_info import (
+    BeliefState,
+    ObservedState,
+    init_belief,
+    minimax_regret_strategy,
+    observe,
+    update_belief,
+)
 
 OSCILLATION_TOL = 1e-9
 OSCILLATION_WINDOW = 16  # moves in the tail that must repeat with period 2
@@ -364,7 +371,7 @@ def propose(
     """The policy's proposed report, or None to pass. ``belief`` is None
     under full information, where truth-oriented policies may report
     their peak first."""
-    if spec.truth_oriented and belief is None:
+    if spec.truth_oriented:
         override = _truth_override(scenario, declared, mover)
         if override is not None:
             return override
@@ -377,8 +384,6 @@ def propose(
     if spec.kind == PolicyKind.SCRIPTED:
         return _propose_scripted(declared, mover, spec, records)
     if spec.kind == PolicyKind.MINIMAX_REGRET:
-        if belief is None:
-            raise ConfigurationError("minimax_regret needs a belief (partial_info mode)")
         return _propose_minimax(scenario, declared, mover, belief)
     raise ConfigurationError(f"unknown policy kind {spec.kind}")
 
@@ -396,8 +401,11 @@ def step(
     Without a belief the full-information rules apply and a proposal must
     be a strict better response; with one (partial information) any
     on-grid position change is accepted. Returns None when the proxy
-    passes (no proposal, or a proposal those rules reject).
+    passes (no proposal, or a proposal those rules reject). Raises
+    :class:`ConfigurationError` when ``spec`` cannot be played in this
+    scenario's space or in the mode the belief implies.
     """
+    spec.validate(scenario, "full_info" if belief is None else "partial_info")
     records = records if records is not None else []
     proposal = propose(scenario, declared, mover, spec, records, belief)
     if proposal is None or proposal == declared[mover]:
@@ -496,7 +504,8 @@ def run_dynamics(
         declared[mover] = rec.to_pos
         records.append(rec)
         if belief is not None:
-            belief = update_belief(belief, rec, observe(scenario, declared))
+            # the poll after the move: the record already holds its winner
+            belief = update_belief(belief, rec, ObservedState(tuple(declared), rec.winner_after))
             interval_history.append(belief.interval)
         if _detect_oscillation(records):
             stop = StopReason.OSCILLATION_DETECTED
@@ -613,8 +622,18 @@ def trace_is_monotone(trace: DynamicsTrace) -> bool:
 
 
 def replay_consistent(trace: DynamicsTrace) -> bool:
-    """Recompute every derived field of a trace from scratch."""
+    """Recompute every derived field of a trace from scratch.
+
+    A partial-information trace's median intervals are rebuilt from fresh
+    polls, the first by :func:`init_belief` on the initial state, so a run
+    started from a given belief replays only if that belief is the one a
+    poll of its initial state gives.
+    """
     declared = list(trace.initial_declared)
+    intervals: list[Interval] = []
+    if trace.interval_history:
+        belief = init_belief(observe(trace.scenario, declared))
+        intervals.append(belief.interval)
     for rec in trace.records:
         wb, wmb = wm_winner(trace.scenario, declared)
         if (wb, wmb) != (rec.winner_before, rec.wm_before):
@@ -628,4 +647,7 @@ def replay_consistent(trace: DynamicsTrace) -> bool:
             return False
         if med != rec.median_after or abs(med - wma) != rec.delta_after:
             return False
-    return declared == trace.final_declared
+        if intervals:
+            belief = update_belief(belief, rec, observe(trace.scenario, declared))
+            intervals.append(belief.interval)
+    return declared == trace.final_declared and intervals == trace.interval_history

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
-from .model import Scenario, wm_winner
+from .model import Scenario, nearer, wm_winner
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def is_better_response(
     trial = list(declared)
     trial[proxy_id] = candidate
     _, moved = wm_winner(scenario, trial)
-    return abs(moved - peak) < abs(current - peak)
+    return nearer(peak, moved, current)
 
 
 def better_response_set(

@@ -131,6 +131,28 @@ class Scenario:
         return Scenario(self.proxy_peaks, followers, self.space)
 
 
+def nearer(x: float, a: float, b: float) -> bool:
+    """True iff ``a`` is strictly nearer ``x`` than ``b``: |a − x| < |b − x|
+    exactly, also where a distance rounds to a tie or overflows to inf.
+
+    Rounding is monotone, so rounded distances that differ are in the exact
+    order. When they are equal, |a − x| < |b − x| iff (a − b)(a + b − 2x) < 0,
+    and the sign of a + b − 2x comes from its correctly rounded sum.
+    """
+    if a == b:
+        return False
+    da, db = abs(a - x), abs(b - x)
+    if da != db:
+        return da < db
+    try:
+        s = math.fsum((a, b, -x, -x))
+    except OverflowError:  # an intermediate sum overflowed; the sign is exact in Fraction
+        from fractions import Fraction  # imported here: rare, and slow to import
+
+        s = Fraction(a) + Fraction(b) - 2 * Fraction(x)
+    return s > 0 if a < b else s < 0
+
+
 def _check_state(scenario: Scenario, declared: list[float]) -> None:
     if len(declared) != len(scenario.proxy_peaks):
         raise ScenarioValidationError(

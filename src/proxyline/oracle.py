@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import Scenario, wm_winner
+from .model import Scenario, nearer, wm_winner
 from .partial_info import ObservedState, sample_consistent_profile
 
 
@@ -100,18 +100,30 @@ def oracle_best_deviation(
     """
     peak = scenario.proxy_peaks[proxy_id]
     _, current = wm_winner(scenario, declared)
-    base = abs(current - peak)
-    best: tuple[float, float] | None = None
+    best: tuple[float, float] | None = None  # (report, its outcome)
     trial = list(declared)
     for x in reports:
         trial[proxy_id] = x
         _, outcome = wm_winner(scenario, trial)
-        d = abs(outcome - peak)
-        if d < base and (best is None or d < best[1]):
-            best = (x, d)
+        if nearer(peak, outcome, current if best is None else best[1]):
+            best = (x, outcome)
     if best is None:
         return None
-    return best[0], base - best[1]
+    return best[0], _gain(peak, current, best[1])
+
+
+def _gain(peak: float, current: float, outcome: float) -> float:
+    """|current − peak| − |outcome − peak| for an ``outcome`` nearer the
+    peak: in floats where both distances are finite, else rounded from the
+    exact value (inf beyond the float range), so never NaN."""
+    gain = abs(current - peak) - abs(outcome - peak)
+    if math.isfinite(gain):
+        return gain
+    from fractions import Fraction  # imported here: rare, and slow to import
+
+    p = Fraction(peak)
+    exact = abs(Fraction(current) - p) - abs(Fraction(outcome) - p)
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 class DominatingVerdict(enum.Enum):

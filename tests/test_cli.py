@@ -3,10 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from proxyline import fixtures
+from proxyline import cli, fixtures
 from proxyline.cli import main
 from proxyline.errors import ScenarioValidationError
 from proxyline.fixtures import REPLICATIONS, fixtures_dir, replicate
@@ -292,8 +295,60 @@ class TestCheck:
         assert "PASS  theorem2_oracle_agreement" in out
         assert err == ""
 
+    def test_distances_past_float_max_compare_exactly(self, tmp_path, capsys):
+        # proxy 1 reporting the median 1e308 moves the outcome from 1.7e308
+        # to 1e308: its distance falls from 3.4e308 to 2.7e308, both past float max
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = [-1.7e308, 1.7e308]
+        doc["scenario"]["followers"] = [1e308]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
+        assert "PASS  theorem2_oracle_agreement" in capsys.readouterr().out
+
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0
+
+
+class TestParser:
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        # one check run, first on a freshly built parser, then repeated between
+        # commands that use every subcommand, global option and exit path of it
+        probe = ["check", "--random", "3", "--seed", "7"]
+
+        def probe_output():
+            assert main(probe) == 0
+            return capsys.readouterr().out
+
+        cli._parser.cache_clear()
+        first = probe_output()
+        others = [
+            ["--output-dir", str(tmp_path), "run", fixture_path("example1"), "--max-steps", "3"],
+            ["replicate", "example1"],
+            ["check", fixture_path("appendix_b")],
+        ]
+        for argv in others:
+            assert main(argv) == 0
+            capsys.readouterr()
+            assert probe_output() == first
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--random", "many"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert probe_output() == first
+
+    def test_parser_is_built_on_first_use(self):
+        # not at import, which would add to every process's start-up; nor
+        # does a serial run import the process pool (and with it logging)
+        code = (
+            "import sys; import proxyline.cli as cli; n = cli._parser.cache_info().currsize;"
+            " cli.main(['replicate', 'example1']);"
+            " print(n, cli._parser.cache_info().currsize, 'concurrent.futures' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] == "0 1 False"
 
 
 class TestReplicate:

@@ -23,11 +23,15 @@ from proxyline import (
     true_median,
     wm_winner,
 )
+from proxyline import dynamics
 from proxyline.dynamics import replay_consistent, trace_is_monotone
-from proxyline.fixtures import load_fixture
+from proxyline.fixtures import fixtures_dir, load_fixture
 from proxyline.scenario_io import run_scenario_file
 
 MONO = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
+PARTIAL_INFO_FIXTURES = sorted(
+    p.stem for p in fixtures_dir().glob("*.json") if load_fixture(p.stem).mode == "partial_info"
+)
 
 
 class TestStep:
@@ -61,6 +65,28 @@ class TestStep:
         sc = load_fixture("example1").scenario
         spec = PolicySpec(PolicyKind.SCRIPTED, positions=(-4.0,))
         assert step(sc, sc.truthful_state(), 1, spec) is None
+
+    @pytest.mark.parametrize(
+        "space, spec, partial_info, message",
+        [
+            (Space.continuous(), PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE), False,
+             "requires discrete space"),
+            (Space.discrete(0.5), PolicySpec(PolicyKind.OSCILLATING_ALPHA), False,
+             "requires continuous space"),
+            (Space.discrete(0.5), PolicySpec(PolicyKind.SCRIPTED, positions=(0.25,)), False,
+             "off grid"),
+            (Space.continuous(), PolicySpec(PolicyKind.MINIMAX_REGRET), False,
+             "requires partial_info"),
+            (Space.continuous(), MONO, True, "truth_oriented is not used"),
+        ],
+        ids=["discrete_best_continuous", "oscillating_discrete", "scripted_off_grid",
+             "minimax_full_info", "truth_oriented_partial_info"],
+    )
+    def test_spec_played_in_wrong_space_or_mode_rejected(self, space, spec, partial_info, message):
+        sc = Scenario((-1.0, 1.5), (0.0,), space)
+        belief = init_belief(observe(sc, sc.truthful_state())) if partial_info else None
+        with pytest.raises(ConfigurationError, match=message):
+            step(sc, sc.truthful_state(), 1, spec, belief=belief)
 
 
 class TestRunDynamics:
@@ -100,6 +126,27 @@ class TestRunDynamics:
         rec = trace.records[2]
         trace.records[2] = replace(rec, wm_after=rec.wm_after + 1.0)
         assert not replay_consistent(trace)
+
+    @pytest.mark.parametrize("name", PARTIAL_INFO_FIXTURES)
+    def test_partial_info_fixture_replays_its_intervals(self, name):
+        trace = run_scenario_file(load_fixture(name))
+        assert len(trace.interval_history) == len(trace.records) + 1 > 1
+        assert replay_consistent(trace)
+
+    @pytest.mark.parametrize("name", PARTIAL_INFO_FIXTURES)
+    def test_tampered_interval_fails_replay(self, name):
+        trace = run_scenario_file(load_fixture(name))
+        iv = trace.interval_history[1]
+        trace.interval_history[1] = replace(iv, lo_open=not iv.lo_open)
+        assert not replay_consistent(trace)
+
+    def test_partial_info_run_polls_once(self, monkeypatch):
+        # after the opening poll, each move's poll comes from its record
+        calls = []
+        monkeypatch.setattr(dynamics, "observe", lambda *a: calls.append(a) or observe(*a))
+        trace = run_scenario_file(load_fixture("appendix_b"))
+        assert len(trace.records) > 1 and len(calls) == 1
+        assert replay_consistent(trace)
 
     def test_validation_errors(self):
         sc = load_fixture("example1").scenario

@@ -36,6 +36,12 @@ class TestIsBetterResponse:
         med = true_median(example1)
         assert is_better_response(example1, example1.truthful_state(), 1, med)
 
+    def test_improvement_between_distances_past_float_max(self):
+        # 3.4e308 -> 2.7e308: both distances round to inf
+        sc = Scenario((-1.7e308, 1.7e308), (1e308,))
+        assert is_better_response(sc, sc.truthful_state(), 0, 1e308)
+        assert not is_better_response(sc, [1e308, 1.7e308], 0, -1.7e308)
+
     def test_rejects_nonfinite(self, example1):
         with pytest.raises(ValueError):
             is_better_response(example1, [-1.0, 1.5], 1, float("nan"))

@@ -376,6 +376,35 @@ class TestWmWinner:
         assert wpos == [-1.0, 0.75][wid]
 
 
+class TestNearer:
+    @pytest.mark.parametrize(
+        "x, a, b, expected",
+        [
+            (0.0, 1.0, 2.0, True),
+            (0.0, 2.0, 1.0, False),
+            (0.0, -1.0, 1.0, False),  # equal distances
+            (0.0, 1.0, 1.0, False),
+            # both distances round to 1e17; a is nearer by 0.6
+            (0.3, 1e17, -1e17, True),
+            (0.3, -1e17, 1e17, False),
+            # both distances overflow to inf; a + b - 2x overflows on the way
+            (-1.7e308, 1e308, 1.7e308, True),
+            (-1.7e308, 1.7e308, 1e308, False),
+        ],
+    )
+    def test_cases(self, x, a, b, expected):
+        assert model.nearer(x, a, b) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+    def test_agrees_with_exact_distances(self, xab):
+        from fractions import Fraction
+
+        x, a, b = xab
+        exact = abs(Fraction(a) - Fraction(x)) < abs(Fraction(b) - Fraction(x))
+        assert model.nearer(x, a, b) == exact
+
+
 class TestNearestProxyRoute:
     def test_example1(self, example1):
         assert nearest_proxy_to_median(example1, [-1.0, 1.5]) == 0

@@ -17,6 +17,7 @@ from proxyline import (
     observe,
     oracle_best_deviation,
     oracle_dominating_check,
+    wm_winner,
 )
 from proxyline.fixtures import load_fixture
 
@@ -113,6 +114,19 @@ def test_wide_positions_give_finite_reports(proxies, followers):
         oracle_best_deviation(sc, truthful, j, rs) is not None for j, rs in enumerate(reports)
     )
     assert found == characterize_truthful_manipulability(sc).manipulable
+
+
+def test_improvement_past_float_max_is_exact_not_nan():
+    from fractions import Fraction
+
+    sc = Scenario((-1.7e308, 1.7e308), (1e308,))
+    truthful = sc.truthful_state()
+    found = oracle_best_deviation(sc, truthful, 0, deviation_reports(sc, truthful, 0))
+    assert found is not None
+    pos, improvement = found
+    _, outcome = wm_winner(sc, [pos, 1.7e308])
+    peak = Fraction(-1.7e308)
+    assert improvement == float(abs(Fraction(1.7e308) - peak) - abs(Fraction(outcome) - peak))
 
 
 def test_reflection_past_an_intermediate_overflow():
