@@ -37,13 +37,20 @@ def cmd_run(args) -> int:
     if args.max_steps is not None:
         sf = replace(sf, max_steps=args.max_steps)
     trace = run_scenario_file(sf)
+    summary = summarize(trace)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / sf.trace_path
     summary_path = out_dir / sf.summary_path
-    write_trace(trace, trace_path)
-    summary = summarize(trace)
-    write_summary(summary, summary_path)
+    path = out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = trace_path
+        write_trace(trace, trace_path)
+        path = summary_path
+        write_summary(summary, summary_path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"wrote {trace_path} ({summary['steps']} moves) and {summary_path}")
     print(
         f"outcome {summary['initial_outcome']} -> {summary['final_outcome']}"

@@ -174,6 +174,7 @@ class DynamicsTrace:
     stop_reason: StopReason
     limit_delta: float | None = None
     interval_history: list[Interval] = field(default_factory=list)  # partial mode
+    initial_belief: BeliefState | None = None  # the belief a run was started from, if given
 
     @property
     def initial_delta(self) -> float:
@@ -522,6 +523,7 @@ def run_dynamics(
         stop_reason=stop,
         limit_delta=limit_delta,
         interval_history=interval_history,
+        initial_belief=initial_belief,
     )
 
 
@@ -625,14 +627,15 @@ def replay_consistent(trace: DynamicsTrace) -> bool:
     """Recompute every derived field of a trace from scratch.
 
     A partial-information trace's median intervals are rebuilt from fresh
-    polls, the first by :func:`init_belief` on the initial state, so a run
-    started from a given belief replays only if that belief is the one a
-    poll of its initial state gives.
+    polls, starting from the belief the run was given, else from
+    :func:`init_belief` on a poll of the initial state.
     """
     declared = list(trace.initial_declared)
     intervals: list[Interval] = []
     if trace.interval_history:
-        belief = init_belief(observe(trace.scenario, declared))
+        belief = trace.initial_belief
+        if belief is None:
+            belief = init_belief(observe(trace.scenario, declared))
         intervals.append(belief.interval)
     for rec in trace.records:
         wb, wmb = wm_winner(trace.scenario, declared)

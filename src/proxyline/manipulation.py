@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
-from .model import Scenario, nearer, wm_winner
+from .model import Scenario, nearer, nearest, wm_winner
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,20 @@ def _median_window(scenario: Scenario, declared: list[float], proxy_id: int):
     return lo, hi, others
 
 
-def _nearest_others(others: list[tuple[float, int]], target: float):
-    """(distance, min-index argmin id, its position) among fixed proxies."""
-    best_d = INF
-    best_k = -1
-    best_pos = math.nan
-    for pos, k in others:
-        d = abs(pos - target)
-        if d < best_d:  # ``others`` ascends by id, so a tie keeps the lower one
-            best_d, best_k, best_pos = d, k, pos
-    return best_d, best_k, best_pos
-
-
 def outcome_pieces(scenario: Scenario, declared: list[float], proxy_id: int) -> OutcomePieces:
     """Piecewise outcome function for a single proxy's report."""
     lo, hi, others = _median_window(scenario, declared, proxy_id)
     if not others:  # single proxy: it always wins, outcome is its report
         return OutcomePieces(-INF, INF, None, None, None, None)
+    # ``others`` ascends by id, so a nearest tie keeps the lower one
+    positions = [p for p, _ in others]
 
     if math.isinf(lo):
         left_edge, left_const, left_edge_outcome = -INF, None, None
         left_tie = False
     else:
-        d_lo, k_lo, pos_lo = _nearest_others(others, lo)
-        left_edge = lo - d_lo
+        pos_lo, k_lo = others[nearest(positions, lo)]
+        left_edge = lo - abs(pos_lo - lo)
         # at the edge the deviator ties the nearest fixed proxy; lower index wins
         left_edge_outcome = left_edge if proxy_id < k_lo or pos_lo == left_edge else pos_lo
         left_tie = proxy_id < k_lo and pos_lo != left_edge
@@ -108,8 +98,8 @@ def outcome_pieces(scenario: Scenario, declared: list[float], proxy_id: int) -> 
         right_edge, right_const, right_edge_outcome = INF, None, None
         right_tie = False
     else:
-        d_hi, k_hi, pos_hi = _nearest_others(others, hi)
-        right_edge = hi + d_hi
+        pos_hi, k_hi = others[nearest(positions, hi)]
+        right_edge = hi + abs(pos_hi - hi)
         right_edge_outcome = right_edge if proxy_id < k_hi or pos_hi == right_edge else pos_hi
         right_tie = proxy_id < k_hi and pos_hi != right_edge
         right_const = pos_hi
@@ -222,10 +212,8 @@ def characterize_truthful_manipulability(scenario: Scenario) -> ManipulationVerd
     winner_id, wm = wm_winner(scenario, declared)
     # witness: nearest-to-median proxy on the far side of the winner
     side = 1.0 if peaks[winner_id] < med else -1.0
-    candidates = [
-        (abs(p - med), j) for j, p in enumerate(peaks) if (p - med) * side > 0
-    ]
-    witness = min(candidates)[1]
+    far = [j for j, p in enumerate(peaks) if (p - med) * side > 0]
+    witness = far[nearest([peaks[j] for j in far], med)]
     return ManipulationVerdict(True, witness_proxy=witness, witness_position=med)
 
 

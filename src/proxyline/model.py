@@ -153,11 +153,31 @@ def nearer(x: float, a: float, b: float) -> bool:
     return s > 0 if a < b else s < 0
 
 
+def nearest(positions: list[float], x: float) -> int:
+    """Index of the position nearest ``x``, exactly; ties go to the lower
+    index.
+
+    Rounded distances that differ are in the exact order (rounding is
+    monotone), so :func:`nearer` decides only a rounded tie.
+    """
+    best, best_p = 0, positions[0]
+    best_d = abs(best_p - x)
+    for j in range(1, len(positions)):
+        p = positions[j]
+        d = abs(p - x)
+        if d < best_d or d == best_d and nearer(x, p, best_p):
+            best, best_p, best_d = j, p, d
+    return best
+
+
 def _check_state(scenario: Scenario, declared: list[float]) -> None:
     if len(declared) != len(scenario.proxy_peaks):
         raise ScenarioValidationError(
             "state", f"expected {scenario.num_proxies} declared positions, got {len(declared)}"
         )
+    if not all(map(math.isfinite, declared)):
+        j = next(j for j, p in enumerate(declared) if not math.isfinite(p))
+        raise ScenarioValidationError(f"state[{j}]", f"{declared[j]} is not finite")
 
 
 def _record(scenario: Scenario, declared: list[float]) -> list:
@@ -184,22 +204,16 @@ def _record(scenario: Scenario, declared: list[float]) -> list:
     return record
 
 
-def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | None:
-    """:func:`delegate` by bisection on the sorted followers, O(m log n);
-    None when the scan must decide.
+def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int]:
+    """:func:`delegate` by bisection on the sorted followers, O(m log n).
 
-    Each distance is off by at most span·2⁻⁵³. When every adjacent gap
-    exceeds span·2⁻⁵⁰, that guarantees only that no stop but the two
-    adjacent to a follower can win it: rounding can still make those two
-    distances equal away from their midpoint (stops at ±1e17 hand a
-    follower at 0.3 to the lower id). So each cut point is found with the
-    scan's own (distance, index) comparison, which is monotone in the
-    follower, but only inside a window of span·2⁻⁴⁹ around the midpoint that
-    float bisection finds. Outside it the two exact distances differ by more
-    than span·2⁻⁴⁹, more than rounding can close; where the positions dwarf
-    the span, the midpoint's own rounding is larger, but every distance is
-    then exact. A floor of four subnormal ulps covers the midpoint's
-    rounding at subnormal scale. A proxy's count is the length of its run.
+    Only the two stops adjacent to a follower can win it, so between stops
+    a < b the followers split at one cut: the real midpoint, with a follower
+    there going to the lower id. The float ``a/2 + b/2`` lies within
+    ulp(mid) + ulp(0.0) of it, so a follower outside that window is on the
+    same side of both and goes to that side's stop; inside it, the cut is
+    found by bisection on an exact key that is monotone in the follower. A
+    proxy's count is the length of its run.
     """
     first: dict[float, int] = {}
     for j, p in enumerate(declared):
@@ -207,17 +221,16 @@ def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int] | N
     stops = sorted(first.items())
     fs = scenario.sorted_followers
     n = len(fs)
-    span = max(fs[-1], stops[-1][0]) - min(fs[0], stops[0][0])
-    # written so that a NaN gap or span also falls back to the scan
-    if not all(b - a > span * 2**-50 for (a, _), (b, _) in zip(stops, stops[1:])):
-        return None
-    eps = span * 2**-49 + 4 * math.ulp(0.0)
     cuts = [0]
     for (a, ja), (b, jb) in zip(stops, stops[1:]):
         mid = a / 2 + b / 2
+        eps = math.ulp(mid) + math.ulp(0.0)
         lo = bisect_left(fs, mid - eps, cuts[-1], n)
         hi = bisect_right(fs, mid + eps, lo, n)
-        key = lambda f: (abs(b - f), jb) < (abs(a - f), ja)
+        if ja < jb:  # True once b is strictly nearer
+            key = lambda f: nearer(f, b, a)
+        else:  # True once b is at least as near
+            key = lambda f: not nearer(f, a, b)
         cuts.append(bisect_left(fs, True, lo, hi, key=key))
     cuts.append(n)
     counts = [0] * len(declared)
@@ -235,20 +248,11 @@ def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     finds each count as a run length; the rest take the scan.
     """
     _check_state(scenario, declared)
-    fps = scenario.follower_positions
-    if len(fps) > SCAN_MAX_FOLLOWERS:
-        found = _delegate_sorted(scenario, declared)
-        if found is not None:
-            return found
+    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
+        return _delegate_sorted(scenario, declared)
     counts = [0] * len(declared)
-    first, rest = declared[0], range(1, len(declared))
-    for fp in fps:
-        best_j, best_d = 0, abs(first - fp)
-        for j in rest:
-            d = abs(declared[j] - fp)
-            if d < best_d:
-                best_j, best_d = j, d
-        counts[best_j] += 1
+    for fp in scenario.follower_positions:
+        counts[nearest(declared, fp)] += 1
     return counts
 
 
@@ -369,12 +373,4 @@ def nearest_proxy_to_median(scenario: Scenario, declared: list[float]) -> int:
     argmin tie here is exactly the median voter's delegation tie, which is
     what keeps this route identical to :func:`wm_winner`.
     """
-    _check_state(scenario, declared)
-    med = unweighted_median(scenario, declared)
-    best_j, best_d = 0, abs(declared[0] - med)
-    for j in range(1, len(declared)):
-        d = abs(declared[j] - med)
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
-
+    return nearest(declared, unweighted_median(scenario, declared))

@@ -72,9 +72,10 @@ def _neighbors(observed: ObservedState) -> tuple[Neighbor | None, Neighbor | Non
 def _midpoint_interval(observed: ObservedState) -> Interval:
     """Medians under which the announced winner really wins.
 
-    Bounds sit at the midpoints toward the nearest declared neighbors; a
-    bound is closed iff the winner also wins the exact-distance tie there
-    (lower proxy index).
+    Bounds sit at the midpoints toward the nearest declared neighbors,
+    computed as ``a/2 + b/2`` so that they cannot overflow; a bound is
+    closed iff the winner also wins the exact-distance tie there (lower
+    proxy index).
     """
     w = observed.winner_position
     wid = observed.winner_id
@@ -82,12 +83,12 @@ def _midpoint_interval(observed: ObservedState) -> Interval:
     if left is None:
         lo, lo_open = -INF, True
     else:
-        lo = (left.position + w) / 2.0
+        lo = left.position / 2 + w / 2
         lo_open = not wid < left.proxy_id
     if right is None:
         hi, hi_open = INF, True
     else:
-        hi = (right.position + w) / 2.0
+        hi = right.position / 2 + w / 2
         hi_open = not wid < right.proxy_id
     return Interval(lo, hi, lo_open, hi_open)
 

@@ -157,6 +157,33 @@ class TestRun:
         summary = json.loads((tmp_path / "appendix_b_summary.json").read_text())
         assert summary["median_intervals"][0][0] is None
 
+    def test_unwritable_trace_path_exits_2(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["output"]["trace"] = "nosuchdir/t.jsonl"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'nosuchdir/t.jsonl'}: No such file or directory\n"
+
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert main(["--output-dir", str(out), "run", fixture_path("example1")]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+    def test_median_interval_of_huge_positions_is_finite(self, tmp_path):
+        doc = json.loads((fixtures_dir() / "appendix_b.json").read_text())
+        doc["scenario"] = {"proxies": [1e308, 1.7e308], "followers": [1.2e308],
+                           "space": {"kind": "continuous"}}
+        doc["policies"] = [{"kind": "minimax_regret"}] * 2
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path), "run", str(path)]) == 0
+        summary = json.loads((tmp_path / "appendix_b_summary.json").read_text())
+        assert summary["median_intervals"][0] == [None, 1.35e308, True, False]
+
     def test_max_steps_override(self, tmp_path):
         code = main([
             "--output-dir", str(tmp_path), "run", fixture_path("example3"), "--max-steps", "3",
@@ -305,6 +332,17 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 0
         assert "PASS  theorem2_oracle_agreement" in capsys.readouterr().out
+
+    def test_rounded_tie_is_decided_exactly(self, tmp_path, capsys):
+        # 0.3 - 0.0 and 0.3 - (-1e-20) round to the same distance, but 0.0 is
+        # nearer: both winner routes name proxy 1
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = [-1e-20, 0.0]
+        doc["scenario"]["followers"] = [0.3]
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
+        assert "PASS  lemma1_equivalence" in capsys.readouterr().out
 
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0

@@ -25,7 +25,7 @@ from proxyline import (
 )
 from proxyline import dynamics
 from proxyline.dynamics import replay_consistent, trace_is_monotone
-from proxyline.fixtures import fixtures_dir, load_fixture
+from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
 from proxyline.scenario_io import run_scenario_file
 
 MONO = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
@@ -139,6 +139,23 @@ class TestRunDynamics:
         iv = trace.interval_history[1]
         trace.interval_history[1] = replace(iv, lo_open=not iv.lo_open)
         assert not replay_consistent(trace)
+
+    def test_run_from_a_given_belief_replays(self):
+        # the regret-averse tail of appendix_b starts from the belief left
+        # by the published opening, not from a poll of its initial state
+        sf = load_fixture("appendix_b")
+        declared, belief, _ = appendix_b_opening(sf)
+        tail = run_dynamics(
+            sf.scenario, Scheduler.round_robin(),
+            [PolicySpec(PolicyKind.MINIMAX_REGRET)] * sf.scenario.num_proxies,
+            max_steps=sf.max_steps, mode="partial_info",
+            initial_declared=declared, initial_belief=belief,
+        )
+        first = tail.interval_history[0]
+        assert len(tail.records) == 16 and (first.lo, first.hi) == (-0.5, 27.0)
+        assert first != init_belief(observe(sf.scenario, declared)).interval
+        assert tail.initial_belief is belief and replay_consistent(tail)
+        assert run_scenario_file(sf).initial_belief is None
 
     def test_partial_info_run_polls_once(self, monkeypatch):
         # after the opening poll, each move's poll comes from its record

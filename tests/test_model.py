@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -146,10 +147,12 @@ STATE_KINDS = {
 
 
 def _scan(scenario, declared):
-    """Reference delegation: nearest declared proxy, lower index on ties."""
+    """Reference delegation: nearest declared proxy by exact distance, lower
+    index on ties."""
+    exact = [Fraction(p) for p in declared]
     return [
-        min(range(len(declared)), key=lambda j: (abs(declared[j] - f), j))
-        for f in scenario.follower_positions
+        min((abs(p - f), j) for j, p in enumerate(exact))[1]
+        for f in map(Fraction, scenario.follower_positions)
     ]
 
 
@@ -190,28 +193,28 @@ class TestSortedRoutes:
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # sorted route at any n
             found = delegate(sc, declared)
         assert found == _histogram(_scan(sc, declared), m)
-        if n and kind != "collapse":  # gaps of 0.5 or more: bisection decides alone
+        if n:
             assert model._delegate_sorted(sc, declared) == found
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
         for j in range(m):
             assert repr(_median_window(sc, declared, j)) == repr(_pool_window(sc, declared, j))
 
-    def test_rounding_collapse_falls_back_to_scan(self):
-        # 1.0 - 0.3 rounds so that the distances to 0.0 and 1e-20 are equal:
-        # the scan gives the tie to id 0, which is not adjacent to id 2
+    def test_rounding_collapse_decided_exactly(self):
+        # 0.3 - 0.0 and 0.3 - 1e-20 round to the same distance, but 1e-20 is
+        # nearer: both routes give the follower to id 1
         sc = Scenario((0.0, 1e-20, 1.0), (0.3,))
-        assert model._delegate_sorted(sc, [0.0, 1e-20, 1.0]) is None
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
-            assert delegate(sc, [0.0, 1e-20, 1.0]) == [1, 0, 0]
+        declared = [0.0, 1e-20, 1.0]
+        assert delegate(sc, declared) == model._delegate_sorted(sc, declared) == [0, 1, 0]
 
     def test_rounded_tie_far_from_the_midpoint(self):
         # abs() rounds every distance from +-1e17 to a follower this small to
-        # 1e17, so the scan hands all of them to id 0, not just those at 0
+        # 1e17; exactly, the negative followers are nearer -1e17 and those at
+        # 0 or -0 tie, so they go to id 0 and the positive ones to id 1
         followers = (0.0, -0.0, 1e-20, -1e-20, 0.3, 0.5, 1.0) * 6
         sc = Scenario((-1e17, 1e17), followers)
         declared = [-1e17, 1e17]
-        assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [42, 0]
-        assert model._delegate_sorted(sc, declared) == [42, 0]  # bisection decides
+        assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [18, 24]
+        assert model._delegate_sorted(sc, declared) == [18, 24]
 
     def test_subnormal_midpoint_tie(self):
         # 5e-324/2 + 2.5e-323/2 rounds to 1e-323, one subnormal ulp below the
@@ -243,12 +246,36 @@ class TestSortedRoutes:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_declared_position_delegates_like_the_scan(self, bad):
+        # every route refuses the state, with the same error as the scan
         followers = tuple(float(k % 9 - 4) for k in range(model.SCAN_MAX_FOLLOWERS + 8))
         sc = Scenario((0.0, 1.0, 2.0), followers)
-        for declared in ([bad, 1.0, -2.0], [-2.0, bad, 3.0], [bad, bad, 0.5]):
-            with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", len(followers)):
-                scan = delegate(sc, declared)
-            assert delegate(sc, declared) == scan
+        cases = (([bad, 1.0, -2.0], "state[0]"), ([-2.0, bad, 3.0], "state[1]"),
+                 ([0.5, 1.0, bad], "state[2]"))
+        for declared, path in cases:
+            for scan_max in (len(followers), 0):  # the scan, then the sorted route
+                with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", scan_max):
+                    for evaluate in (delegate, wm_winner, unweighted_median):
+                        with pytest.raises(ScenarioValidationError) as exc:
+                            evaluate(sc, declared)
+                        assert exc.value.path == path
+
+    @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+    @pytest.mark.parametrize("scan_max", [model.SCAN_MAX_FOLLOWERS, 0])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_winner_routes_are_exact(self, kind, scan_max, data):
+        # Lemma 1 holds exactly: the median route names the weighted-median
+        # winner, and delegation matches exact distances, on both routes
+        pos = STATE_KINDS[kind]
+        m = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(0, 12))
+        sc = Scenario(
+            tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n))
+        )
+        declared = [data.draw(pos) for _ in range(m)]
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", scan_max):
+            assert delegate(sc, declared) == _histogram(_scan(sc, declared), m)
+            assert nearest_proxy_to_median(sc, declared) == wm_winner(sc, declared)[0]
 
     def test_large_electorate_takes_sorted_route(self):
         followers = tuple((k * 37 % 101 - 50) / 2 for k in range(model.SCAN_MAX_FOLLOWERS + 40))

@@ -72,6 +72,12 @@ class TestInitInterval:
         assert iv.lo_open  # tie at 2 goes to the lower-index neighbor
         assert not iv.hi_open  # tie at 7 stays with the winner
 
+    def test_midpoint_of_huge_positions_does_not_overflow(self):
+        # (1e308 + 1.7e308) / 2 would be inf; the bound is the midpoint
+        sc = Scenario((1e308, 1.7e308), (1.2e308,))
+        iv = init_belief(observe(sc, sc.truthful_state())).interval
+        assert (iv.lo, iv.hi, iv.hi_open) == (-math.inf, 1.35e308, False)
+
 
 class TestUpdateInterval:
     def test_appendix_b_updates(self):
