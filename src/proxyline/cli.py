@@ -42,13 +42,17 @@ def cmd_run(args) -> int:
     trace_path = out_dir / sf.trace_path
     summary_path = out_dir / sf.summary_path
     path = out_dir
+    written = None
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = trace_path
         write_trace(trace, trace_path)
+        written = trace_path
         path = summary_path
         write_summary(summary, summary_path)
     except OSError as exc:
+        if written is not None:  # a trace is never left without its summary
+            written.unlink()
         print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
     print(f"wrote {trace_path} ({summary['steps']} moves) and {summary_path}")
@@ -64,9 +68,22 @@ def cmd_run(args) -> int:
 # invariant checks
 
 
-def _theorem2_row(scenario: model.Scenario) -> tuple[str, bool, str]:
-    """Theorem 2 on the truthful state: the analytic verdict against the
-    oracle tried at every proxy's complete list of deviation reports."""
+def _scenario_rows(
+    scenario: model.Scenario, states: list[list[float]]
+) -> list[tuple[str, bool, str]]:
+    """Lemma 1 on each state, Theorems 1 and 2 on the truthful state.
+
+    Lemma 1 compares the proxy nearest the median with the weighted median
+    of the delegation weights, not with ``wm_winner``, which above its scan
+    size is the nearest proxy itself. Theorem 2 compares the analytic
+    verdict with the oracle tried at every proxy's deviation reports.
+    """
+    lemma1 = all(
+        model.nearest_proxy_to_median(scenario, s)
+        == model.weighted_median(s, model.delegation_weights(scenario, s))[0]
+        for s in states
+    )
+    witness = manip.follower_manipulation_scan(scenario)
     verdict = manip.characterize_truthful_manipulability(scenario)
     truthful = scenario.truthful_state()
     found = any(
@@ -74,27 +91,19 @@ def _theorem2_row(scenario: model.Scenario) -> tuple[str, bool, str]:
         is not None
         for j in range(scenario.num_proxies)
     )
-    return ("theorem2_oracle_agreement", verdict.manipulable == found,
-            f"analytic {verdict.manipulable}, oracle {found}")
+    return [
+        ("lemma1_equivalence", lemma1, ""),
+        ("theorem1_no_follower_manipulation", witness is None, str(witness)),
+        ("theorem2_oracle_agreement", verdict.manipulable == found,
+         f"analytic {verdict.manipulable}, oracle {found}"),
+    ]
 
 
 def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
     """Full invariant sweep on one seeded random scenario."""
     rng = random.Random(seed)
-    results: list[tuple[str, bool, str]] = []
-
     scenario = random_scenario(rng)
-    ok = True
-    for _ in range(6):
-        state = random_state(rng, scenario)
-        if model.nearest_proxy_to_median(scenario, state) != model.wm_winner(scenario, state)[0]:
-            ok = False
-    results.append(("lemma1_equivalence", ok, ""))
-
-    witness = manip.follower_manipulation_scan(scenario)
-    results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
-
-    results.append(_theorem2_row(scenario))
+    results = _scenario_rows(scenario, [random_state(rng, scenario) for _ in range(6)])
 
     disc = random_scenario(rng, space=Space.discrete(1.0), both_sides=True, no_peak_at_median=True)
     policies = [
@@ -133,15 +142,8 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
 def _check_file(path: str) -> list[tuple[str, bool, str]]:
     sf = load_scenario_file(path)
     scenario = sf.scenario
-    results: list[tuple[str, bool, str]] = []
     state = scenario.truthful_state()
-    results.append(
-        ("lemma1_equivalence",
-         model.nearest_proxy_to_median(scenario, state) == model.wm_winner(scenario, state)[0], "")
-    )
-    witness = manip.follower_manipulation_scan(scenario)
-    results.append(("theorem1_no_follower_manipulation", witness is None, str(witness)))
-    results.append(_theorem2_row(scenario))
+    results = _scenario_rows(scenario, [state])
     if sf.alt_followers is not None:
         alt = scenario.with_followers(sf.alt_followers)
         same = pinfo.observe(scenario, state) == pinfo.observe(alt, state)

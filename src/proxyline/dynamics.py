@@ -83,17 +83,19 @@ class PolicySpec:
     def validate(self, scenario: Scenario, mode: str) -> None:
         """The checks that depend on the scenario's space or the mode."""
         if self.truth_oriented and mode == "partial_info":
-            raise ConfigurationError("truth_oriented is not used under partial_info mode")
+            raise ConfigurationError(
+                "truth_oriented is not used under partial_info mode", "truth_oriented"
+            )
         if self.kind == PolicyKind.OSCILLATING_ALPHA and scenario.space.is_discrete:
-            raise ConfigurationError("oscillating_alpha requires continuous space")
+            raise ConfigurationError("oscillating_alpha requires continuous space", "kind")
         if self.kind == PolicyKind.DISCRETE_BEST_RESPONSE and not scenario.space.is_discrete:
-            raise ConfigurationError("discrete_best_response requires discrete space")
+            raise ConfigurationError("discrete_best_response requires discrete space", "kind")
         if self.kind == PolicyKind.MINIMAX_REGRET and mode != "partial_info":
-            raise ConfigurationError("minimax_regret requires partial_info mode")
+            raise ConfigurationError("minimax_regret requires partial_info mode", "kind")
         if self.kind == PolicyKind.SCRIPTED and scenario.space.is_discrete:
-            for p in self.positions:
+            for k, p in enumerate(self.positions):
                 if not scenario.space.on_grid(p):
-                    raise ConfigurationError(f"scripted position {p} off grid")
+                    raise ConfigurationError(f"scripted position {p} off grid", f"positions[{k}]")
 
 
 # per kind, the (name, default) of each parameter field it does not read
@@ -506,7 +508,7 @@ def run_dynamics(
         records.append(rec)
         if belief is not None:
             # the poll after the move: the record already holds its winner
-            belief = update_belief(belief, rec, ObservedState(tuple(declared), rec.winner_after))
+            belief = update_belief(belief, ObservedState(tuple(declared), rec.winner_after))
             interval_history.append(belief.interval)
         if _detect_oscillation(records):
             stop = StopReason.OSCILLATION_DETECTED
@@ -651,6 +653,6 @@ def replay_consistent(trace: DynamicsTrace) -> bool:
         if med != rec.median_after or abs(med - wma) != rec.delta_after:
             return False
         if intervals:
-            belief = update_belief(belief, rec, observe(trace.scenario, declared))
+            belief = update_belief(belief, observe(trace.scenario, declared))
             intervals.append(belief.interval)
     return declared == trace.final_declared and intervals == trace.interval_history

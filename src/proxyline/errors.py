@@ -10,7 +10,12 @@ class EmptyElectorateError(ProxylineError):
 
 
 class ConfigurationError(ProxylineError):
-    """Raised on invalid policy/space combinations or bad engine settings."""
+    """Raised on invalid policy/space combinations or bad engine settings;
+    ``field`` names the policy field at fault, when one is."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ScenarioValidationError(ProxylineError):

@@ -198,7 +198,7 @@ def appendix_b_opening(sf: ScenarioFile):
     belief = pinfo.init_belief(pinfo.observe(sc, declared))
     for rec in trace.records:
         declared[rec.mover] = rec.to_pos
-        belief = pinfo.update_belief(belief, rec, pinfo.observe(sc, declared))
+        belief = pinfo.update_belief(belief, pinfo.observe(sc, declared))
     return declared, belief, trace
 
 

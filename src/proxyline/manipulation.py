@@ -4,8 +4,9 @@ The analytic route here works from the median-voter geometry: moving one
 proxy while the rest stay put clamps the combined median into a fixed
 window, so the outcome as a function of the deviation has at most five
 pieces (two constant tails, two boundary points, one identity stretch).
-The delegation-weight route in :mod:`proxyline.model` stays independent
-and is used to cross-check every claim.
+The winner rule :func:`proxyline.model.wm_winner`, evaluated on the whole
+changed state, stays independent of that geometry and cross-checks every
+claim.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def is_better_response(
 ) -> bool:
     """True iff reporting ``candidate`` strictly improves the proxy's outcome.
 
-    Computed on the delegation-weight route, independently of the
-    geometric machinery above.
+    Computed with :func:`~proxyline.model.wm_winner` on both states,
+    independently of the geometric machinery above.
     """
     if not math.isfinite(candidate):
         raise ValueError("candidate must be finite")

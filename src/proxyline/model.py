@@ -1,5 +1,9 @@
 """Ground-truth types, Tullock delegation, and the weighted-median rule.
 
+:func:`wm_winner` is the weighted median of delegation weights up to
+:data:`SCAN_MAX_FOLLOWERS` followers, and above it the proxy nearest the
+median (Lemma 1); :func:`delegate` is the definition it is checked against.
+
 Proxy ids are 0-based throughout the API; the CLI adds 1 when reporting.
 All functions here are pure and deterministic: delegation ties go to the
 lower proxy index and weighted-median ties to the smallest (position,
@@ -9,7 +13,7 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -17,8 +21,7 @@ from operator import truediv
 
 from .errors import EmptyElectorateError, ScenarioValidationError
 
-# Most followers ``delegate`` serves with the plain scan; above it the
-# bisection over sorted followers is faster, for any number of proxies.
+# Most followers whose winner ``wm_winner`` takes from delegation weights.
 SCAN_MAX_FOLLOWERS = 32
 
 
@@ -105,10 +108,7 @@ class Scenario:
 
     @cached_property
     def _states(self) -> dict[tuple[float, ...], list]:
-        """Records of the last two states evaluated on the sorted route,
-        keyed by the declared positions, least recently used first. A
-        record is ``[winner id, median's (index, value)]``, each None until
-        first use."""
+        """The records :func:`_record` keeps, least recently used first."""
         return {}
 
     def truthful_state(self) -> list[float]:
@@ -182,7 +182,9 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
 
 def _record(scenario: Scenario, declared: list[float]) -> list:
     """The scenario's record of ``declared``, made (after checking the
-    state) when it is not one of the last two states evaluated.
+    state) when it is not one of the last two states evaluated with more
+    than :data:`SCAN_MAX_FOLLOWERS` followers. A record is ``[winner id,
+    median's (index, value)]``, each None until first use.
 
     Two states are enough: a turn only evaluates the state being played and
     one proposal, and a passing round re-evaluates one unchanged state.
@@ -204,52 +206,15 @@ def _record(scenario: Scenario, declared: list[float]) -> list:
     return record
 
 
-def _delegate_sorted(scenario: Scenario, declared: list[float]) -> list[int]:
-    """:func:`delegate` by bisection on the sorted followers, O(m log n).
-
-    Only the two stops adjacent to a follower can win it, so between stops
-    a < b the followers split at one cut: the real midpoint, with a follower
-    there going to the lower id. The float ``a/2 + b/2`` lies within
-    ulp(mid) + ulp(0.0) of it, so a follower outside that window is on the
-    same side of both and goes to that side's stop; inside it, the cut is
-    found by bisection on an exact key that is monotone in the follower. A
-    proxy's count is the length of its run.
-    """
-    first: dict[float, int] = {}
-    for j, p in enumerate(declared):
-        first.setdefault(p, j)
-    stops = sorted(first.items())
-    fs = scenario.sorted_followers
-    n = len(fs)
-    cuts = [0]
-    for (a, ja), (b, jb) in zip(stops, stops[1:]):
-        mid = a / 2 + b / 2
-        eps = math.ulp(mid) + math.ulp(0.0)
-        lo = bisect_left(fs, mid - eps, cuts[-1], n)
-        hi = bisect_right(fs, mid + eps, lo, n)
-        if ja < jb:  # True once b is strictly nearer
-            key = lambda f: nearer(f, b, a)
-        else:  # True once b is at least as near
-            key = lambda f: not nearer(f, a, b)
-        cuts.append(bisect_left(fs, True, lo, hi, key=key))
-    cuts.append(n)
-    counts = [0] * len(declared)
-    for (_, j), lo, hi in zip(stops, cuts, cuts[1:]):
-        counts[j] = hi - lo
-    return counts
-
-
 def delegate(scenario: Scenario, declared: list[float]) -> list[int]:
     """Followers per proxy under Tullock delegation: entry j counts the
     followers whose nearest declared position is proxy j's.
 
-    Exact distance ties go to the lower proxy index. Electorates with more
-    than :data:`SCAN_MAX_FOLLOWERS` followers take the sorted route, which
-    finds each count as a run length; the rest take the scan.
+    Exact distance ties go to the lower proxy index. This is the
+    definition, O(n·m); :func:`wm_winner` uses it only up to
+    :data:`SCAN_MAX_FOLLOWERS` followers.
     """
     _check_state(scenario, declared)
-    if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
-        return _delegate_sorted(scenario, declared)
     counts = [0] * len(declared)
     for fp in scenario.follower_positions:
         counts[nearest(declared, fp)] += 1
@@ -354,13 +319,13 @@ def wm_winner(scenario: Scenario, declared: list[float]) -> tuple[int, float]:
     """Winner under the weighted-median rule: (proxy id, winning position).
 
     The state is checked before any other work. With more than
-    :data:`SCAN_MAX_FOLLOWERS` followers the winner id is kept in the
-    scenario's record of the state, so a repeated state is neither
-    delegated nor ranked again."""
+    :data:`SCAN_MAX_FOLLOWERS` followers the winner is the proxy nearest
+    the median (Lemma 1), kept with the median in the scenario's record of
+    the state, so each state is ranked once and never delegated."""
     if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
         record = _record(scenario, declared)
         if record[0] is None:
-            record[0] = weighted_median(declared, delegation_weights(scenario, declared))[0]
+            record[0] = nearest_proxy_to_median(scenario, declared)
         i = record[0]
         return i, declared[i]
     return weighted_median(declared, delegation_weights(scenario, declared))
@@ -371,6 +336,7 @@ def nearest_proxy_to_median(scenario: Scenario, declared: list[float]) -> int:
 
     Distance ties resolve like a delegation tie (lower proxy index): an
     argmin tie here is exactly the median voter's delegation tie, which is
-    what keeps this route identical to :func:`wm_winner`.
+    what makes this route the weighted-median winner of
+    :func:`delegation_weights` (Lemma 1).
     """
     return nearest(declared, unweighted_median(scenario, declared))

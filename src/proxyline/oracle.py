@@ -2,7 +2,8 @@
 
 These deliberately avoid the geometric shortcuts in
 :mod:`proxyline.manipulation` and :mod:`proxyline.partial_info`; they
-re-derive outcomes move by move from the delegation-weight definition.
+re-derive each outcome from the whole changed state with
+:func:`proxyline.model.wm_winner`.
 :func:`oracle_best_deviation` returns the best of the reports it is given;
 on :func:`deviation_reports` its yes/no answer is exact, and its
 improvement is a lower bound on the supremum when the improving reports

@@ -97,27 +97,16 @@ def init_belief(observed: ObservedState) -> BeliefState:
     return BeliefState(observed, _midpoint_interval(observed))
 
 
-def update_median_interval(
-    belief: BeliefState,
-    move,  # MoveRecord-like: .mover, .from_pos, .to_pos, .winner_before
-    observed_after: ObservedState,
-) -> Interval:
-    """Shrink the median interval after one observed move.
+def update_median_interval(belief: BeliefState, observed_after: ObservedState) -> Interval:
+    """Shrink the median interval after one observed move: intersect it
+    with the medians under which the announced winner really wins.
 
-    A mover that was not the reigning winner triggers the midpoint rule
-    around the current (post-move) winner. A reigning winner that moved
-    and kept winning reveals the median's side of its new position.
+    By Lemma 1 the winner is the proxy nearest the median, so each poll's
+    midpoint interval holds the polled state's median; no rule reads the
+    mover's intent. Intersecting assumes the median has not moved, which
+    holds while no report crosses it.
     """
-    meta_move = (
-        move.mover == move.winner_before and observed_after.winner_id == move.mover
-    )
-    if meta_move:
-        if move.to_pos > move.from_pos:
-            fresh = Interval(move.to_pos, INF, False, True)
-        else:
-            fresh = Interval(-INF, move.to_pos, True, False)
-    else:
-        fresh = _midpoint_interval(observed_after)
+    fresh = _midpoint_interval(observed_after)
     new = belief.interval.intersect(fresh)
     if new is None:
         raise InconsistentObservationError(
@@ -126,8 +115,8 @@ def update_median_interval(
     return new
 
 
-def update_belief(belief: BeliefState, move, observed_after: ObservedState) -> BeliefState:
-    return BeliefState(observed_after, update_median_interval(belief, move, observed_after))
+def update_belief(belief: BeliefState, observed_after: ObservedState) -> BeliefState:
+    return BeliefState(observed_after, update_median_interval(belief, observed_after))
 
 
 def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) -> IntervalSet:

@@ -113,7 +113,7 @@ _POLICY_PARAMS = {
 }
 
 
-def _parse_policy(obj, path: str) -> PolicySpec:
+def _parse_policy(obj, path: str, scenario: Scenario, mode: str) -> PolicySpec:
     _require_keys(_object(obj, path), {"kind"} | _POLICY_PARAMS.keys(), path)
     try:
         kind = PolicyKind(obj.get("kind"))
@@ -122,9 +122,12 @@ def _parse_policy(obj, path: str) -> PolicySpec:
     params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k != "kind"}
     _reject_unused(obj, _ALL_POLICY_FIELDS - POLICY_FIELDS[kind], path, kind.value)
     try:
-        return PolicySpec(kind, **params)
+        spec = PolicySpec(kind, **params)
+        spec.validate(scenario, mode)
     except ConfigurationError as exc:
-        raise ScenarioValidationError(path, str(exc)) from None
+        field = f".{exc.field}" if exc.field else ""
+        raise ScenarioValidationError(path + field, str(exc)) from None
+    return spec
 
 
 def _parse_scheduler(obj, path: str, num_proxies: int) -> Scheduler:
@@ -172,10 +175,15 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
     if "alt_followers" in sc_obj:
         alt = tuple(_number_list(sc_obj["alt_followers"], "$.scenario.alt_followers"))
 
+    mode = doc.get("mode", "full_info")
+    if mode not in ("full_info", "partial_info"):
+        raise ScenarioValidationError("$.mode", f"unknown mode {mode!r}")
     pol_obj = doc.get("policies", [])
     if not isinstance(pol_obj, list) or len(pol_obj) != len(proxies):
         raise ScenarioValidationError("$.policies", "expected one policy per proxy")
-    policies = [_parse_policy(p, f"$.policies[{i}]") for i, p in enumerate(pol_obj)]
+    policies = [
+        _parse_policy(p, f"$.policies[{i}]", scenario, mode) for i, p in enumerate(pol_obj)
+    ]
 
     scheduler = _parse_scheduler(
         doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler", len(proxies)
@@ -183,14 +191,6 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
 
     run_obj = _object(doc.get("run", {}), "$.run")
     _require_keys(run_obj, {"max_steps"}, "$.run")
-    mode = doc.get("mode", "full_info")
-    if mode not in ("full_info", "partial_info"):
-        raise ScenarioValidationError("$.mode", f"unknown mode {mode!r}")
-    for i, spec in enumerate(policies):
-        if spec.truth_oriented and mode == "partial_info":
-            raise ScenarioValidationError(
-                f"$.policies[{i}].truth_oriented", "not used under partial_info mode"
-            )
 
     out_obj = _object(doc.get("output", {}), "$.output")
     _require_keys(out_obj, {"trace", "summary"}, "$.output")

@@ -274,7 +274,7 @@ def _harvest_beliefs(target):
                     snapshots.append((sc, belief, rec.mover, peak))
                     taken += 1
             declared[rec.mover] = rec.to_pos
-            belief = px.update_belief(belief, rec, px.observe(sc, declared))
+            belief = px.update_belief(belief, px.observe(sc, declared))
     return snapshots[:target]
 
 

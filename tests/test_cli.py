@@ -167,6 +167,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'nosuchdir/t.jsonl'}: No such file or directory\n"
 
+    def test_unwritable_summary_path_leaves_no_trace(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["output"]["summary"] = "nosuchdir/s.json"
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'nosuchdir/s.json'}: No such file or directory\n"
+        assert list(out.iterdir()) == []
+
+    def test_scripted_winner_move_under_partial_info(self, tmp_path, capsys):
+        # the winner at -1 moves to 0.5 and still wins; that reveals only its
+        # midpoint interval, not which side of 0.5 the median lies on
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["mode"] = "partial_info"
+        doc["policies"] = [{"kind": "scripted", "positions": [0.5]}] * 2
+        doc["scheduler"] = {"kind": "scripted", "order": [1]}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path), "run", str(path)]) == 0
+        summary = json.loads((tmp_path / "example1_summary.json").read_text())
+        assert summary["steps"] == 2 and summary["final_outcome"] == 0.5
+        assert summary["median_intervals"] == [[None, 0.25, True, False]] * 3
+        assert main(["check", str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "x"
@@ -283,6 +310,35 @@ class TestSchema:
         bad.write_text(json.dumps(doc))
         assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "policy, space, mode, path",
+        [
+            ({"kind": "minimax_regret"}, None, "full_info", "$.policies[1].kind"),
+            ({"kind": "oscillating_alpha"}, 0.5, "full_info", "$.policies[1].kind"),
+            ({"kind": "discrete_best_response"}, None, "full_info", "$.policies[1].kind"),
+            ({"kind": "scripted", "positions": [0.5, 0.25]}, 0.5, "full_info",
+             "$.policies[1].positions[1]"),
+            ({"kind": "scripted", "truth_oriented": True}, None, "partial_info",
+             "$.policies[1].truth_oriented"),
+        ],
+    )
+    def test_policy_that_cannot_play_here_is_reported_at_its_field(
+        self, tmp_path, capsys, policy, space, mode, path
+    ):
+        # the checks that depend on the space or the mode are PolicySpec.validate's
+        doc = self.base_doc()
+        doc["policies"] = [{"kind": "scripted"}, policy]
+        doc["mode"] = mode
+        if space is not None:
+            doc["scenario"]["space"] = {"kind": "discrete", "step": space}
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario_file(doc)
+        assert exc.value.path == path
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_all_committed_fixtures_load(self):
         for path in sorted(fixtures_dir().glob("*.json")):
             load_scenario_file(path)
@@ -343,6 +399,15 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 0
         assert "PASS  lemma1_equivalence" in capsys.readouterr().out
+
+    # sha256 of the stdout of `check --random 300 --seed 7`. A change to any
+    # row, tally or verdict must update it on purpose.
+    RANDOM_300_SEED_7_SHA256 = "f9074b256e387d3d81f3fc4e63d6eb37db6a3d6f86b6342f9063e15b568bfd5f"
+
+    def test_random_300_output_is_pinned(self, capsys):
+        assert main(["check", "--random", "300", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RANDOM_300_SEED_7_SHA256
 
     def test_jobs_flag(self):
         assert main(["--jobs", "2", "check", "--random", "4", "--seed", "3"]) == 0

@@ -135,9 +135,10 @@ class TestUnweightedMedian:
         assert unweighted_median(sc, [0.0, 1.0]) == 1.0
 
 
-# Three kinds of state for the sorted routes: tie-heavy half-integers,
-# mixes of 0.0 and -0.0 (the median's zero sign must match), and the scale
-# where float subtraction collapses distances (0.0 vs 1e-20 next to 1e17).
+# Four kinds of state for the routes above the scan size: tie-heavy
+# half-integers, mixes of 0.0 and -0.0 (the median's zero sign must match),
+# the scale where float subtraction collapses distances (0.0 vs 1e-20 next
+# to 1e17), and subnormals.
 STATE_KINDS = {
     "half_integers": st.integers(-8, 8).map(lambda k: k / 2),
     "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
@@ -160,6 +161,12 @@ def _histogram(labels, m):
     return [labels.count(j) for j in range(m)]
 
 
+def _reference_winner(scenario, declared):
+    """Reference winner: the weighted median of exact delegation weights."""
+    counts = _histogram(_scan(scenario, declared), len(declared))
+    return weighted_median(declared, [c + 1.0 for c in counts])[0]
+
+
 def _pool_median(scenario, declared):
     """Reference median: the lower middle value, as its first occurrence in
     declared + followers (which fixes the sign of a zero)."""
@@ -178,33 +185,44 @@ def _pool_window(scenario, declared, proxy_id):
     return lo, hi, others
 
 
+def _draw_scenario(data, pos, max_m, max_n):
+    m = data.draw(st.integers(1, max_m))
+    n = data.draw(st.integers(0, max_n))
+    sc = Scenario(
+        tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n))
+    )
+    return sc, [data.draw(pos) for _ in range(m)]
+
+
 class TestSortedRoutes:
+    """Above :data:`model.SCAN_MAX_FOLLOWERS` the winner is the proxy nearest
+    the median, read from the sorted followers and kept per state; every
+    answer is checked against a reference built from exact distances."""
+
     @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
     @given(data=st.data())
     @settings(max_examples=300)
     def test_agree_with_scan_and_pool(self, kind, data):
-        pos = STATE_KINDS[kind]
-        m = data.draw(st.integers(1, 6))
-        n = data.draw(st.integers(0, 12))
-        sc = Scenario(
-            tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n))
-        )
-        declared = [data.draw(pos) for _ in range(m)]
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # sorted route at any n
-            found = delegate(sc, declared)
-        assert found == _histogram(_scan(sc, declared), m)
-        if n:
-            assert model._delegate_sorted(sc, declared) == found
+        sc, declared = _draw_scenario(data, STATE_KINDS[kind], 6, 12)
+        m = len(declared)
+        assert delegate(sc, declared) == _histogram(_scan(sc, declared), m)
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the Lemma 1 route at any n
+            winner = wm_winner(sc, declared)
+        assert winner[0] == _reference_winner(sc, declared)
+        assert repr(winner[1]) == repr(declared[winner[0]])
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
         for j in range(m):
             assert repr(_median_window(sc, declared, j)) == repr(_pool_window(sc, declared, j))
 
     def test_rounding_collapse_decided_exactly(self):
         # 0.3 - 0.0 and 0.3 - 1e-20 round to the same distance, but 1e-20 is
-        # nearer: both routes give the follower to id 1
+        # nearer: the follower goes to id 1, and id 1 is nearest the median
         sc = Scenario((0.0, 1e-20, 1.0), (0.3,))
         declared = [0.0, 1e-20, 1.0]
-        assert delegate(sc, declared) == model._delegate_sorted(sc, declared) == [0, 1, 0]
+        assert delegate(sc, declared) == _histogram(_scan(sc, declared), 3) == [0, 1, 0]
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
+            assert wm_winner(sc, declared) == (1, 1e-20)
+        assert wm_winner(sc, declared) == (1, 1e-20)
 
     def test_rounded_tie_far_from_the_midpoint(self):
         # abs() rounds every distance from +-1e17 to a follower this small to
@@ -214,22 +232,26 @@ class TestSortedRoutes:
         sc = Scenario((-1e17, 1e17), followers)
         declared = [-1e17, 1e17]
         assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [18, 24]
-        assert model._delegate_sorted(sc, declared) == [18, 24]
+        # the median 1e-20 is nearer 1e17 by 2e-20, which no rounded distance shows
+        assert wm_winner(sc, declared) == (1, 1e17) and _reference_winner(sc, declared) == 1
 
     def test_subnormal_midpoint_tie(self):
-        # 5e-324/2 + 2.5e-323/2 rounds to 1e-323, one subnormal ulp below the
-        # exact midpoint 1.5e-323, where the followers tie and go to id 0
+        # the followers sit at the exact midpoint 1.5e-323, where they tie and
+        # go to id 0; the median is there too, and its tie goes to id 0 alike
         sc = Scenario((5e-324, 2.5e-323), (1.5e-323,) * 40)
         declared = [5e-324, 2.5e-323]
         assert delegate(sc, declared) == _histogram(_scan(sc, declared), 2) == [40, 0]
-        assert model._delegate_sorted(sc, declared) == [40, 0]  # bisection decides
+        assert unweighted_median(sc, declared) == 1.5e-323
+        assert wm_winner(sc, declared) == (0, 5e-324)
 
     def test_midpoint_of_huge_positions_does_not_overflow(self):
-        # (a + b) / 2 would be inf here; a / 2 + b / 2 is the midpoint
+        # distances between these positions overflow to inf; the exact
+        # comparison still finds the nearer proxy on every route
         followers = tuple(1.25e308 + k * 1e305 for k in range(-20, 20))
-        sc = Scenario((1e308, 1.5e308), followers)
-        declared = [1e308, 1.5e308]
-        assert model._delegate_sorted(sc, declared) == _histogram(_scan(sc, declared), 2)
+        sc = Scenario((-1.7e308, 1e308, 1.5e308), followers)
+        for declared in ([-1.7e308, 1e308, 1.5e308], [1.7e308, -1e308, 1.25e308]):
+            assert delegate(sc, declared) == _histogram(_scan(sc, declared), 3)
+            assert wm_winner(sc, declared)[0] == _reference_winner(sc, declared)
 
     def test_many_proxies_integer_grid(self):
         # the dyn_many_proxies shape: m=50 integer positions, some repeated,
@@ -240,9 +262,10 @@ class TestSortedRoutes:
         declared += [declared[k] for k in rng.sample(range(45), 5)]
         rng.shuffle(declared)
         sc = Scenario(tuple(declared), followers, Space.discrete(1.0))
-        found = delegate(sc, declared)
-        assert found == _histogram(_scan(sc, declared), 50)
-        assert model._delegate_sorted(sc, declared) == found  # bisection decides
+        counts = delegate(sc, declared)
+        assert counts == _histogram(_scan(sc, declared), 50)
+        found = weighted_median(declared, [c + 1.0 for c in counts])
+        assert wm_winner(sc, declared) == found
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_declared_position_delegates_like_the_scan(self, bad):
@@ -252,7 +275,7 @@ class TestSortedRoutes:
         cases = (([bad, 1.0, -2.0], "state[0]"), ([-2.0, bad, 3.0], "state[1]"),
                  ([0.5, 1.0, bad], "state[2]"))
         for declared, path in cases:
-            for scan_max in (len(followers), 0):  # the scan, then the sorted route
+            for scan_max in (len(followers), 0):  # the scan, then the Lemma 1 route
                 with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", scan_max):
                     for evaluate in (delegate, wm_winner, unweighted_median):
                         with pytest.raises(ScenarioValidationError) as exc:
@@ -265,25 +288,21 @@ class TestSortedRoutes:
     @settings(max_examples=200)
     def test_winner_routes_are_exact(self, kind, scan_max, data):
         # Lemma 1 holds exactly: the median route names the weighted-median
-        # winner, and delegation matches exact distances, on both routes
-        pos = STATE_KINDS[kind]
-        m = data.draw(st.integers(1, 5))
-        n = data.draw(st.integers(0, 12))
-        sc = Scenario(
-            tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n))
-        )
-        declared = [data.draw(pos) for _ in range(m)]
+        # winner of exact delegation weights, on both winner routes
+        sc, declared = _draw_scenario(data, STATE_KINDS[kind], 5, 12)
+        want = _reference_winner(sc, declared)
+        assert nearest_proxy_to_median(sc, declared) == want
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", scan_max):
-            assert delegate(sc, declared) == _histogram(_scan(sc, declared), m)
-            assert nearest_proxy_to_median(sc, declared) == wm_winner(sc, declared)[0]
+            assert wm_winner(sc, declared)[0] == want
 
     def test_large_electorate_takes_sorted_route(self):
         followers = tuple((k * 37 % 101 - 50) / 2 for k in range(model.SCAN_MAX_FOLLOWERS + 40))
         sc = Scenario((-3.0, 0.5, 0.5, 7.0), followers)
         declared = [-3.0, 0.5, 0.5, 7.0]
-        found = delegate(sc, declared)
-        assert "sorted_followers" in vars(sc)  # filled by the sorted route, not the scan
-        assert found == _histogram(_scan(sc, declared), len(declared))
+        with mock.patch.object(model, "delegate", side_effect=AssertionError("delegated")):
+            winner = wm_winner(sc, declared)
+        assert {"sorted_followers", "_states"} <= set(vars(sc))
+        assert winner == (1, 0.5) and _reference_winner(sc, declared) == 1
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
 
     def test_cache_leaves_equality_hash_and_repr(self):
@@ -293,13 +312,13 @@ class TestSortedRoutes:
         assert wm_winner(sc, [0.0, 1.0]) == (0, 0.0)
         assert unweighted_median(sc, [0.0, 1.0]) == 0.0
         assert "_states" not in vars(sc)  # the scan keeps no record
+        first, second = delegate(sc, [1.0, -2.0]), delegate(sc, [1.0, -2.0])
+        assert first == second == [4, 1] and first is not second
+        assert set(vars(sc)) == {
+            "proxy_peaks", "follower_positions", "space", "sorted_followers"
+        }  # delegate keeps no memo; the median read the sorted followers
+        assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
-            first, second = delegate(sc, [1.0, -2.0]), delegate(sc, [1.0, -2.0])
-            assert first == second == [4, 1] and first is not second
-            assert set(vars(sc)) == {
-                "proxy_peaks", "follower_positions", "space", "sorted_followers"
-            }  # delegate keeps no memo, only the sorted followers
-            assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
             # 0.0, -0.0 and 0 share a key; the answers keep each call's own
             # zero. [2.0, 2.0] evicts the least recently used state
             states = ([1.0, -2.0], [0.0, 1.0], [-0.0, 1.0], [0, 1], [2.0, 2.0], [-0.0, 1.0])
@@ -344,9 +363,10 @@ class TestSortedRoutes:
             assert type(got) is type(want)
             if evaluate is wm_winner:
                 assert type(got[1]) is type(want[1])
+                assert got[0] == _reference_winner(sc, declared)
             assert len(sc._states) <= 2
 
-    def test_each_state_delegated_once(self):
+    def test_each_state_ranked_once(self):
         # the dyn_many_proxies shape at a smaller n: m=50 on an integer grid,
         # monotone truth-oriented round-robin play to a PNE
         rng = random.Random(3)
@@ -363,24 +383,17 @@ class TestSortedRoutes:
             assert trace.stop_reason == StopReason.PNE and trace.records
             return sc, trace
 
-        states = []
-        ranked = []  # (state, winner or median) per weighted_median call
-        sorted_route, median = model._delegate_sorted, model.weighted_median
-
-        def counted(scenario, declared):
-            states.append(tuple(declared))
-            return sorted_route(scenario, declared)
+        ranked = []  # the state of each weighted_median call
+        median = model.weighted_median
 
         def counted_median(values, weights):
-            ranked.append((tuple(values[:m]), len(values) == m))
+            ranked.append(tuple(values[:m]))
             return median(values, weights)
 
-        with mock.patch.object(model, "_delegate_sorted", counted), \
+        with mock.patch.object(model, "delegate", side_effect=AssertionError("delegated")), \
                 mock.patch.object(model, "weighted_median", counted_median):
             sc, trace = play()
-        assert len(states) == len(set(states))
-        # once for the winner and once for the median, at most
-        assert len(ranked) == len(set(ranked)) <= 2 * len({state for state, _ in ranked})
+        assert ranked and len(ranked) == len(set(ranked))
         assert len(sc._states) <= 2
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", n):  # the scan, no record
             scan_sc, scan_trace = play()
@@ -455,7 +468,7 @@ class TestNearestProxyRoute:
         sc = Scenario(peaks, followers)
         winner = wm_winner(sc, declared)
         assert nearest_proxy_to_median(sc, declared) == winner[0]
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the counts route at any n
+        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the Lemma 1 route at any n
             assert wm_winner(sc, declared) == winner
 
 
@@ -474,8 +487,6 @@ class TestInvariants:
         weights = [c + 1.0 for c in _histogram(_scan(sc, declared), m)]
         assert sum(delegation_weights(sc, declared)) == m + n
         assert delegation_weights(sc, declared) == weights
-        with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):  # the counts route at any n
-            assert delegation_weights(sc, declared) == weights
 
     def test_determinism(self, appendix_b):
         runs = {wm_winner(appendix_b, [-30.0, 90.0]) for _ in range(20)}

@@ -15,6 +15,7 @@ from proxyline import (
     SamplingBudgetError,
     Scenario,
     Scheduler,
+    Space,
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
@@ -28,6 +29,7 @@ from proxyline import (
     update_median_interval,
 )
 from proxyline.fixtures import appendix_b_opening, load_fixture
+from proxyline.generators import random_scenario
 from proxyline.oracle import DominatingVerdict, oracle_dominating_check
 
 
@@ -89,34 +91,20 @@ class TestUpdateInterval:
         # at -0.5 the displaced proxy 1 would win the tie, so the bound is open
         assert history[1].lo_open and history[2].lo_open
 
-    def test_winner_nudge_right_is_halfline_cut(self):
-        obs = ObservedState((0.0, 4.0, 10.0), 1)
-        belief = init_belief(obs)
-
-        class Move:
-            mover = 1
-            from_pos = 4.0
-            to_pos = 5.0
-            winner_before = 1
-
-        after = ObservedState((0.0, 5.0, 10.0), 1)
-        iv = update_median_interval(belief, Move, after)
-        assert (iv.lo, iv.hi) == (5.0, 7.0)
-        assert not iv.lo_open
+    def test_winner_nudge_right_is_midpoint_cut(self):
+        # the winner moving right and winning again reveals only its new
+        # midpoint interval (2.5, 7.5], not which side of it the median is
+        belief = init_belief(ObservedState((0.0, 4.0, 10.0), 1))
+        assert belief.interval == Interval(2.0, 7.0, True, False)
+        iv = update_median_interval(belief, ObservedState((0.0, 5.0, 10.0), 1))
+        assert iv == Interval(2.5, 7.0, True, False)
 
     def test_empty_intersection_raises(self):
-        obs = ObservedState((0.0, 4.0, 10.0), 1)
-        belief = init_belief(obs)
-
-        class Move:
-            mover = 1
-            from_pos = 4.0
-            to_pos = 9.0
-            winner_before = 1
-
-        after = ObservedState((0.0, 9.0, 10.0), 1)
+        # one state announced with two different winners: proxy 1 wins only
+        # for medians in (2, 7], proxy 2 only for medians in (7, inf)
+        belief = init_belief(ObservedState((0.0, 4.0, 10.0), 1))
         with pytest.raises(InconsistentObservationError):
-            update_median_interval(belief, Move, after)
+            update_median_interval(belief, ObservedState((0.0, 4.0, 10.0), 2))
 
     def test_interval_shrinks_monotonically_under_play(self):
         sc = Scenario((-8.0, 3.0, 9.0), (-2.0, 0.0, 4.0))
@@ -129,6 +117,31 @@ class TestUpdateInterval:
             assert iv.contains(med)
         for a, b in zip(trace.interval_history, trace.interval_history[1:]):
             assert b.intersect(a) == b  # b is a subset of a
+
+    @pytest.mark.parametrize("space", [Space(), Space(1.0)])
+    def test_random_play_never_raises_and_stays_sound(self, space):
+        # minimax_regret and scripted proxies mixed at random, winners moving
+        # included. Scripted reports stay on their peak's side of the true
+        # median, so no report crosses it and the median every poll is about
+        # stays the true one; reports that cross it move the median itself
+        rng = random.Random(16)
+        unit = 1.0 if space.step else 0.5
+        for _ in range(150):
+            sc = random_scenario(rng, space=space, min_proxies=2)
+            med = true_median(sc)
+            k = int(med / unit)
+            policies = []
+            for peak in sc.proxy_peaks:
+                if peak == med or rng.random() < 0.5:
+                    policies.append(PolicySpec(PolicyKind.MINIMAX_REGRET))
+                    continue
+                lo, hi = (-30, k - 1) if peak < med else (k + 1, 30)
+                script = tuple(rng.randint(lo, hi) * unit for _ in range(rng.randint(1, 4)))
+                policies.append(PolicySpec(PolicyKind.SCRIPTED, positions=script))
+            trace = run_dynamics(
+                sc, Scheduler.round_robin(), policies, max_steps=60, mode="partial_info"
+            )
+            assert all(iv.contains(med) for iv in trace.interval_history)
 
 
 class TestDominatingSets:
