@@ -27,8 +27,8 @@ from .scenario_io import (
     load_scenario_file,
     run_scenario_file,
     summarize,
-    write_summary,
-    write_trace,
+    summary_json,
+    trace_json,
 )
 
 
@@ -38,6 +38,7 @@ def cmd_run(args) -> int:
         sf = replace(sf, max_steps=args.max_steps)
     trace = run_scenario_file(sf)
     summary = summarize(trace)
+    trace_text, summary_text = trace_json(trace), summary_json(summary)
     out_dir = Path(args.output_dir)
     trace_path = out_dir / sf.trace_path
     summary_path = out_dir / sf.summary_path
@@ -46,10 +47,10 @@ def cmd_run(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = trace_path
-        write_trace(trace, trace_path)
+        trace_path.write_text(trace_text)
         written = trace_path
         path = summary_path
-        write_summary(summary, summary_path)
+        summary_path.write_text(summary_text)
     except OSError as exc:
         if written is not None:  # a trace is never left without its summary
             written.unlink()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -46,21 +47,11 @@ class PolicyKind(enum.Enum):
     SCRIPTED = "scripted"
 
 
-# the parameter fields each policy kind reads; every kind reads truth_oriented
-POLICY_FIELDS = {
-    PolicyKind.MONOTONE_BETTER_RESPONSE: {"fraction"},
-    PolicyKind.DISCRETE_BEST_RESPONSE: set(),
-    PolicyKind.OSCILLATING_ALPHA: {"alpha1", "decay"},
-    PolicyKind.MINIMAX_REGRET: set(),
-    PolicyKind.SCRIPTED: {"positions"},
-}
-
-
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative description of one proxy's strategy rule. A parameter
     that the kind does not read must keep its default; building a spec
-    checks that, and the ranges of the parameters the kind reads."""
+    checks that, and the ranges of the parameters."""
 
     kind: PolicyKind
     fraction: float = 0.5
@@ -70,43 +61,33 @@ class PolicySpec:
     truth_oriented: bool = False
 
     def __post_init__(self):
-        for name, default in _IGNORED_DEFAULTS[self.kind]:
-            if getattr(self, name) != default:
-                raise ConfigurationError(f"{self.kind.value} does not use {name}")
-        if self.kind == PolicyKind.MONOTONE_BETTER_RESPONSE and not 0 < self.fraction <= 1:
+        reads = {"kind", "truth_oriented", *_POLICIES[self.kind].params}
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigurationError(f"{self.kind.value} does not use {f.name}")
+        # an unread parameter keeps its default, which is in range
+        if not 0 < self.fraction <= 1:
             raise ConfigurationError("fraction must be in (0, 1]")
-        if self.kind == PolicyKind.OSCILLATING_ALPHA and not (
-            self.alpha1 > 0 and 0 < self.decay < 1
-        ):
+        if not (self.alpha1 > 0 and 0 < self.decay < 1):
             raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
 
     def validate(self, scenario: Scenario, mode: str) -> None:
-        """The checks that depend on the scenario's space or the mode."""
+        """The checks that depend on the scenario's space or the mode: a kind
+        plays only in a mode it has a proposal for, in the space it needs."""
         if self.truth_oriented and mode == "partial_info":
             raise ConfigurationError(
                 "truth_oriented is not used under partial_info mode", "truth_oriented"
             )
-        if self.kind == PolicyKind.OSCILLATING_ALPHA and scenario.space.is_discrete:
-            raise ConfigurationError("oscillating_alpha requires continuous space", "kind")
-        if self.kind == PolicyKind.DISCRETE_BEST_RESPONSE and not scenario.space.is_discrete:
-            raise ConfigurationError("discrete_best_response requires discrete space", "kind")
-        if self.kind == PolicyKind.MINIMAX_REGRET and mode != "partial_info":
-            raise ConfigurationError("minimax_regret requires partial_info mode", "kind")
-        if self.kind == PolicyKind.SCRIPTED and scenario.space.is_discrete:
+        policy = _POLICIES[self.kind]
+        if (policy.full if mode == "full_info" else policy.partial) is None:
+            other = "partial_info" if mode == "full_info" else "full_info"
+            raise ConfigurationError(f"{self.kind.value} requires {other} mode", "kind")
+        if policy.space is not None and (policy.space == "discrete") != scenario.space.is_discrete:
+            raise ConfigurationError(f"{self.kind.value} requires {policy.space} space", "kind")
+        if scenario.space.is_discrete:
             for k, p in enumerate(self.positions):
                 if not scenario.space.on_grid(p):
                     raise ConfigurationError(f"scripted position {p} off grid", f"positions[{k}]")
-
-
-# per kind, the (name, default) of each parameter field it does not read
-_IGNORED_DEFAULTS = {
-    kind: [
-        (f.name, f.default)
-        for f in fields(PolicySpec)
-        if f.name in set().union(*POLICY_FIELDS.values()) - read
-    ]
-    for kind, read in POLICY_FIELDS.items()
-}
 
 
 @dataclass(frozen=True)
@@ -174,9 +155,14 @@ class DynamicsTrace:
     records: list[MoveRecord]
     final_declared: list[float]
     stop_reason: StopReason
-    limit_delta: float | None = None
     interval_history: list[Interval] = field(default_factory=list)  # partial mode
     initial_belief: BeliefState | None = None  # the belief a run was started from, if given
+
+    @property
+    def limit_delta(self) -> float | None:
+        """The final Δ of a run that stopped in a 2-cycle, else None."""
+        oscillated = self.stop_reason == StopReason.OSCILLATION_DETECTED
+        return self.records[-1].delta_after if oscillated else None
 
     @property
     def initial_delta(self) -> float:
@@ -199,12 +185,9 @@ class DynamicsTrace:
 # policy proposal logic
 
 
-def _moves_by(records: list[MoveRecord], mover: int) -> int:
-    return sum(1 for r in records if r.mover == mover)
-
-
 def _propose_monotone(
-    scenario: Scenario, declared: list[float], mover: int, spec: PolicySpec
+    scenario: Scenario, declared: list[float], mover: int,
+    spec: PolicySpec, records: list[MoveRecord],
 ) -> float | None:
     peak = scenario.proxy_peaks[mover]
     cur = declared[mover]
@@ -256,7 +239,8 @@ def _propose_monotone(
 
 
 def _propose_discrete_best(
-    scenario: Scenario, declared: list[float], mover: int
+    scenario: Scenario, declared: list[float], mover: int,
+    spec: PolicySpec, records: list[MoveRecord],
 ) -> float | None:
     peak = scenario.proxy_peaks[mover]
     cur = declared[mover]
@@ -292,11 +276,8 @@ def _propose_discrete_best(
 
 
 def _propose_oscillating(
-    scenario: Scenario,
-    declared: list[float],
-    mover: int,
-    spec: PolicySpec,
-    records: list[MoveRecord],
+    scenario: Scenario, declared: list[float], mover: int,
+    spec: PolicySpec, records: list[MoveRecord],
 ) -> float | None:
     peak = scenario.proxy_peaks[mover]
     med = unweighted_median(scenario, declared)
@@ -311,20 +292,11 @@ def _propose_oscillating(
 
 
 def _propose_scripted(
-    declared: list[float], mover: int, spec: PolicySpec, records: list[MoveRecord]
+    _seen, _own, mover: int, spec: PolicySpec, records: list[MoveRecord]
 ) -> float | None:
-    k = _moves_by(records, mover)
-    if k >= len(spec.positions):
-        return None
-    x = spec.positions[k]
-    return x if x != declared[mover] else None
-
-
-def _propose_minimax(
-    scenario: Scenario, declared: list[float], mover: int, belief: BeliefState
-) -> float | None:
-    x = minimax_regret_strategy(belief, mover, scenario.proxy_peaks[mover])
-    return x if x != declared[mover] else None
+    """The next listed position, whatever the proxy sees, in either mode."""
+    k = sum(1 for r in records if r.mover == mover)
+    return spec.positions[k] if k < len(spec.positions) else None
 
 
 def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> float | None:
@@ -363,6 +335,34 @@ def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> fl
     return peak if at_peak <= best else None
 
 
+@dataclass(frozen=True)
+class _Policy:
+    """One policy kind: the parameter fields it reads besides ``truth_oriented``,
+    the space it needs (None: either), and its proposal in each mode (None:
+    it cannot play there). A full-information proposal takes ``(scenario,
+    declared, mover, spec, records)``; a partial-information one takes
+    ``(belief, peak, mover, spec, records)``, so it never sees the followers."""
+
+    params: tuple[str, ...]
+    space: str | None
+    full: Callable[..., float | None] | None
+    partial: Callable[..., float | None] | None
+
+
+_POLICIES = {
+    PolicyKind.MONOTONE_BETTER_RESPONSE: _Policy(("fraction",), None, _propose_monotone, None),
+    PolicyKind.DISCRETE_BEST_RESPONSE: _Policy((), "discrete", _propose_discrete_best, None),
+    PolicyKind.OSCILLATING_ALPHA: _Policy(
+        ("alpha1", "decay"), "continuous", _propose_oscillating, None
+    ),
+    PolicyKind.MINIMAX_REGRET: _Policy(
+        (), None, None,
+        lambda belief, peak, mover, spec, records: minimax_regret_strategy(belief, mover, peak),
+    ),
+    PolicyKind.SCRIPTED: _Policy(("positions",), None, _propose_scripted, _propose_scripted),
+}
+
+
 def propose(
     scenario: Scenario,
     declared: list[float],
@@ -373,22 +373,16 @@ def propose(
 ) -> float | None:
     """The policy's proposed report, or None to pass. ``belief`` is None
     under full information, where truth-oriented policies may report
-    their peak first."""
+    their peak first; under partial information the proposal gets the
+    belief and the mover's peak in place of the scenario."""
+    policy = _POLICIES[spec.kind]
+    if belief is not None:
+        return policy.partial(belief, scenario.proxy_peaks[mover], mover, spec, records)
     if spec.truth_oriented:
         override = _truth_override(scenario, declared, mover)
         if override is not None:
             return override
-    if spec.kind == PolicyKind.MONOTONE_BETTER_RESPONSE:
-        return _propose_monotone(scenario, declared, mover, spec)
-    if spec.kind == PolicyKind.DISCRETE_BEST_RESPONSE:
-        return _propose_discrete_best(scenario, declared, mover)
-    if spec.kind == PolicyKind.OSCILLATING_ALPHA:
-        return _propose_oscillating(scenario, declared, mover, spec, records)
-    if spec.kind == PolicyKind.SCRIPTED:
-        return _propose_scripted(declared, mover, spec, records)
-    if spec.kind == PolicyKind.MINIMAX_REGRET:
-        return _propose_minimax(scenario, declared, mover, belief)
-    raise ConfigurationError(f"unknown policy kind {spec.kind}")
+    return policy.full(scenario, declared, mover, spec, records)
 
 
 def step(
@@ -488,7 +482,6 @@ def run_dynamics(
     passed: set[int] = set()  # proxies that passed since the last accepted move
     turn = 0
     stop = StopReason.MAX_STEPS
-    limit_delta: float | None = None
 
     while True:
         if len(records) >= max_steps:
@@ -512,7 +505,6 @@ def run_dynamics(
             interval_history.append(belief.interval)
         if _detect_oscillation(records):
             stop = StopReason.OSCILLATION_DETECTED
-            limit_delta = records[-1].delta_after
             break
 
     return DynamicsTrace(
@@ -523,7 +515,6 @@ def run_dynamics(
         records=records,
         final_declared=declared,
         stop_reason=stop,
-        limit_delta=limit_delta,
         interval_history=interval_history,
         initial_belief=initial_belief,
     )

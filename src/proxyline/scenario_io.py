@@ -11,9 +11,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from sys import float_info
 
 from .dynamics import (
-    POLICY_FIELDS,
+    _POLICIES,
     DynamicsTrace,
     MoveRecord,
     PolicyKind,
@@ -72,7 +73,8 @@ def _str(obj, path: str) -> str:
 
 
 def _number(obj, path: str) -> float:
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool) or not math.isfinite(obj):
+    # an exact comparison, which NaN, the infinities and integers beyond float range fail
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= float_info.max:
         raise ScenarioValidationError(path, "expected a finite number")
     return float(obj)
 
@@ -102,7 +104,6 @@ def _parse_space_step(obj, path: str) -> float | None:
     raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
-_ALL_POLICY_FIELDS = set().union(*POLICY_FIELDS.values())
 # the reader of each optional policy field
 _POLICY_PARAMS = {
     "fraction": _number,
@@ -120,7 +121,8 @@ def _parse_policy(obj, path: str, scenario: Scenario, mode: str) -> PolicySpec:
     except ValueError:
         raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
     params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k != "kind"}
-    _reject_unused(obj, _ALL_POLICY_FIELDS - POLICY_FIELDS[kind], path, kind.value)
+    reads = {"kind", "truth_oriented", *_POLICIES[kind].params}
+    _reject_unused(obj, obj.keys() - reads, path, kind.value)
     try:
         spec = PolicySpec(kind, **params)
         spec.validate(scenario, mode)
@@ -191,6 +193,9 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
 
     run_obj = _object(doc.get("run", {}), "$.run")
     _require_keys(run_obj, {"max_steps"}, "$.run")
+    max_steps = _int(run_obj.get("max_steps", 100), "$.run.max_steps")
+    if max_steps < 1:
+        raise ScenarioValidationError("$.run.max_steps", "expected an integer >= 1")
 
     out_obj = _object(doc.get("output", {}), "$.output")
     _require_keys(out_obj, {"trace", "summary"}, "$.output")
@@ -199,7 +204,7 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         scenario=scenario,
         policies=policies,
         scheduler=scheduler,
-        max_steps=_int(run_obj.get("max_steps", 100), "$.run.max_steps"),
+        max_steps=max_steps,
         mode=mode,
         trace_path=_str(out_obj.get("trace", "trace.jsonl"), "$.output.trace"),
         summary_path=_str(out_obj.get("summary", "summary.json"), "$.output.summary"),
@@ -245,7 +250,7 @@ def run_scenario_file(sf: ScenarioFile) -> DynamicsTrace:
 
 def record_to_dict(rec: MoveRecord) -> dict:
     """1-based ids for reports."""
-    return {
+    row = {
         "t": rec.t,
         "mover": rec.mover + 1,
         "from": rec.from_pos,
@@ -257,13 +262,14 @@ def record_to_dict(rec: MoveRecord) -> dict:
         "median_after": rec.median_after,
         "delta_after": rec.delta_after,
     }
+    return {key: _finite_or_null(value) for key, value in row.items()}
 
 
-def write_trace(trace: DynamicsTrace, path: Path) -> None:
+def trace_json(trace: DynamicsTrace) -> str:
     lines = [
         json.dumps(record_to_dict(r), sort_keys=True, allow_nan=False) for r in trace.records
     ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def summarize(trace: DynamicsTrace) -> dict:
@@ -290,16 +296,17 @@ def summarize(trace: DynamicsTrace) -> dict:
     }
     if trace.interval_history:
         summary["median_intervals"] = [
-            [_finite_or_null(iv.lo), _finite_or_null(iv.hi), iv.lo_open, iv.hi_open]
-            for iv in trace.interval_history
+            [iv.lo, iv.hi, iv.lo_open, iv.hi_open] for iv in trace.interval_history
         ]
-    return summary
+    return {key: _finite_or_null(value) for key, value in summary.items()}
 
 
-def _finite_or_null(x: float) -> float | None:
-    """RFC 8259 has no infinities: an unbounded interval end is null."""
-    return x if math.isfinite(x) else None
+def _finite_or_null(x):
+    """RFC 8259 has no NaN or infinities: a non-finite float is written as null."""
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def write_summary(summary: dict, path: Path) -> None:
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def summary_json(summary: dict) -> str:
+    return json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -1,13 +1,20 @@
 """CLI surface: run/check/replicate, schemas, determinism, exit codes."""
 
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxyline import cli, fixtures
 from proxyline.cli import main
@@ -18,6 +25,15 @@ from proxyline.scenario_io import load_scenario_file, parse_scenario_file
 
 def fixture_path(name):
     return str(fixtures_dir() / f"{name}.json")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and the infinities, as RFC 8259 does."""
+
+    def reject(constant):
+        raise ValueError(f"non-RFC 8259 constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRun:
@@ -140,17 +156,28 @@ class TestRun:
         assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
 
     def test_outputs_are_strict_json(self, tmp_path):
-        def reject(constant):
-            raise ValueError(f"non-RFC 8259 constant {constant}")
-
         for path in sorted(fixtures_dir().glob("*.json")):
             out = tmp_path / path.stem
             assert main(["--output-dir", str(out), "run", str(path)]) == 0
             summary, trace = sorted(out.glob("*summary.json")), sorted(out.glob("*trace.jsonl"))
             assert len(summary) == len(trace) == 1
-            json.loads(summary[0].read_text(), parse_constant=reject)
+            strict_loads(summary[0].read_text())
             for line in trace[0].read_text().splitlines():
-                json.loads(line, parse_constant=reject)
+                strict_loads(line)
+
+    def test_values_past_float_range_are_null(self, tmp_path):
+        # the social costs overflow to inf; RFC 8259 has no inf, so they are null
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = [-1.7e308, 1.7e308]
+        doc["scenario"]["followers"] = [1e308]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "run", str(path)]) == 0
+        summary = strict_loads((out / "example1_summary.json").read_text())
+        assert summary["sc_initial"] is None and summary["steps"] > 0
+        for line in (out / "example1_trace.jsonl").read_text().splitlines():
+            strict_loads(line)
 
     def test_unbounded_interval_end_is_null(self, tmp_path):
         assert main(["--output-dir", str(tmp_path), "run", fixture_path("appendix_b")]) == 0
@@ -291,6 +318,13 @@ class TestSchema:
             ("scheduler", "order", [1, 3], "$.scheduler.order[1]"),
             # a parameter out of its range: the constructor's error, at the policy
             ("policies", "fraction", 5.0, "$.policies[0]"),
+            ("run", "max_steps", 0, "$.run.max_steps"),
+            ("run", "max_steps", -3, "$.run.max_steps"),
+            # integers beyond float range
+            pytest.param("scenario", "proxies", [10**400, 1.5], "$.scenario.proxies[0]",
+                         id="huge_int_proxy"),
+            pytest.param("policies", "fraction", -(10**400), "$.policies[0].fraction",
+                         id="huge_int_fraction"),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, section, key, value, path):
@@ -320,6 +354,10 @@ class TestSchema:
              "$.policies[1].positions[1]"),
             ({"kind": "scripted", "truth_oriented": True}, None, "partial_info",
              "$.policies[1].truth_oriented"),
+            # kinds whose proposals read the followers have none under partial_info
+            ({"kind": "monotone_better_response"}, None, "partial_info", "$.policies[1].kind"),
+            ({"kind": "discrete_best_response"}, 0.5, "partial_info", "$.policies[1].kind"),
+            ({"kind": "oscillating_alpha"}, None, "partial_info", "$.policies[1].kind"),
         ],
     )
     def test_policy_that_cannot_play_here_is_reported_at_its_field(
@@ -342,6 +380,54 @@ class TestSchema:
     def test_all_committed_fixtures_load(self):
         for path in sorted(fixtures_dir().glob("*.json")):
             load_scenario_file(path)
+
+
+def _slots(doc, path=()):
+    """The path of every value below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _slots(value, path + (key,))
+
+
+FUZZ_DOCS = {p.stem: json.loads(p.read_text()) for p in sorted(fixtures_dir().glob("*.json"))}
+FUZZ_SLOTS = [(name, slot) for name, doc in FUZZ_DOCS.items() for slot in _slots(doc)]
+# strings from a small alphabet, so a drawn output path stays a plain file name
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab1", max_size=4)
+    | st.sampled_from([10**400, -(10**400), 1e308, -1e308, 1.7e308]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+class TestParserFuzz:
+    @given(slot=st.sampled_from(FUZZ_SLOTS), value=FUZZ_VALUES)
+    @example(slot=("example1", ("scenario", "proxies", 0)), value=10**400)
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_fixture_is_refused_or_runs(self, slot, value):
+        # one value of a committed fixture replaced: the parser refuses it
+        # with a path, or the file runs and exits 0 or 2, never a traceback
+        name, path = slot
+        doc = copy.deepcopy(FUZZ_DOCS[name])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        try:
+            parse_scenario_file(doc)
+        except ScenarioValidationError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            file = Path(tmp) / "in.json"
+            file.write_text(json.dumps(doc))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["--output-dir", tmp, "run", str(file), "--max-steps", "200"])
+        assert code in (0, 2)
 
 
 class TestCheck:

@@ -1,7 +1,9 @@
 """Engine behavior: steps, schedulers, traces, meta-moves, bounds, labels."""
 
+import re
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +240,43 @@ class TestRunDynamics:
         # so step(), which never sees a whole run, cannot play a bad spec either
         with pytest.raises(ConfigurationError, match=message):
             PolicySpec(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, space",
+        [
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, Space.continuous()),
+            (PolicyKind.DISCRETE_BEST_RESPONSE, Space.discrete(0.5)),
+            (PolicyKind.OSCILLATING_ALPHA, Space.continuous()),
+        ],
+    )
+    def test_full_information_kind_refused_under_partial_info(self, kind, space):
+        # its proposal reads the followers, which a winner-only poll hides
+        sc = Scenario((-1.0, 1.5), (0.0,), space)
+        with pytest.raises(ConfigurationError, match="requires full_info mode"):
+            run_dynamics(
+                sc, Scheduler.round_robin(), [PolicySpec(kind)] * 2, max_steps=5,
+                mode="partial_info",
+            )
+        belief = init_belief(observe(sc, sc.truthful_state()))
+        with pytest.raises(ConfigurationError, match="requires full_info mode"):
+            step(sc, sc.truthful_state(), 1, PolicySpec(kind), belief=belief)
+
+    def test_readme_policy_table_matches_the_kind_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(
+            r"^\| `(\w+)` \| (either|discrete|continuous) \| (.+?) \| (.+?) \|$", readme, re.M
+        )
+        documented = {
+            kind: (space, set(re.findall(r"`(\w+)`", modes)), set(re.findall(r"`(\w+)`", names)))
+            for kind, space, modes, names in rows
+        }
+        table = {}
+        for kind, policy in dynamics._POLICIES.items():
+            proposals = {"full_info": policy.full, "partial_info": policy.partial}
+            modes = {mode for mode, proposal in proposals.items() if proposal}
+            names = set(policy.params) | ({"truth_oriented"} if policy.full else set())
+            table[kind.value] = (policy.space or "either", modes, names)
+        assert len(rows) == len(PolicyKind) and documented == table
 
     def test_parameters_at_their_defaults_accepted(self):
         sc = load_fixture("example1").scenario

@@ -295,7 +295,7 @@ class TestSortedRoutes:
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", scan_max):
             assert wm_winner(sc, declared)[0] == want
 
-    def test_large_electorate_takes_sorted_route(self):
+    def test_large_electorate_takes_lemma1_route(self):
         followers = tuple((k * 37 % 101 - 50) / 2 for k in range(model.SCAN_MAX_FOLLOWERS + 40))
         sc = Scenario((-3.0, 0.5, 0.5, 7.0), followers)
         declared = [-3.0, 0.5, 0.5, 7.0]
