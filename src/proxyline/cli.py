@@ -114,9 +114,10 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
     ]
     trace = dyn.run_dynamics(disc, Scheduler.round_robin(), policies, max_steps=200)
     med = metrics.true_median(disc)
-    ok = trace.stop_reason == dyn.StopReason.PNE and trace.final_outcome() == med
+    final = trace.final_outcome()
+    ok = trace.stop_reason == dyn.StopReason.PNE and final == med
     results.append(("discrete_monotone_converges_to_median", ok,
-                    f"stop {trace.stop_reason.value}, outcome {trace.final_outcome()}, med {med}"))
+                    f"stop {trace.stop_reason.value}, outcome {final}, med {med}"))
 
     lemmas_ok = dyn.check_bound_invariant(trace)
     if dyn.trace_is_monotone(trace):

@@ -10,19 +10,21 @@ an index tie) and, for non-winners, sit strictly closer to the current
 median than the reigning winner. Boundary reports that win only through
 tie-breaking stay available to the analysis in
 :mod:`proxyline.manipulation` but are not played, which keeps the
-distance-contraction laws of monotone play intact.
+distance-contraction laws of monotone play intact. The truth-oriented
+rule, the discrete best response and a winner's monotone step choose
+among the improving pieces of
+:func:`proxyline.manipulation.improving_pieces`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .intervals import INF, Interval
-from .manipulation import is_better_response, outcome_pieces
+from .manipulation import Piece, improving_pieces, is_better_response
 from .metrics import delta, true_median
 from .model import Scenario, unweighted_median, wm_winner
 from .partial_info import (
@@ -198,28 +200,22 @@ def _propose_monotone(
 
     if mover == winner_id:
         # meta-continuation: edge toward the peak while still winning strictly
-        if peak == cur:
+        stretch = next(
+            (p.reports for p in improving_pieces(scenario, declared, mover, wm) if p.outcome is None),
+            None,
+        )
+        toward = 1.0 if peak > cur else -1.0
+        if stretch is None or toward * (peak - med) < 0:
             return None
-        pieces = outcome_pieces(scenario, declared, mover)
-        if peak > cur:
-            limit = min(pieces.right_edge, 2.0 * peak - cur)
-            if peak >= med and limit > cur:
-                x = cur + spec.fraction * (limit - cur)
-                if x >= limit:
-                    x = (cur + limit) / 2.0
-                if space.is_discrete:
-                    return Interval.open(cur, limit).nearest_grid_point(x, space.step)
-                return x
-        else:
-            limit = max(pieces.left_edge, 2.0 * peak - cur)
-            if peak <= med and limit < cur:
-                x = cur - spec.fraction * (cur - limit)
-                if x <= limit:
-                    x = (cur + limit) / 2.0
-                if space.is_discrete:
-                    return Interval.open(limit, cur).nearest_grid_point(x, space.step)
-                return x
-        return None
+        limit = stretch.hi if toward > 0 else stretch.lo  # the far end, toward the peak
+        if toward * (limit - cur) <= 0:
+            return None
+        x = cur + spec.fraction * (limit - cur)
+        if toward * (x - limit) >= 0:
+            x = cur / 2.0 + limit / 2.0  # no overflow past float max
+        if space.is_discrete:
+            return Interval.open(min(cur, limit), max(cur, limit)).nearest_grid_point(x, space.step)
+        return x
 
     if peak == med:
         return peak if cur != peak else None
@@ -246,33 +242,16 @@ def _propose_discrete_best(
     cur = declared[mover]
     step = scenario.space.step
     _, wm = wm_winner(scenario, declared)
-    cur_d = abs(wm - peak)
-    if cur_d == 0:
-        return None
-    pieces = outcome_pieces(scenario, declared, mover)
-
-    candidates: list[tuple[float, float, float]] = []  # (outcome dist, |x-cur|, x)
-    # identity stretch (strict wins only: open interval, tie boundaries skipped)
-    a = max(pieces.left_edge, peak - cur_d)
-    b = min(pieces.right_edge, peak + cur_d)
-    x = Interval.open(a, b).nearest_grid_point(peak, step) if a < b else None
-    if x is not None and x != cur:
-        candidates.append((abs(x - peak), abs(x - cur), x))
-    # constant tails: outcome does not depend on where in the tail we stand
-    if pieces.left_const is not None and math.isfinite(pieces.left_edge):
-        if abs(pieces.left_const - peak) < cur_d:
-            x = Interval(-INF, pieces.left_edge).nearest_grid_point(peak, step)
-            if x != cur:
-                candidates.append((abs(pieces.left_const - peak), abs(x - cur), x))
-    if pieces.right_const is not None and math.isfinite(pieces.right_edge):
-        if abs(pieces.right_const - peak) < cur_d:
-            x = Interval(pieces.right_edge, INF).nearest_grid_point(peak, step)
-            if x != cur:
-                candidates.append((abs(pieces.right_const - peak), abs(x - cur), x))
-    if not candidates:
-        return None
-    candidates.sort()
-    return candidates[0][2]
+    # (outcome distance, |x - cur|, x) for the grid report nearest the peak in
+    # each improving piece; boundary reports are skipped (strict wins only)
+    candidates = []
+    for piece in improving_pieces(scenario, declared, mover, wm):
+        if piece.reports.lo < piece.reports.hi:
+            x = piece.reports.nearest_grid_point(peak, step)
+            if x is not None and x != cur:
+                outcome = x if piece.outcome is None else piece.outcome
+                candidates.append((abs(outcome - peak), abs(x - cur), x))
+    return min(candidates)[2] if candidates else None
 
 
 def _propose_oscillating(
@@ -306,33 +285,19 @@ def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> fl
     if declared[mover] == peak:
         return None
     _, wm = wm_winner(scenario, declared)
-    cur_d = abs(wm - peak)
-    if cur_d == 0:
-        return None
-    pieces = outcome_pieces(scenario, declared, mover)
-    at_peak = abs(pieces.outcome(peak) - peak)
-    if at_peak >= cur_d:
-        return None  # truth is not even improving
-    if at_peak == 0:
-        return peak  # outcome lands on the peak: unbeatable
-    # exact infimum of |outcome - peak| over all improving reports
-    best = at_peak
-    a = max(pieces.left_edge, peak - cur_d)
-    b = min(pieces.right_edge, peak + cur_d)
-    if a < b:  # winning stretch: outcome equals the report
-        if a < peak < b:
-            best = 0.0
-        else:
-            best = min(best, abs(a - peak), abs(b - peak))
-    for value in (
-        pieces.left_edge_outcome,
-        pieces.right_edge_outcome,
-        pieces.left_const,
-        pieces.right_const,
-    ):
-        if value is not None and abs(value - peak) < cur_d:
-            best = min(best, abs(value - peak))
-    return peak if at_peak <= best else None
+    improving = improving_pieces(scenario, declared, mover, wm)
+    gaps = [_gap(piece, peak) for piece in improving]
+    at_peak = [g for piece, g in zip(improving, gaps) if piece.reports.contains(peak)]
+    return peak if at_peak and at_peak[0] <= min(gaps) else None
+
+
+def _gap(piece: Piece, peak: float) -> float:
+    """The least |outcome - peak| over the piece's reports (an infimum on
+    the open stretch)."""
+    if piece.outcome is not None:
+        return abs(piece.outcome - peak)
+    reports = piece.reports
+    return 0.0 if reports.contains(peak) else min(abs(reports.lo - peak), abs(reports.hi - peak))
 
 
 @dataclass(frozen=True)
@@ -471,7 +436,8 @@ def run_dynamics(
         spec.validate(scenario, mode)
     scheduler.validate(scenario.num_proxies)
 
-    declared = list(initial_declared) if initial_declared is not None else scenario.truthful_state()
+    initial = list(initial_declared) if initial_declared is not None else scenario.truthful_state()
+    declared = list(initial)
     belief: BeliefState | None = None
     interval_history: list[Interval] = []
     if mode == "partial_info":
@@ -509,9 +475,7 @@ def run_dynamics(
 
     return DynamicsTrace(
         scenario=scenario,
-        initial_declared=(
-            list(initial_declared) if initial_declared is not None else scenario.truthful_state()
-        ),
+        initial_declared=initial,
         records=records,
         final_declared=declared,
         stop_reason=stop,

@@ -169,10 +169,11 @@ def replicate_appendix_a(r: ReplicationReport) -> None:
     sc = sf.scenario
     trace = run_scenario_file(sf)
     r.check("stop_pne", trace.stop_reason == StopReason.PNE, trace.stop_reason.value)
-    r.record("initial_outcome", trace.initial_outcome())
-    r.record("final_outcome", trace.final_outcome())
-    r.record("sc_truthful", metrics.social_cost(sc, trace.initial_outcome()))
-    r.record("sc_final", metrics.social_cost(sc, trace.final_outcome()))
+    initial, final = trace.initial_outcome(), trace.final_outcome()
+    r.record("initial_outcome", initial)
+    r.record("final_outcome", final)
+    r.record("sc_truthful", metrics.social_cost(sc, initial))
+    r.record("sc_final", metrics.social_cost(sc, final))
     r.check("first_mover_is_proxy_5", trace.records[0].mover == 4)
     r.record("first_move_to", trace.records[0].to_pos)
     r.check("is_pne_discrete", manip.is_pne(sc, trace.final_declared))
@@ -191,14 +192,11 @@ OPENING_MOVES = 2  # the published opening: proxy 2 to 29, then proxy 1 to 25
 
 
 def appendix_b_opening(sf: ScenarioFile):
-    """Replay the fixture's published opening and return (state, belief, trace)."""
-    sc = sf.scenario
+    """Play the fixture's published opening and return (state, belief, trace)."""
     trace = run_scenario_file(replace(sf, max_steps=OPENING_MOVES))
-    declared = list(trace.initial_declared)
-    belief = pinfo.init_belief(pinfo.observe(sc, declared))
-    for rec in trace.records:
-        declared[rec.mover] = rec.to_pos
-        belief = pinfo.update_belief(belief, pinfo.observe(sc, declared))
+    declared = list(trace.final_declared)
+    # the run's last poll, with the median interval it ended on
+    belief = pinfo.BeliefState(pinfo.observe(sf.scenario, declared), trace.interval_history[-1])
     return declared, belief, trace
 
 
@@ -215,10 +213,11 @@ def replicate_appendix_b(r: ReplicationReport) -> None:
     r.record("i2_lo", ivs[2].lo)
     r.record("i2_hi", ivs[2].hi)
     r.check("i1_lo_open", ivs[1].lo_open, "tie at -0.5 goes to proxy 1, not the winner")
-    r.record("initial_outcome", trace.initial_outcome())
-    r.record("outcome_s3", trace.final_outcome())
-    r.record("sc_truthful", metrics.social_cost(sc, trace.initial_outcome()))
-    r.record("sc_final", metrics.social_cost(sc, trace.final_outcome()))
+    initial, final = trace.initial_outcome(), trace.final_outcome()
+    r.record("initial_outcome", initial)
+    r.record("outcome_s3", final)
+    r.record("sc_truthful", metrics.social_cost(sc, initial))
+    r.record("sc_final", metrics.social_cost(sc, final))
 
     dom2 = pinfo.dominating_set_nonwinner(belief, 1, sc.proxy_peaks[1])
     r.check(

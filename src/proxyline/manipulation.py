@@ -3,16 +3,20 @@
 The analytic route here works from the median-voter geometry: moving one
 proxy while the rest stay put clamps the combined median into a fixed
 window, so the outcome as a function of the deviation has at most five
-pieces (two constant tails, two boundary points, one identity stretch).
-The winner rule :func:`proxyline.model.wm_winner`, evaluated on the whole
-changed state, stays independent of that geometry and cross-checks every
-claim.
+pieces (two constant tails, two boundary reports, one stretch where the
+report itself wins). :func:`outcome_pieces` is the one owner of that
+geometry and :func:`improving_pieces` of which pieces beat the current
+outcome; the better-response set here and the policies in
+:mod:`proxyline.dynamics` read them. The winner rule
+:func:`proxyline.model.wm_winner`, evaluated on the whole changed state,
+stays independent of that geometry and cross-checks every claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
@@ -26,36 +30,15 @@ class ManipulationVerdict:
     witness_position: float | None = None
 
 
-@dataclass(frozen=True)
-class OutcomePieces:
-    """Outcome of a single proxy's deviation, as a function of the report.
+class Piece(NamedTuple):
+    """Reports on which one proxy's deviation gets one outcome: a fixed
+    position, or None where the outcome is the report itself. ``tie_win``
+    marks a boundary report that gets itself only because the deviator
+    wins an exact-distance tie by its lower index."""
 
-    Attributes mirror the geometry: outside ``(left_edge, right_edge)`` the
-    outcome is constant; at the edges the tie-resolved value applies; inside,
-    the deviator wins and the outcome equals its report. The ``*_tie_win``
-    flags mark edges whose outcome equals the report only because the
-    deviator wins an exact-distance tie by lower index.
-    """
-
-    left_edge: float
-    right_edge: float
-    left_const: float | None  # outcome for x < left_edge (None when unbounded win region)
-    right_const: float | None
-    left_edge_outcome: float | None  # outcome exactly at left_edge
-    right_edge_outcome: float | None
-    left_edge_tie_win: bool = False
-    right_edge_tie_win: bool = False
-
-    def outcome(self, x: float) -> float:
-        if x < self.left_edge:
-            return self.left_const  # type: ignore[return-value]
-        if x == self.left_edge and self.left_edge_outcome is not None:
-            return self.left_edge_outcome
-        if x > self.right_edge:
-            return self.right_const  # type: ignore[return-value]
-        if x == self.right_edge and self.right_edge_outcome is not None:
-            return self.right_edge_outcome
-        return x
+    reports: Interval
+    outcome: float | None
+    tie_win: bool = False
 
 
 def _median_window(scenario: Scenario, declared: list[float], proxy_id: int):
@@ -77,37 +60,58 @@ def _median_window(scenario: Scenario, declared: list[float], proxy_id: int):
     return lo, hi, others
 
 
-def outcome_pieces(scenario: Scenario, declared: list[float], proxy_id: int) -> OutcomePieces:
-    """Piecewise outcome function for a single proxy's report."""
+def outcome_pieces(scenario: Scenario, declared: list[float], proxy_id: int) -> list[Piece]:
+    """The outcome of ``proxy_id``'s report while the others stay put, as at
+    most five pieces in ascending order of report: a constant tail, a
+    boundary report, the stretch where the report wins, a boundary report,
+    a constant tail. When both boundaries are one report (and the stretch
+    is empty) the first piece holding it applies."""
     lo, hi, others = _median_window(scenario, declared, proxy_id)
-    if not others:  # single proxy: it always wins, outcome is its report
-        return OutcomePieces(-INF, INF, None, None, None, None)
     # ``others`` ascends by id, so a nearest tie keeps the lower one
     positions = [p for p, _ in others]
 
-    if math.isinf(lo):
-        left_edge, left_const, left_edge_outcome = -INF, None, None
-        left_tie = False
-    else:
-        pos_lo, k_lo = others[nearest(positions, lo)]
-        left_edge = lo - abs(pos_lo - lo)
+    def side(bound: float, sign: float) -> tuple[float, Piece | None, Piece | None]:
+        """The edge beyond ``bound``, its tail and its boundary report."""
+        if not others or math.isinf(bound):  # a lone proxy, or no bound: the report wins
+            return sign * INF, None, None
+        pos, k = others[nearest(positions, bound)]
+        edge = bound + sign * abs(pos - bound)
+        if math.isinf(edge):  # past float max: no finite report reaches the tail
+            return edge, None, None
+        tail = Interval(edge, INF) if sign > 0 else Interval(-INF, edge)
         # at the edge the deviator ties the nearest fixed proxy; lower index wins
-        left_edge_outcome = left_edge if proxy_id < k_lo or pos_lo == left_edge else pos_lo
-        left_tie = proxy_id < k_lo and pos_lo != left_edge
-        left_const = pos_lo
-    if math.isinf(hi):
-        right_edge, right_const, right_edge_outcome = INF, None, None
-        right_tie = False
-    else:
-        pos_hi, k_hi = others[nearest(positions, hi)]
-        right_edge = hi + abs(pos_hi - hi)
-        right_edge_outcome = right_edge if proxy_id < k_hi or pos_hi == right_edge else pos_hi
-        right_tie = proxy_id < k_hi and pos_hi != right_edge
-        right_const = pos_hi
-    return OutcomePieces(
-        left_edge, right_edge, left_const, right_const,
-        left_edge_outcome, right_edge_outcome, left_tie, right_tie,
-    )
+        tie = proxy_id < k and pos != edge
+        at_edge = edge if tie or pos == edge else pos
+        return edge, Piece(tail, pos), Piece(Interval.point(edge), at_edge, tie)
+
+    left_edge, left_tail, left_point = side(lo, -1.0)
+    right_edge, right_tail, right_point = side(hi, 1.0)
+    stretch = Piece(Interval(left_edge, right_edge), None) if left_edge < right_edge else None
+    return [p for p in (left_tail, left_point, stretch, right_point, right_tail) if p is not None]
+
+
+def improving_pieces(
+    scenario: Scenario, declared: list[float], proxy_id: int, current: float
+) -> list[Piece]:
+    """The pieces of :func:`outcome_pieces` whose outcome is strictly nearer
+    the proxy's peak than ``current``, with the stretch cut to the open ball
+    of such reports. The ball's near end is ``current`` itself; its far end
+    is the reflection of ``current`` across the peak, rounded."""
+    peak = scenario.proxy_peaks[proxy_id]
+    if current == peak:
+        return []
+    far = peak + (peak - current)
+    ball_lo, ball_hi = min(current, far), max(current, far)
+    out = []
+    for piece in outcome_pieces(scenario, declared, proxy_id):
+        if piece.outcome is None:
+            a = max(piece.reports.lo, ball_lo)
+            b = min(piece.reports.hi, ball_hi)
+            if a < b:
+                out.append(Piece(Interval(a, b), None))
+        elif nearer(peak, piece.outcome, current):
+            out.append(piece)
+    return out
 
 
 def is_better_response(
@@ -141,37 +145,12 @@ def better_response_set(
     distance-contraction laws of monotone play hold for all remaining
     moves, so the built-in policies restrict themselves to that subset.
     """
-    peak = scenario.proxy_peaks[proxy_id]
     _, current = wm_winner(scenario, declared)
-    cur_d = abs(current - peak)
-    if cur_d == 0:
-        return IntervalSet.empty()
-
-    pieces = outcome_pieces(scenario, declared, proxy_id)
-    out: list[Interval] = []
-
-    # identity stretch: outcome == report, improving inside the open ball
-    lo = max(pieces.left_edge, peak - cur_d)
-    hi = min(pieces.right_edge, peak + cur_d)
-    if lo < hi:
-        out.append(Interval(lo, hi, True, True))
-    # boundary points with tie-resolved outcomes
-    for edge, edge_outcome, tie_win in (
-        (pieces.left_edge, pieces.left_edge_outcome, pieces.left_edge_tie_win),
-        (pieces.right_edge, pieces.right_edge_outcome, pieces.right_edge_tie_win),
-    ):
-        if edge_outcome is not None and math.isfinite(edge):
-            if abs(edge_outcome - peak) < cur_d:
-                if include_tie_wins or not tie_win:
-                    out.append(Interval.point(edge))
-    # constant tails
-    if pieces.left_const is not None and math.isfinite(pieces.left_edge):
-        if abs(pieces.left_const - peak) < cur_d:
-            out.append(Interval(-INF, pieces.left_edge, True, True))
-    if pieces.right_const is not None and math.isfinite(pieces.right_edge):
-        if abs(pieces.right_const - peak) < cur_d:
-            out.append(Interval(pieces.right_edge, INF, True, True))
-    return IntervalSet(out)
+    return IntervalSet([
+        piece.reports
+        for piece in improving_pieces(scenario, declared, proxy_id, current)
+        if include_tie_wins or not piece.tie_win
+    ])
 
 
 def is_pne(scenario: Scenario, declared: list[float], include_tie_wins: bool = True) -> bool:

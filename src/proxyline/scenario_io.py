@@ -24,7 +24,7 @@ from .dynamics import (
     run_dynamics,
 )
 from .errors import ConfigurationError, ScenarioValidationError
-from .metrics import delta, social_cost
+from .metrics import social_cost
 from .model import Scenario, Space
 
 SCHEMA_VERSION = 1
@@ -280,15 +280,16 @@ def summarize(trace: DynamicsTrace) -> dict:
         and abs(recs[-1].wm_after - recs[-2].wm_after) <= 1e-6
         and abs(recs[-1].delta_after - recs[-2].delta_after) <= 1e-6
     )
+    initial, final = trace.initial_outcome(), trace.final_outcome()
     summary = {
         "schema_version": SCHEMA_VERSION,
         "steps": len(recs),
-        "initial_outcome": trace.initial_outcome(),
-        "final_outcome": trace.final_outcome(),
-        "initial_delta": delta(scenario, trace.initial_declared),
+        "initial_outcome": initial,
+        "final_outcome": final,
+        "initial_delta": trace.initial_delta,
         "final_delta": trace.final_delta,
-        "sc_initial": social_cost(scenario, trace.initial_outcome()),
-        "sc_final": social_cost(scenario, trace.final_outcome()),
+        "sc_initial": social_cost(scenario, initial),
+        "sc_final": social_cost(scenario, final),
         "stop_reason": trace.stop_reason.value,
         "limit_delta": trace.limit_delta,
         "converged": converged,

@@ -1,5 +1,6 @@
 """Engine behavior: steps, schedulers, traces, meta-moves, bounds, labels."""
 
+import random
 import re
 from dataclasses import replace
 from functools import partial
@@ -18,6 +19,7 @@ from proxyline import (
     check_bound_invariant,
     detect_meta_moves,
     init_belief,
+    is_better_response,
     monotone_median_check,
     observe,
     run_dynamics,
@@ -62,6 +64,37 @@ class TestStep:
         spec = PolicySpec(PolicyKind.SCRIPTED, positions=(0.4,), truth_oriented=True)
         rec = step(sc, [2.0, -0.5], 0, spec)
         assert rec is not None and rec.to_pos == 0.25  # the peak, not the script
+
+    def test_truth_override_is_the_weakly_best_peak_randomized(self):
+        # the peak is played iff it is an improving report and no report's
+        # outcome is strictly nearer the peak than the peak's own outcome
+        rng = random.Random(23)
+        played = checked = 0
+        for _ in range(400):
+            m = rng.randint(1, 4)
+            n = rng.randint(0, 6)
+            sc = Scenario(
+                tuple(float(rng.randint(-6, 6)) for _ in range(m)),
+                tuple(float(rng.randint(-6, 6)) for _ in range(n)),
+            )
+            state = [float(rng.randint(-6, 6)) for _ in range(m)]
+            for j, peak in enumerate(sc.proxy_peaks):
+
+                def outcome(x):
+                    trial = list(state)
+                    trial[j] = x
+                    return wm_winner(sc, trial)[1]
+
+                at_peak = abs(outcome(peak) - peak)
+                weakly_best = (
+                    state[j] != peak
+                    and is_better_response(sc, state, j, peak)
+                    and all(abs(outcome(k * 0.25) - peak) >= at_peak for k in range(-48, 49))
+                )
+                assert dynamics._truth_override(sc, state, j) == (peak if weakly_best else None)
+                played += weakly_best
+                checked += 1
+        assert 0 < played < checked
 
     def test_rejected_nonimproving_script_passes(self):
         sc = load_fixture("example1").scenario

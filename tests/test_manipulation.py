@@ -89,9 +89,15 @@ class TestBetterResponseSet:
             state = [float(rng.randint(-6, 6)) for _ in range(m)]
             for j in range(m):
                 brs = better_response_set(sc, state, j)
+                pieces = manipulation.outcome_pieces(sc, state, j)
                 for k in range(-48, 49):
                     x = k * 0.25
                     assert brs.contains(x) == is_better_response(sc, state, j, x)
+                    # the first piece holding x gives the winner rule's outcome
+                    piece = next(p for p in pieces if p.reports.contains(x))
+                    trial = list(state)
+                    trial[j] = x
+                    assert (x if piece.outcome is None else piece.outcome) == wm_winner(sc, trial)[1]
 
 
 class TestCharacterization:

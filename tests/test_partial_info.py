@@ -26,6 +26,7 @@ from proxyline import (
     sample_consistent_profile,
     true_median,
     unweighted_median,
+    update_belief,
     update_median_interval,
 )
 from proxyline.fixtures import appendix_b_opening, load_fixture
@@ -90,6 +91,13 @@ class TestUpdateInterval:
         assert [iv.hi for iv in history] == [30.0, 30.0, 27.0]
         # at -0.5 the displaced proxy 1 would win the tie, so the bound is open
         assert history[1].lo_open and history[2].lo_open
+        # the helper's belief is the one fresh polls of the opening build
+        declared = list(trace.initial_declared)
+        replayed = init_belief(observe(sc, declared))
+        for rec in trace.records:
+            declared[rec.mover] = rec.to_pos
+            replayed = update_belief(replayed, observe(sc, declared))
+        assert belief == replayed
 
     def test_winner_nudge_right_is_midpoint_cut(self):
         # the winner moving right and winning again reveals only its new
