@@ -19,6 +19,7 @@ among the improving pieces of
 from __future__ import annotations
 
 import enum
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -208,6 +209,9 @@ def _propose_monotone(
         if stretch is None or toward * (peak - med) < 0:
             return None
         limit = stretch.hi if toward > 0 else stretch.lo  # the far end, toward the peak
+        # a far end past float max is ±inf, and every finite float up to it
+        # lies in the exact improving ball: aim at the largest finite one
+        limit = min(max(limit, -sys.float_info.max), sys.float_info.max)
         if toward * (limit - cur) <= 0:
             return None
         x = cur + spec.fraction * (limit - cur)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
-from .model import Scenario, nearer, nearest, wm_winner
+from .model import Scenario, _check_state, nearer, nearest, wm_winner
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,15 @@ def _median_window(scenario: Scenario, declared: list[float], proxy_id: int):
     median of the full state equals clamp(x, lo, hi) when the proxy
     declares x.
     """
+    _check_state(scenario, declared)  # the band holds the ranks of m proxies only
     others = [(p, k) for k, p in enumerate(declared) if k != proxy_id]
-    fs = scenario.sorted_followers
-    k = (len(declared) + len(fs) - 1) // 2  # 0-based rank of ``hi`` in the pool
-    # with m-1 others, only fs[k-m : k+1] can sit at rank k-1 or k; the
-    # stable sort keeps the objects (and zero signs) a whole-pool sort picks
+    r, band = scenario.median_band
+    k = (len(declared) + scenario.num_followers - 1) // 2  # 0-based rank of ``hi`` in the pool
+    # with m-1 others, only the followers of ranks k-m to k can sit at rank
+    # k-1 or k; the stable sort keeps the objects (and zero signs) a
+    # whole-pool sort picks
     start = max(0, k - len(declared))
-    pool = sorted([p for p, _ in others] + fs[start : k + 1])
+    pool = sorted([p for p, _ in others] + band[start - r : k + 1 - r])
     lo = pool[k - 1 - start] if k >= 1 else -INF
     hi = pool[k - start] if k - start < len(pool) else INF
     return lo, hi, others

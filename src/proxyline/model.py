@@ -101,10 +101,42 @@ class Scenario:
         return len(self.follower_positions)
 
     @cached_property
-    def sorted_followers(self) -> list[float]:
-        """Follower positions in ascending order (the same float objects),
-        sorted on first use. Stable: equal positions keep their input order."""
-        return sorted(self.follower_positions)
+    def median_band(self) -> tuple[int, list[float]]:
+        """(r, band): exactly ``sorted(follower_positions)[r : r + len(band)]``
+        (the same float objects, equal positions in input order), built on
+        first use.
+
+        The band covers ranks k−m−1 to k+1, k = ⌊(n+m−1)/2⌋: every follower
+        rank the median of a state (:func:`unweighted_median`) or one proxy's
+        median window (:func:`proxyline.manipulation._median_window`) reads.
+        Two pivots a ≤ b from a sorted strided sample of about n^(2/3)
+        followers bracket those ranks (Floyd & Rivest 1975), and the band is
+        every follower in [a, b]. It holds whole runs of equal positions, so
+        its stable sort orders them as the full sort does, and r counts the
+        followers below a. Pivots that miss the ranks, or a sample stride
+        below 4 (n < 43), give the full sort: the band is exact for any
+        pivots, and the sample decides only the speed.
+        """
+        fs = self.follower_positions
+        n, m = len(fs), len(self.proxy_peaks)
+        k = (n + m - 1) // 2
+        first, last = max(0, k - m - 1), min(n, k + 2)  # the band's ranks: [first, last)
+        stride = round(n ** (1 / 3))
+        if stride >= 4:
+            sample = sorted(fs[::stride])
+            # sample j's rank is near j·stride, off by about sqrt(len)/2 sample
+            # ranks (one sd): the pivots sit about four sd beyond the band's ranks
+            gap = 2 * math.isqrt(len(sample)) + 1
+            i, j = first // stride - gap, last // stride + gap
+            a = sample[i] if i > 0 else -math.inf
+            b = sample[j] if j < len(sample) else math.inf
+            upper = [x for x in fs if x >= a]
+            r = n - len(upper)
+            band = [x for x in upper if x <= b]
+            if r <= first and last <= r + len(band):
+                band.sort()
+                return r, band
+        return 0, sorted(fs)
 
     @cached_property
     def _states(self) -> dict[tuple[float, ...], list]:
@@ -274,12 +306,13 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
     returned, which fixes the sign of a zero.
 
     The median has rank k = ⌊(n+m−1)/2⌋, so only the declared positions and
-    the sorted followers ``fs[k−m : k+1]`` can hold it. The followers below
-    that window count as one point at ``fs[lo−1]`` weighted by their number,
-    those above as one at ``fs[hi]``: at most 2m+3 weighted items. With
-    more than :data:`SCAN_MAX_FOLLOWERS` followers the median's (index,
-    value) is kept in the scenario's record of the state, so a repeated
-    state is not ranked again.
+    the followers of ranks k−m to k can hold it, read from
+    :attr:`Scenario.median_band`. The followers below that window count as
+    one point at rank lo−1 weighted by their number, those above as one at
+    rank hi: at most 2m+3 weighted items. With more than
+    :data:`SCAN_MAX_FOLLOWERS` followers the median's (index, value) is
+    kept in the scenario's record of the state, so a repeated state is not
+    ranked again.
     """
     record = None
     if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:
@@ -289,20 +322,22 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
             return declared[i] if i < len(declared) else value
     else:
         _check_state(scenario, declared)
-    fs = scenario.sorted_followers
-    n, m = len(fs), len(declared)
+    r, band = scenario.median_band
+    n, m = len(scenario.follower_positions), len(declared)
     k = (n + m - 1) // 2
     lo, hi = max(0, k - m), min(n, k + 1)
     values = list(declared)
     weights = [1.0] * m
     if lo:
-        # the first of its run of equal values: the lowest follower index
-        values.append(fs[bisect_left(fs, fs[lo - 1], 0, lo)])
+        # the first of its run of equal values, the lowest follower index:
+        # the band holds every follower equal to one it holds
+        below = lo - 1 - r
+        values.append(band[bisect_left(band, band[below], 0, below)])
         weights.append(float(lo))
-    values += fs[lo:hi]
+    values += band[lo - r : hi - r]
     weights += [1.0] * (hi - lo)
     if hi < n:
-        values.append(fs[hi])
+        values.append(band[hi - r])
         weights.append(float(n - hi))
     found = weighted_median(values, weights)
     if record is not None:

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -310,6 +311,18 @@ class TestRunDynamics:
             names = set(policy.params) | ({"truth_oriented"} if policy.full else set())
             table[kind.value] = (policy.space or "either", modes, names)
         assert len(rows) == len(PolicyKind) and documented == table
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_monotone_winner_proposes_a_finite_report_past_overflow(self, sign):
+        # a lone winner improves on every report beyond 1.0 toward its peak;
+        # the reflection of 1.0 across the peak overflows to inf, and the
+        # proposal aims at float max instead of proposing inf
+        sc = Scenario((-sign * 1e308,), (-1.0,))
+        spec = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE)
+        trace = run_dynamics(sc, Scheduler(), [spec], 50, initial_declared=[sign])
+        assert trace.stop_reason == StopReason.PNE
+        assert trace.records[0].to_pos == -sign * sys.float_info.max / 2
+        assert trace.final_declared == [-sign * 1e308]
 
     def test_parameters_at_their_defaults_accepted(self):
         sc = load_fixture("example1").scenario

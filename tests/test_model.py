@@ -196,7 +196,7 @@ def _draw_scenario(data, pos, max_m, max_n):
 
 class TestSortedRoutes:
     """Above :data:`model.SCAN_MAX_FOLLOWERS` the winner is the proxy nearest
-    the median, read from the sorted followers and kept per state; every
+    the median, read from the median band and kept per state; every
     answer is checked against a reference built from exact distances."""
 
     @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
@@ -301,7 +301,7 @@ class TestSortedRoutes:
         declared = [-3.0, 0.5, 0.5, 7.0]
         with mock.patch.object(model, "delegate", side_effect=AssertionError("delegated")):
             winner = wm_winner(sc, declared)
-        assert {"sorted_followers", "_states"} <= set(vars(sc))
+        assert {"median_band", "_states"} <= set(vars(sc))
         assert winner == (1, 0.5) and _reference_winner(sc, declared) == 1
         assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
 
@@ -315,9 +315,9 @@ class TestSortedRoutes:
         first, second = delegate(sc, [1.0, -2.0]), delegate(sc, [1.0, -2.0])
         assert first == second == [4, 1] and first is not second
         assert set(vars(sc)) == {
-            "proxy_peaks", "follower_positions", "space", "sorted_followers"
-        }  # delegate keeps no memo; the median read the sorted followers
-        assert repr(sc.sorted_followers) == "[-1.0, 0.0, -0.0, 2.0, 2.0]"  # stable
+            "proxy_peaks", "follower_positions", "space", "median_band"
+        }  # delegate keeps no memo; the median read the band
+        assert repr(sc.median_band) == "(0, [-1.0, 0.0, -0.0, 2.0, 2.0])"  # stable
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
             # 0.0, -0.0 and 0 share a key; the answers keep each call's own
             # zero. [2.0, 2.0] evicts the least recently used state
@@ -399,6 +399,79 @@ class TestSortedRoutes:
             scan_sc, scan_trace = play()
         assert "_states" not in vars(scan_sc)
         assert repr(scan_trace.records) == repr(trace.records)
+
+
+def _band_is_the_sorted_slice(sc):
+    """Check :attr:`Scenario.median_band` against the full stable sort: the
+    same objects, and every rank the median and the windows read."""
+    r, band = sc.median_band
+    n, m = sc.num_followers, sc.num_proxies
+    k = (n + m - 1) // 2
+    assert r <= max(0, k - m - 1) and min(n, k + 2) <= r + len(band)
+    want = sorted(sc.follower_positions)[r : r + len(band)]
+    assert len(band) == len(want) and all(x is y for x, y in zip(band, want))
+    return r, band
+
+
+def _band_followers(family, rng, n):
+    if family == "duplicates":
+        return [float(rng.randint(-40, 40)) for _ in range(n)]
+    if family == "signed_zeros":  # a run of 0.0 and -0.0 that holds the median
+        zeros = n // 3
+        left = (n - zeros) // 2
+        fs = [-float(rng.randint(1, 9)) for _ in range(left)]
+        fs += [rng.choice((0.0, -0.0)) for _ in range(zeros)]
+        fs += [float(rng.randint(1, 9)) for _ in range(n - zeros - left)]
+        rng.shuffle(fs)
+        return fs
+    fs = sorted(rng.uniform(-9.0, 9.0) for _ in range(n))
+    return fs if family == "sorted" else fs[::-1]
+
+
+class TestMedianBand:
+    """The band of followers around the median, selected from a sample, is
+    the full sort's slice at sizes where selection runs (stride >= 4)."""
+
+    @pytest.mark.parametrize("family", ["duplicates", "signed_zeros", "sorted", "reverse_sorted"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_band_is_the_sorted_slice(self, family, seed):
+        rng = random.Random(f"{family}/{seed}")
+        n, m = rng.randint(100, 3_000), rng.randint(1, 60)
+        followers = _band_followers(family, rng, n)
+        declared = [rng.choice(followers + [0.0, -0.0]) for _ in range(m)]
+        sc = Scenario(tuple(declared), tuple(followers))
+        r, band = _band_is_the_sorted_slice(sc)
+        assert r > 0 or len(band) < n  # selected, not the full sort
+        # with no declared zero, a zero median is the first follower zero
+        for state in (declared, [-x for x in declared], [x or 1.0 for x in declared]):
+            assert repr(unweighted_median(sc, state)) == repr(_pool_median(sc, state))
+            for j in range(m):
+                assert repr(_median_window(sc, state, j)) == repr(_pool_window(sc, state, j))
+
+    def test_state_of_another_length_is_refused(self):
+        # the band holds the ranks of the scenario's m; a longer or shorter
+        # state would read the wrong ranks, so it is refused like elsewhere
+        sc = Scenario((0.0, 1.0, 2.0), tuple(float(k % 97) for k in range(1_000)))
+        for declared in ([0.0, 1.0], [0.0] * 40):
+            for evaluate in (unweighted_median, wm_winner):
+                with pytest.raises(ScenarioValidationError, match="declared positions"):
+                    evaluate(sc, declared)
+            with pytest.raises(ScenarioValidationError, match="declared positions"):
+                _median_window(sc, declared, 0)
+
+    @pytest.mark.parametrize("n", [100, 1_000, 3_000])
+    def test_pivots_that_miss_give_the_full_sort(self, n):
+        # every sampled follower is 0.0, so both pivots are 0.0 and the band
+        # misses the median's ranks: the fallback is the full sort
+        stride = round(n ** (1 / 3))
+        followers = tuple(float(i % stride) for i in range(n))
+        declared = [0.5, -0.0, float(stride)]
+        sc = Scenario(tuple(declared), followers)
+        r, band = _band_is_the_sorted_slice(sc)
+        assert (r, len(band)) == (0, n)
+        assert repr(unweighted_median(sc, declared)) == repr(_pool_median(sc, declared))
+        for j in range(len(declared)):
+            assert repr(_median_window(sc, declared, j)) == repr(_pool_window(sc, declared, j))
 
 
 class TestWmWinner:
