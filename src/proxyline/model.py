@@ -56,6 +56,23 @@ class Space:
         return math.isfinite(q) and abs(q - round(q)) <= 1e-9
 
 
+def _floats(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; the first value that is no real
+    number (or overflows a float) is refused at ``scenario.<name>[i]``."""
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        # only a refused input pays for finding its offender
+        for i, v in enumerate(values):
+            try:
+                float(v)
+            except (TypeError, ValueError, OverflowError):
+                raise ScenarioValidationError(
+                    f"scenario.{name}[{i}]", f"{v!r} is not a real number"
+                ) from exc
+        raise
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable ground truth: peaks, follower positions, space."""
@@ -65,32 +82,34 @@ class Scenario:
     space: Space = field(default_factory=Space.continuous)
 
     def __post_init__(self):
-        object.__setattr__(self, "proxy_peaks", tuple(map(float, self.proxy_peaks)))
-        object.__setattr__(self, "follower_positions", tuple(map(float, self.follower_positions)))
-        if not self.proxy_peaks:
+        peaks = _floats("proxies", self.proxy_peaks)
+        followers = _floats("followers", self.follower_positions)
+        object.__setattr__(self, "proxy_peaks", peaks)
+        object.__setattr__(self, "follower_positions", followers)
+        if not peaks:
             raise ScenarioValidationError("scenario.proxies", "at least one proxy required")
         step = self.space.step
-        discrete = step is not None
-        positions = self.proxy_peaks + self.follower_positions
-        # a C-level pass accepts finite positions, or on a grid exact multiples
-        # of the step (NaN and ±inf are no multiple); anything else goes through
-        # the loop, which applies the grid tolerance and reports the first
-        # offending position
-        if not (
-            all(map(float.is_integer, map(truediv, positions, repeat(step))))
-            if discrete
-            else all(map(math.isfinite, positions))
-        ):
-            named = (("proxies", self.proxy_peaks), ("followers", self.follower_positions))
-            for name, values in named:
-                for i, p in enumerate(values):
-                    if not math.isfinite(p):
-                        raise ScenarioValidationError(f"scenario.{name}[{i}]", f"{p} is not finite")
-                    if discrete and not self.space.on_grid(p):
-                        raise ScenarioValidationError(
-                            f"scenario.{name}[{i}]",
-                            f"{p} is not a multiple of step {self.space.step}",
-                        )
+        for name, values in (("proxies", peaks), ("followers", followers)):
+            # one C-level pass per tuple accepts finite positions, or on a grid
+            # exact multiples of the step (NaN and ±inf are no multiple; x / 1.0
+            # is x bit for bit, so the unit grid skips the division); anything
+            # else goes through the loop, which applies the grid tolerance and
+            # reports the first offending position
+            if step is None:
+                accepted = all(map(math.isfinite, values))
+            elif step == 1.0:
+                accepted = all(map(float.is_integer, values))
+            else:
+                accepted = all(map(float.is_integer, map(truediv, values, repeat(step))))
+            if accepted:
+                continue
+            for i, p in enumerate(values):
+                if not math.isfinite(p):
+                    raise ScenarioValidationError(f"scenario.{name}[{i}]", f"{p} is not finite")
+                if step is not None and not self.space.on_grid(p):
+                    raise ScenarioValidationError(
+                        f"scenario.{name}[{i}]", f"{p} is not a multiple of step {step}"
+                    )
 
     @property
     def num_proxies(self) -> int:
@@ -114,15 +133,16 @@ class Scenario:
         every follower in [a, b]. It holds whole runs of equal positions, so
         its stable sort orders them as the full sort does, and r counts the
         followers below a. Pivots that miss the ranks, or a sample stride
-        below 4 (n < 43), give the full sort: the band is exact for any
-        pivots, and the sample decides only the speed.
+        below 11 (n < 1 158), give the full sort: the band is exact for any
+        pivots, and the sample decides only the speed. Below about n = 1 000
+        the two comprehension passes cost more than the sort saves.
         """
         fs = self.follower_positions
         n, m = len(fs), len(self.proxy_peaks)
         k = (n + m - 1) // 2
         first, last = max(0, k - m - 1), min(n, k + 2)  # the band's ranks: [first, last)
         stride = round(n ** (1 / 3))
-        if stride >= 4:
+        if stride >= 11:
             sample = sorted(fs[::stride])
             # sample j's rank is near j·stride, off by about sqrt(len)/2 sample
             # ranks (one sd): the pivots sit about four sd beyond the band's ranks

@@ -430,13 +430,14 @@ def _band_followers(family, rng, n):
 
 class TestMedianBand:
     """The band of followers around the median, selected from a sample, is
-    the full sort's slice at sizes where selection runs (stride >= 4)."""
+    the full sort's slice at sizes where selection runs (stride >= 11,
+    n >= 1 158)."""
 
     @pytest.mark.parametrize("family", ["duplicates", "signed_zeros", "sorted", "reverse_sorted"])
     @pytest.mark.parametrize("seed", range(6))
     def test_band_is_the_sorted_slice(self, family, seed):
         rng = random.Random(f"{family}/{seed}")
-        n, m = rng.randint(100, 3_000), rng.randint(1, 60)
+        n, m = rng.randint(1_200, 3_000), rng.randint(1, 60)
         followers = _band_followers(family, rng, n)
         declared = [rng.choice(followers + [0.0, -0.0]) for _ in range(m)]
         sc = Scenario(tuple(declared), tuple(followers))
@@ -451,7 +452,7 @@ class TestMedianBand:
     def test_state_of_another_length_is_refused(self):
         # the band holds the ranks of the scenario's m; a longer or shorter
         # state would read the wrong ranks, so it is refused like elsewhere
-        sc = Scenario((0.0, 1.0, 2.0), tuple(float(k % 97) for k in range(1_000)))
+        sc = Scenario((0.0, 1.0, 2.0), tuple(float(k % 97) for k in range(2_000)))
         for declared in ([0.0, 1.0], [0.0] * 40):
             for evaluate in (unweighted_median, wm_winner):
                 with pytest.raises(ScenarioValidationError, match="declared positions"):
@@ -459,7 +460,7 @@ class TestMedianBand:
             with pytest.raises(ScenarioValidationError, match="declared positions"):
                 _median_window(sc, declared, 0)
 
-    @pytest.mark.parametrize("n", [100, 1_000, 3_000])
+    @pytest.mark.parametrize("n", [1_200, 2_000, 3_000])
     def test_pivots_that_miss_give_the_full_sort(self, n):
         # every sampled follower is 0.0, so both pivots are 0.0 and the band
         # misses the median's ranks: the fallback is the full sort
@@ -545,6 +546,14 @@ class TestNearestProxyRoute:
             assert wm_winner(sc, declared) == winner
 
 
+# zeros, the least subnormal, a half, the float just below 1, where floats
+# stop holding fractions, the largest magnitudes, NaN and the infinities
+HOSTILE_FLOATS = (
+    0.0, -0.0, 5e-324, 0.5, 1 - 2**-53, 2.0**53, 2.0**53 + 2, 1e308, -1e308,
+    math.nan, math.inf, -math.inf,
+)
+
+
 class TestInvariants:
     @given(st.data())
     @settings(max_examples=200)
@@ -586,7 +595,9 @@ class TestInvariants:
             with pytest.raises(ScenarioValidationError):
                 Space(step)
 
-    @pytest.mark.parametrize("space", [Space.continuous(), Space.discrete(0.5)])
+    @pytest.mark.parametrize(
+        "space", [Space.continuous(), Space.discrete(1.0), Space.discrete(0.5)]
+    )
     @pytest.mark.parametrize(
         "proxies, followers, path",
         [
@@ -599,6 +610,40 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError) as exc:
             Scenario(proxies, followers, space)
         assert exc.value.path == path
+
+    @pytest.mark.parametrize(
+        "proxies, followers, path",
+        [
+            ((0.0,), (10**400,), "scenario.followers[0]"),  # overflows a float
+            ((None,), (), "scenario.proxies[0]"),
+            ((0.0, "a"), (None,), "scenario.proxies[1]"),
+            ((0.0, 1), (2.0, 3, "a", None), "scenario.followers[2]"),
+        ],
+    )
+    def test_position_that_is_no_float_refused_at_its_path(self, proxies, followers, path):
+        with pytest.raises(ScenarioValidationError) as exc:
+            Scenario(proxies, followers)
+        assert exc.value.path == path
+
+    @given(
+        st.sampled_from([1.0, 0.5, 0.1]),
+        st.lists(st.sampled_from(HOSTILE_FLOATS), min_size=1, max_size=4),
+        st.lists(st.sampled_from(HOSTILE_FLOATS), max_size=4),
+    )
+    @settings(max_examples=300)
+    def test_grid_check_is_finite_and_on_grid(self, step, proxies, followers):
+        # the check's C-level passes (no division at step 1.0) accept exactly
+        # what the per-position rule accepts, and refuse at its first offender
+        space = Space.discrete(step)
+        named = [(f"scenario.proxies[{i}]", p) for i, p in enumerate(proxies)]
+        named += [(f"scenario.followers[{i}]", p) for i, p in enumerate(followers)]
+        offenders = [path for path, p in named if not (math.isfinite(p) and space.on_grid(p))]
+        if not offenders:
+            Scenario(tuple(proxies), tuple(followers), space)
+            return
+        with pytest.raises(ScenarioValidationError) as exc:
+            Scenario(tuple(proxies), tuple(followers), space)
+        assert exc.value.path == offenders[0]
 
     def test_state_length_checked(self, example1):
         with pytest.raises(ScenarioValidationError):
