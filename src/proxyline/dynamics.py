@@ -19,15 +19,16 @@ among the improving pieces of
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ScenarioValidationError
 from .intervals import INF, Interval
 from .manipulation import Piece, improving_pieces, is_better_response
 from .metrics import delta, true_median
-from .model import Scenario, unweighted_median, wm_winner
+from .model import Scenario, _check_proxy, _check_state, nearest, unweighted_median, wm_winner
 from .partial_info import (
     BeliefState,
     ObservedState,
@@ -73,6 +74,9 @@ class PolicySpec:
             raise ConfigurationError("fraction must be in (0, 1]")
         if not (self.alpha1 > 0 and 0 < self.decay < 1):
             raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
+        for k, p in enumerate(self.positions):
+            if not math.isfinite(p):
+                raise ConfigurationError(f"scripted position {p} is not finite", f"positions[{k}]")
 
     def validate(self, scenario: Scenario, mode: str) -> None:
         """The checks that depend on the scenario's space or the mode: a kind
@@ -369,9 +373,23 @@ def step(
     on-grid position change is accepted. Returns None when the proxy
     passes (no proposal, or a proposal those rules reject). Raises
     :class:`ConfigurationError` when ``spec`` cannot be played in this
-    scenario's space or in the mode the belief implies.
+    scenario's space or in the mode the belief implies, and
+    :class:`ScenarioValidationError` for a ``mover`` outside [0, m).
+
+    A belief must be a poll of ``declared`` (``belief.observed.declared ==
+    tuple(declared)``); one polled at another state is refused, neither
+    trusted nor re-evaluated. A partial-information record takes
+    ``winner_before`` from that poll, and ``winner_after`` as the proxy
+    nearest the new state's median (Lemma 1), so the turn evaluates only
+    the state it creates.
     """
     spec.validate(scenario, "full_info" if belief is None else "partial_info")
+    _check_proxy(scenario, mover, "mover")
+    if belief is not None:
+        _check_state(scenario, declared)
+        polled = belief.observed
+        if polled.declared != tuple(declared) or not 0 <= polled.winner_id < len(declared):
+            raise ScenarioValidationError("belief", "its poll is not of the declared state")
     records = records if records is not None else []
     proposal = propose(scenario, declared, mover, spec, records, belief)
     if proposal is None or proposal == declared[mover]:
@@ -380,11 +398,18 @@ def step(
         return None
     if belief is None and not is_better_response(scenario, declared, mover, proposal):
         return None
-    winner_before, wm_before = wm_winner(scenario, declared)
     after = list(declared)
     after[mover] = proposal
-    winner_after, wm_after = wm_winner(scenario, after)
-    med_after = unweighted_median(scenario, after)
+    if belief is None:
+        winner_before, wm_before = wm_winner(scenario, declared)
+        winner_after, wm_after = wm_winner(scenario, after)
+        med_after = unweighted_median(scenario, after)
+    else:
+        winner_before = belief.observed.winner_id
+        wm_before = declared[winner_before]
+        med_after = unweighted_median(scenario, after)
+        winner_after = nearest(after, med_after)
+        wm_after = after[winner_after]
     return MoveRecord(
         t=len(records) + 1,
         mover=mover,
@@ -426,7 +451,8 @@ def run_dynamics(
 
     The default initial state is truthful. PNE is certified by a full
     round of passes; the oscillation detector looks for a settled
-    2-cycle of winner positions.
+    2-cycle of winner positions. An ``initial_belief`` must be a poll of
+    the initial state, as :func:`step` requires.
     """
     if max_steps < 1:
         raise ConfigurationError("max_steps must be >= 1")

@@ -232,6 +232,15 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
         raise ScenarioValidationError(f"state[{j}]", f"{declared[j]} is not finite")
 
 
+def _check_proxy(scenario: Scenario, proxy_id: int, name: str) -> None:
+    """Refuse a proxy id outside [0, m) at the argument ``name``, so that -1
+    never reads the last proxy."""
+    if not 0 <= proxy_id < len(scenario.proxy_peaks):
+        raise ScenarioValidationError(
+            name, f"proxy id {proxy_id} is not in [0, {scenario.num_proxies})"
+        )
+
+
 def _record(scenario: Scenario, declared: list[float]) -> list:
     """The scenario's record of ``declared``, made (after checking the
     state) when it is not one of the last two states evaluated with more

@@ -8,12 +8,17 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyline import (
     ConfigurationError,
+    InconsistentObservationError,
+    ObservedState,
     PolicyKind,
     PolicySpec,
     Scenario,
+    ScenarioValidationError,
     Scheduler,
     Space,
     StopReason,
@@ -28,7 +33,7 @@ from proxyline import (
     true_median,
     wm_winner,
 )
-from proxyline import dynamics
+from proxyline import dynamics, partial_info
 from proxyline.dynamics import replay_consistent, trace_is_monotone
 from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
 from proxyline.scenario_io import run_scenario_file
@@ -123,6 +128,56 @@ class TestStep:
         belief = init_belief(observe(sc, sc.truthful_state())) if partial_info else None
         with pytest.raises(ConfigurationError, match=message):
             step(sc, sc.truthful_state(), 1, spec, belief=belief)
+
+    @pytest.mark.parametrize("partial_info_mode", [False, True], ids=["full_info", "partial_info"])
+    @pytest.mark.parametrize("mover", [-1, 2])
+    def test_mover_outside_the_proxies_refused(self, mover, partial_info_mode):
+        # -1 would play the last proxy, and m would raise a raw IndexError
+        sc = load_fixture("example1").scenario
+        declared = sc.truthful_state()
+        spec = PolicySpec(PolicyKind.MINIMAX_REGRET) if partial_info_mode else MONO
+        belief = init_belief(observe(sc, declared)) if partial_info_mode else None
+        with pytest.raises(ScenarioValidationError) as err:
+            step(sc, declared, mover, spec, belief=belief)
+        assert err.value.path == "mover"
+
+    @pytest.mark.parametrize(
+        "poll",
+        [
+            lambda sc, declared: observe(sc, sc.truthful_state()),  # an earlier state
+            lambda sc, declared: ObservedState(tuple(declared[:1]), 0),  # too short
+            lambda sc, declared: ObservedState(tuple(declared), len(declared)),  # no such winner
+        ],
+        ids=["earlier_state", "shorter_state", "winner_out_of_range"],
+    )
+    def test_belief_polled_at_another_state_refused(self, poll):
+        # the record's winner_before comes from the poll, so it must be of this state
+        sc = load_fixture("example1").scenario
+        declared = [-1.0, 0.5]
+        belief = replace(init_belief(observe(sc, declared)), observed=poll(sc, declared))
+        with pytest.raises(ScenarioValidationError) as err:
+            step(sc, declared, 1, PolicySpec(PolicyKind.MINIMAX_REGRET), belief=belief)
+        assert err.value.path == "belief"
+
+    def test_partial_info_step_evaluates_no_winner(self, monkeypatch):
+        # after the opening poll, the winner before a move comes from the poll
+        # and the winner after it from the new median (Lemma 1)
+        calls = []
+        for module in (dynamics, partial_info):
+            monkeypatch.setattr(module, "wm_winner", lambda *a: calls.append(a) or wm_winner(*a))
+        sf = load_fixture("appendix_b")
+        trace = run_scenario_file(sf)
+        assert len(trace.records) > 1 and len(calls) == 1
+        declared, belief, _ = appendix_b_opening(sf)
+        calls.clear()
+        tail = run_dynamics(
+            sf.scenario, Scheduler.round_robin(),
+            [PolicySpec(PolicyKind.MINIMAX_REGRET)] * sf.scenario.num_proxies,
+            max_steps=sf.max_steps, mode="partial_info",
+            initial_declared=declared, initial_belief=belief,
+        )
+        assert len(tail.records) == 16 and not calls
+        assert replay_consistent(trace) and replay_consistent(tail)
 
 
 class TestRunDynamics:
@@ -275,6 +330,13 @@ class TestRunDynamics:
         with pytest.raises(ConfigurationError, match=message):
             PolicySpec(kind, **params)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_script_position_refused_when_built(self, bad):
+        # on the line no grid check would catch it before is_better_response
+        with pytest.raises(ConfigurationError, match="not finite") as err:
+            PolicySpec(PolicyKind.SCRIPTED, positions=(1.0, bad))
+        assert err.value.field == "positions[1]"
+
     @pytest.mark.parametrize(
         "kind, space",
         [
@@ -328,6 +390,43 @@ class TestRunDynamics:
         sc = load_fixture("example1").scenario
         spec = PolicySpec(PolicyKind.SCRIPTED, fraction=0.5, alpha1=0.25, decay=0.5)
         run_dynamics(sc, Scheduler.round_robin(), [spec, MONO], max_steps=5)
+
+
+# follower counts around SCAN_MAX_FOLLOWERS (32), where wm_winner changes route
+PARTIAL_RUN_SIZES = [*range(9), 31, 32, 33, 200]
+PARTIAL_RUN_POSITIONS = {
+    "integer": st.integers(-12, 12).map(float),
+    "decimal": st.integers(-120, 120).map(lambda k: k / 10),
+    "tied": st.sampled_from((-1.0, 0.0, 0.0, 2.0)),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_partial_info_runs_replay(data):
+    # a partial turn takes the winner before it from the poll and the winner
+    # after it from the new median; replay recomputes both with wm_winner,
+    # which is the delegation scan up to 32 followers
+    space = data.draw(st.sampled_from((Space.continuous(), Space.discrete(1.0))))
+    kinds = ("integer", "tied") if space.is_discrete else tuple(PARTIAL_RUN_POSITIONS)
+    pos = PARTIAL_RUN_POSITIONS[data.draw(st.sampled_from(kinds))]
+    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.sampled_from(PARTIAL_RUN_SIZES))
+    peaks = data.draw(st.lists(pos, min_size=m, max_size=m))
+    followers = data.draw(st.lists(pos, min_size=n, max_size=n))
+    script = st.lists(pos, max_size=4).map(
+        lambda ps: PolicySpec(PolicyKind.SCRIPTED, positions=tuple(ps))
+    )
+    policy = st.one_of(st.just(PolicySpec(PolicyKind.MINIMAX_REGRET)), script)
+    policies = [data.draw(policy) for _ in range(m)]
+    try:
+        trace = run_dynamics(
+            Scenario(tuple(peaks), tuple(followers), space), Scheduler.round_robin(),
+            policies, max_steps=60, mode="partial_info",
+        )
+    except InconsistentObservationError:
+        return  # the belief update assumes the median never moves (ROADMAP item 8)
+    assert replay_consistent(trace)
 
 
 def fig5_trace():

@@ -6,6 +6,7 @@ import pytest
 
 from proxyline import (
     Scenario,
+    ScenarioValidationError,
     Space,
     better_response_set,
     characterize_truthful_manipulability,
@@ -45,6 +46,22 @@ class TestIsBetterResponse:
     def test_rejects_nonfinite(self, example1):
         with pytest.raises(ValueError):
             is_better_response(example1, [-1.0, 1.5], 1, float("nan"))
+
+
+@pytest.mark.parametrize("proxy_id", [-1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc, j: is_better_response(sc, sc.truthful_state(), j, 0.5),
+        lambda sc, j: better_response_set(sc, sc.truthful_state(), j),
+    ],
+    ids=["is_better_response", "better_response_set"],
+)
+def test_proxy_id_outside_the_proxies_refused(example1, call, proxy_id):
+    # -1 would read the last proxy, and m would raise a raw IndexError
+    with pytest.raises(ScenarioValidationError) as err:
+        call(example1, proxy_id)
+    assert err.value.path == "proxy_id"
 
 
 class TestBetterResponseSet:
