@@ -27,7 +27,6 @@ from .errors import (
     EmptyElectorateError,
     InconsistentObservationError,
     ProxylineError,
-    SamplingBudgetError,
     ScenarioValidationError,
 )
 from .intervals import Interval, IntervalSet
@@ -60,7 +59,6 @@ from .oracle import (
 )
 from .partial_info import (
     BeliefState,
-    Neighbor,
     ObservedState,
     dominating_set_nonwinner,
     dominating_set_winner,
@@ -68,7 +66,6 @@ from .partial_info import (
     max_regret,
     minimax_regret_strategy,
     observe,
-    sample_consistent_profile,
     update_belief,
     update_median_interval,
 )

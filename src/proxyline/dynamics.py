@@ -75,8 +75,8 @@ class PolicySpec:
         if not (self.alpha1 > 0 and 0 < self.decay < 1):
             raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
         for k, p in enumerate(self.positions):
-            if not math.isfinite(p):
-                raise ConfigurationError(f"scripted position {p} is not finite", f"positions[{k}]")
+            if not (isinstance(p, (int, float)) and math.isfinite(p)):
+                raise ConfigurationError(f"scripted position {p!r} is not finite", f"positions[{k}]")
 
     def validate(self, scenario: Scenario, mode: str) -> None:
         """The checks that depend on the scenario's space or the mode: a kind
@@ -384,7 +384,7 @@ def step(
     the state it creates.
     """
     spec.validate(scenario, "full_info" if belief is None else "partial_info")
-    _check_proxy(scenario, mover, "mover")
+    _check_proxy(len(scenario.proxy_peaks), mover, "mover")
     if belief is not None:
         _check_state(scenario, declared)
         polled = belief.observed

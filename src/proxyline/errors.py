@@ -32,8 +32,5 @@ class ScenarioValidationError(ProxylineError):
 
 
 class InconsistentObservationError(ProxylineError):
-    """Raised when a median-interval update produces an empty interval."""
-
-
-class SamplingBudgetError(ProxylineError):
-    """Raised when no consistent follower profile is found within budget."""
+    """Raised when polls admit no follower profile: a median-interval update
+    produces an empty interval, or no hidden median reproduces a poll."""

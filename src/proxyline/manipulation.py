@@ -124,7 +124,7 @@ def is_better_response(
     Computed with :func:`~proxyline.model.wm_winner` on both states,
     independently of the geometric machinery above.
     """
-    _check_proxy(scenario, proxy_id, "proxy_id")
+    _check_proxy(len(scenario.proxy_peaks), proxy_id, "proxy_id")
     if not math.isfinite(candidate):
         raise ValueError("candidate must be finite")
     peak = scenario.proxy_peaks[proxy_id]
@@ -148,7 +148,7 @@ def better_response_set(
     distance-contraction laws of monotone play hold for all remaining
     moves, so the built-in policies restrict themselves to that subset.
     """
-    _check_proxy(scenario, proxy_id, "proxy_id")
+    _check_proxy(len(scenario.proxy_peaks), proxy_id, "proxy_id")
     _, current = wm_winner(scenario, declared)
     return IntervalSet([
         piece.reports

@@ -169,13 +169,6 @@ class Scenario:
     def all_positions(self) -> list[float]:
         return list(self.proxy_peaks) + list(self.follower_positions)
 
-    def bounding_box(self) -> tuple[float, float]:
-        """Generous scan box: population span padded by itself on each side."""
-        pts = self.all_positions()
-        lo, hi = min(pts), max(pts)
-        span = max(hi - lo, 1.0)
-        return lo - span, hi + span
-
     def with_space(self, space: Space) -> "Scenario":
         return Scenario(self.proxy_peaks, self.follower_positions, space)
 
@@ -232,13 +225,12 @@ def _check_state(scenario: Scenario, declared: list[float]) -> None:
         raise ScenarioValidationError(f"state[{j}]", f"{declared[j]} is not finite")
 
 
-def _check_proxy(scenario: Scenario, proxy_id: int, name: str) -> None:
-    """Refuse a proxy id outside [0, m) at the argument ``name``, so that -1
-    never reads the last proxy."""
-    if not 0 <= proxy_id < len(scenario.proxy_peaks):
-        raise ScenarioValidationError(
-            name, f"proxy id {proxy_id} is not in [0, {scenario.num_proxies})"
-        )
+def _check_proxy(num_proxies: int, proxy_id: int, name: str) -> None:
+    """Refuse a proxy id that is not an ``int`` in [0, num_proxies) at the
+    argument ``name``, so that -1 never reads the last proxy, nor True the
+    second."""
+    if type(proxy_id) is not int or not 0 <= proxy_id < num_proxies:
+        raise ScenarioValidationError(name, f"{proxy_id!r} is not a proxy id in [0, {num_proxies})")
 
 
 def _record(scenario: Scenario, declared: list[float]) -> list:

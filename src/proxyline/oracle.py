@@ -1,13 +1,15 @@
 """Brute-force verifiers: every analytic claim gets an exhaustive twin.
 
-These deliberately avoid the geometric shortcuts in
-:mod:`proxyline.manipulation` and :mod:`proxyline.partial_info`; they
-re-derive each outcome from the whole changed state with
-:func:`proxyline.model.wm_winner`.
+The deviation search deliberately avoids the geometric shortcuts in
+:mod:`proxyline.manipulation`; it re-derives each outcome from the whole
+changed state with :func:`proxyline.model.wm_winner`.
 :func:`oracle_best_deviation` returns the best of the reports it is given;
 on :func:`deviation_reports` its yes/no answer is exact, and its
 improvement is a lower bound on the supremum when the improving reports
-form an open set.
+form an open set. :func:`oracle_dominating_check` cannot enumerate the
+hidden followers, so it enumerates the median windows they can make
+(Lemma 1), and returns each harm as a follower profile that
+:func:`~proxyline.model.wm_winner` can confirm.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
-from .model import Scenario, nearer, wm_winner
-from .partial_info import ObservedState, sample_consistent_profile
+from .errors import InconsistentObservationError
+from .model import Scenario, _check_proxy, nearer, nearest, wm_winner
+from .partial_info import ObservedState
 
 
 @dataclass(frozen=True)
@@ -140,35 +144,57 @@ class DominatingCheck:
 
 
 def oracle_dominating_check(
-    scenario: Scenario,
-    observed: ObservedState,
-    proxy_id: int,
-    candidate: float,
-    profile_samples: int,
-    seed: int,
+    observed: ObservedState, proxy_id: int, candidate: float, peak: float
 ) -> DominatingCheck:
-    """Test the two dominating-manipulation conditions on sampled profiles.
+    """Whether ``candidate`` dominates for proxy ``proxy_id`` with peak
+    ``peak`` (Conitzer, Walsh and Xia, AAAI 2011): never worse than the
+    polled outcome under any follower profile, of any size, consistent
+    with the poll, and strictly better under one.
 
-    Profiles are drawn consistent with the observation (same winner under
-    the full-information rule); the candidate must never hurt on any of
-    them and strictly help on at least one.
+    By Lemma 1 the median is clamp(report, lo, hi), for lo ≤ hi the ranks
+    k−1 and k of the others and the followers. Followers make any such
+    window with no other declared position strictly inside:
+    ``(lo,)*(q+1) + (hi,)*(p+1)`` does, p others at or below lo and q
+    above. Whether the window gives the polled winner, and the candidate's
+    outcome in it, change only at the declared positions, the candidate
+    and their midpoints: each of those, its two float neighbours (a
+    rounded midpoint hides no piece) and a finite point past each end, as
+    lo and as hi, cover every window. A harming window's followers are the
+    NOT_WEAKLY_BETTER counterexample; no window that gives the polled
+    winner raises :class:`InconsistentObservationError`.
     """
-    if profile_samples < 1:
-        raise ValueError("profile_samples must be >= 1")
-    peak = scenario.proxy_peaks[proxy_id]
     declared = list(observed.declared)
-    deviated = list(declared)
-    deviated[proxy_id] = candidate
-    strictly_better = False
-    for k in range(profile_samples):
-        profile = sample_consistent_profile(observed, scenario.num_followers, seed + k)
-        world = scenario.with_followers(profile)
-        _, before = wm_winner(world, declared)
-        _, after = wm_winner(world, deviated)
-        if abs(after - peak) > abs(before - peak):
-            return DominatingCheck(DominatingVerdict.NOT_WEAKLY_BETTER, profile)
-        if abs(after - peak) < abs(before - peak):
-            strictly_better = True
+    _check_proxy(len(declared), proxy_id, "proxy_id")
+    if not math.isfinite(candidate):
+        raise ValueError("candidate must be finite")
+    own = declared[proxy_id]
+    deviated = declared[:proxy_id] + [candidate] + declared[proxy_id + 1 :]
+    others = sorted(deviated[:proxy_id] + deviated[proxy_id + 1 :])
+    cuts = {own, *deviated}
+    cuts.update(a / 2 + b / 2 for a, b in combinations(list(cuts), 2))
+    span = max(cuts) - min(cuts) or 1.0
+    points = {min(cuts) - span, max(cuts) + span}  # dropped below if they overflow
+    points.update(cuts, (math.nextafter(c, d) for c in cuts for d in (-math.inf, math.inf)))
+    points = sorted(p for p in points if math.isfinite(p))
+    consistent = strictly_better = False
+    for i, lo in enumerate(points):
+        p = bisect_right(others, lo)  # others at or below lo
+        cap = others[p] if p < len(others) else math.inf  # hi may reach the next other
+        for hi in points[i:]:
+            if hi > cap:
+                break
+            winner = nearest(declared, min(max(own, lo), hi))
+            if winner != observed.winner_id:
+                continue
+            consistent = True
+            before = declared[winner]
+            after = deviated[nearest(deviated, min(max(candidate, lo), hi))]
+            if nearer(peak, before, after):
+                followers = (lo,) * (len(others) - p + 1) + (hi,) * (p + 1)
+                return DominatingCheck(DominatingVerdict.NOT_WEAKLY_BETTER, followers)
+            strictly_better = strictly_better or nearer(peak, after, before)
+    if not consistent:
+        raise InconsistentObservationError(f"no median window gives the poll {observed}")
     if strictly_better:
         return DominatingCheck(DominatingVerdict.DOMINATING)
     return DominatingCheck(DominatingVerdict.NEVER_STRICTLY_BETTER)

@@ -1,8 +1,10 @@
 """Partial information: winner-only polls, median intervals, regret play.
 
-Only the declared positions and the winner's identity are public. The
-median interval tracks every follower-median position consistent with the
-announcements so far; dominating sets and the minimax-regret rule are
+Only the declared positions and the winner's identity are public: the
+number of followers and their positions are hidden, and followers may sit
+anywhere on the line. The median interval holds every median of the
+current state consistent with the polls so far, following the median as
+reports move across it; dominating sets and the minimax-regret rule are
 computed from that interval alone, never from hidden follower positions.
 
 Interval bounds carry tie-aware closure flags: a midpoint median is
@@ -13,14 +15,11 @@ there, which the fixed lower-index rule decides.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from .errors import InconsistentObservationError, SamplingBudgetError
+from .errors import InconsistentObservationError
 from .intervals import INF, Interval, IntervalSet
-from .model import Scenario, wm_winner
-
-SAMPLING_BUDGET = 20_000  # profiles sample_consistent_profile draws before giving up
+from .model import Scenario, _check_proxy, wm_winner
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class ObservedState:
 
 
 @dataclass(frozen=True)
-class Neighbor:
+class _Neighbor:
     position: float
     proxy_id: int
 
@@ -57,15 +56,15 @@ def observe(scenario: Scenario, declared: list[float]) -> ObservedState:
     return ObservedState(tuple(declared), winner_id)
 
 
-def _neighbors(observed: ObservedState) -> tuple[Neighbor | None, Neighbor | None]:
+def _neighbors(observed: ObservedState) -> tuple[_Neighbor | None, _Neighbor | None]:
     w = observed.winner_position
-    left: Neighbor | None = None
-    right: Neighbor | None = None
+    left: _Neighbor | None = None
+    right: _Neighbor | None = None
     for k, pos in enumerate(observed.declared):
         if pos < w and (left is None or pos > left.position):
-            left = Neighbor(pos, k)
+            left = _Neighbor(pos, k)
         if pos > w and (right is None or pos < right.position):
-            right = Neighbor(pos, k)
+            right = _Neighbor(pos, k)
     return left, right
 
 
@@ -98,20 +97,30 @@ def init_belief(observed: ObservedState) -> BeliefState:
 
 
 def update_median_interval(belief: BeliefState, observed_after: ObservedState) -> Interval:
-    """Shrink the median interval after one observed move: intersect it
-    with the medians under which the announced winner really wins.
+    """The median interval after one observed move: the belief's interval,
+    followed to the new state, intersected with the medians under which
+    the announced winner really wins (by Lemma 1 each poll's midpoint
+    interval holds its state's median; no rule reads the mover's intent).
 
-    By Lemma 1 the winner is the proxy nearest the median, so each poll's
-    midpoint interval holds the polled state's median; no rule reads the
-    mover's intent. Intersecting assumes the median has not moved, which
-    holds while no report crosses it.
+    A report moving from a to b takes a median in the segment from a
+    (closed) to b (open) toward b, at most to b, and leaves any other
+    median put. So the interval first grows to hold b (closed) whenever it
+    meets that segment, b on an open bound included. Changed reports are
+    followed in index order; the new state's median does not depend on it.
     """
+    interval = belief.interval
+    for a, b in zip(belief.observed.declared, observed_after.declared):
+        if a == b:
+            continue
+        # it meets the segment iff it holds a or its bound on a's side is in it
+        if interval.contains(a) or (a <= interval.lo < b if a < b else b < interval.hi <= a):
+            lo, lo_open = (b, False) if b <= interval.lo else (interval.lo, interval.lo_open)
+            hi, hi_open = (b, False) if b >= interval.hi else (interval.hi, interval.hi_open)
+            interval = Interval(lo, hi, lo_open, hi_open)
     fresh = _midpoint_interval(observed_after)
-    new = belief.interval.intersect(fresh)
+    new = interval.intersect(fresh)
     if new is None:
-        raise InconsistentObservationError(
-            f"median interval became empty: {belief.interval} ∩ {fresh}"
-        )
+        raise InconsistentObservationError(f"median interval became empty: {interval} ∩ {fresh}")
     return new
 
 
@@ -127,6 +136,7 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
     clamped at the reflection of the proxy's peak so a winning report can
     never land farther from the peak than the status quo.
     """
+    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
     if proxy_id == belief.observed.winner_id:
         raise ValueError("proxy is the current winner; use dominating_set_winner")
     w = belief.winner_position
@@ -219,6 +229,7 @@ def _max_regret_left(ell: float, w: float, interval: Interval, candidate: float)
 
 def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:
     """Maximal ex-post regret of a report, over all consistent medians."""
+    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
     if not math.isfinite(candidate):
         raise ValueError("candidate must be finite")
     if proxy_id == belief.observed.winner_id:
@@ -241,6 +252,7 @@ def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> 
     when the bound is the winner itself and the report already lies
     strictly beyond it, where the whole far half-line is regret-free.
     """
+    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
     declared = belief.observed.declared[proxy_id]
     w = belief.winner_position
     if proxy_id == belief.observed.winner_id or peak == w:
@@ -251,28 +263,3 @@ def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> 
     if bound == w and (declared < bound if peak < w else declared > bound):
         return declared
     return bound
-
-
-def sample_consistent_profile(
-    observed: ObservedState,
-    n: int,
-    rng_seed: int,
-) -> tuple[float, ...]:
-    """Rejection-sample follower positions reproducing the observed winner.
-
-    Followers are drawn uniformly from the bounding box of the declared
-    positions, at most ``SAMPLING_BUDGET`` profiles in all.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    declared = list(observed.declared)
-    rng = random.Random(rng_seed)
-    probe = Scenario(proxy_peaks=tuple(declared))
-    lo, hi = probe.bounding_box()
-    for _ in range(SAMPLING_BUDGET):
-        followers = tuple(rng.uniform(lo, hi) for _ in range(n))
-        trial = probe.with_followers(followers)
-        winner_id, _ = wm_winner(trial, declared)
-        if winner_id == observed.winner_id:
-            return followers
-    raise SamplingBudgetError("no consistent profile found in budget")

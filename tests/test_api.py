@@ -13,7 +13,7 @@ PUBLIC_API = [
     "monotone_median_check", "run_dynamics", "step", "trace_is_monotone",
     # errors
     "ConfigurationError", "EmptyElectorateError", "InconsistentObservationError",
-    "ProxylineError", "SamplingBudgetError", "ScenarioValidationError",
+    "ProxylineError", "ScenarioValidationError",
     # intervals
     "Interval", "IntervalSet",
     # manipulation
@@ -28,9 +28,9 @@ PUBLIC_API = [
     "DominatingCheck", "DominatingVerdict", "GridSpec", "deviation_reports",
     "oracle_best_deviation", "oracle_dominating_check",
     # partial_info
-    "BeliefState", "Neighbor", "ObservedState", "dominating_set_nonwinner",
+    "BeliefState", "ObservedState", "dominating_set_nonwinner",
     "dominating_set_winner", "init_belief", "max_regret", "minimax_regret_strategy", "observe",
-    "sample_consistent_profile", "update_belief", "update_median_interval",
+    "update_belief", "update_median_interval",
 ]
 
 

@@ -206,8 +206,9 @@ class TestRun:
         assert list(out.iterdir()) == []
 
     def test_scripted_winner_move_under_partial_info(self, tmp_path, capsys):
-        # the winner at -1 moves to 0.5 and still wins; that reveals only its
-        # midpoint interval, not which side of 0.5 the median lies on
+        # the winner at -1 moves to 0.5 and still wins; it crosses the median
+        # 0, which follows it to 0.5, so the interval grows to hold 0.5 and
+        # keeps it when the other proxy joins it there
         doc = json.loads((fixtures_dir() / "example1.json").read_text())
         doc["mode"] = "partial_info"
         doc["policies"] = [{"kind": "scripted", "positions": [0.5]}] * 2
@@ -217,7 +218,9 @@ class TestRun:
         assert main(["--output-dir", str(tmp_path), "run", str(path)]) == 0
         summary = json.loads((tmp_path / "example1_summary.json").read_text())
         assert summary["steps"] == 2 and summary["final_outcome"] == 0.5
-        assert summary["median_intervals"] == [[None, 0.25, True, False]] * 3
+        assert summary["median_intervals"] == [
+            [None, 0.25, True, False], [None, 0.5, True, False], [None, 0.5, True, False]
+        ]
         assert main(["check", str(path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 

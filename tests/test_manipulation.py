@@ -11,9 +11,15 @@ from proxyline import (
     better_response_set,
     characterize_truthful_manipulability,
     delegation_weights,
+    dominating_set_nonwinner,
     follower_manipulation_scan,
+    init_belief,
     is_better_response,
     is_pne,
+    max_regret,
+    minimax_regret_strategy,
+    observe,
+    oracle_dominating_check,
     true_median,
     wm_winner,
 )
@@ -48,17 +54,29 @@ class TestIsBetterResponse:
             is_better_response(example1, [-1.0, 1.5], 1, float("nan"))
 
 
-@pytest.mark.parametrize("proxy_id", [-1, 2])
+def _poll(sc):
+    return init_belief(observe(sc, sc.truthful_state()))
+
+
+@pytest.mark.parametrize("proxy_id", [-1, 2, True, 1.0])
 @pytest.mark.parametrize(
     "call",
     [
         lambda sc, j: is_better_response(sc, sc.truthful_state(), j, 0.5),
         lambda sc, j: better_response_set(sc, sc.truthful_state(), j),
+        lambda sc, j: max_regret(_poll(sc), j, 0.5, 0.0),
+        lambda sc, j: minimax_regret_strategy(_poll(sc), j, 0.0),
+        lambda sc, j: dominating_set_nonwinner(_poll(sc), j, 0.0),
+        lambda sc, j: oracle_dominating_check(observe(sc, sc.truthful_state()), j, 0.5, 0.0),
     ],
-    ids=["is_better_response", "better_response_set"],
+    ids=[
+        "is_better_response", "better_response_set", "max_regret", "minimax_regret_strategy",
+        "dominating_set_nonwinner", "oracle_dominating_check",
+    ],
 )
 def test_proxy_id_outside_the_proxies_refused(example1, call, proxy_id):
-    # -1 would read the last proxy, and m would raise a raw IndexError
+    # -1 would read the last proxy, m would raise a raw IndexError, True would
+    # read proxy 1 and 1.0 would raise a raw TypeError
     with pytest.raises(ScenarioValidationError) as err:
         call(example1, proxy_id)
     assert err.value.path == "proxy_id"
@@ -207,7 +225,9 @@ class TestFollowerScan:
             peaks = tuple(round(rng.randint(-20, 20) * unit, 1) for _ in range(rng.randint(1, 4)))
             followers = tuple(round(rng.randint(-20, 20) * unit, 1) for _ in range(rng.randint(1, 5)))
             sc = Scenario(peaks, followers)
-            lo, hi = sc.bounding_box()
+            low, high = min(peaks + followers), max(peaks + followers)
+            span = max(high - low, 1.0)
+            lo, hi = low - span, high + span  # the positions' span padded by itself
             grid = [lo - 1.0 + k * (hi - lo + 2.0) / 400 for k in range(401)]
             follower = rng.randrange(len(followers))
             assert _reached(sc, follower, grid) <= _reached(sc, follower, dict.fromkeys(peaks))

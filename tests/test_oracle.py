@@ -1,5 +1,6 @@
 """Brute-force oracle behavior and agreement with the analytic machinery."""
 
+import itertools
 import math
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from proxyline import (
     DominatingVerdict,
     GridSpec,
-    SamplingBudgetError,
+    InconsistentObservationError,
+    ObservedState,
     Scenario,
     better_response_set,
     characterize_truthful_manipulability,
@@ -87,7 +89,10 @@ def test_agreement_with_better_response_set():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_no_report_improves_where_the_exact_oracle_finds_none(family):
     for sc, state in random_states(31, 60, FAMILIES[family]):
-        lo, hi = sc.bounding_box()
+        positions = sc.all_positions()
+        low, high = min(positions), max(positions)
+        span = max(high - low, 1.0)
+        lo, hi = low - span, high + span  # the positions' span padded by itself
         grid = GridSpec(lo - 1.0, hi + 1.0, 0.05)
         for j in range(sc.num_proxies):
             if exact_best(sc, state, j) is None:
@@ -139,32 +144,77 @@ class TestDominatingCheck:
     def test_appendix_b_29_dominates(self):
         sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
-        res = oracle_dominating_check(sc, obs, 1, 29.0, profile_samples=300, seed=5)
+        res = oracle_dominating_check(obs, 1, 29.0, 90.0)
         assert res.verdict == DominatingVerdict.DOMINATING
 
     def test_staying_put_never_strictly_better(self):
         sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
-        res = oracle_dominating_check(sc, obs, 1, 90.0, profile_samples=100, seed=5)
+        res = oracle_dominating_check(obs, 1, 90.0, 90.0)
         assert res.verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
 
     def test_crossing_far_past_winner_hurts_somewhere(self):
         sc = load_fixture("appendix_b").scenario
         obs = observe(sc, sc.truthful_state())
-        res = oracle_dominating_check(sc, obs, 1, -60.0, profile_samples=500, seed=5)
+        res = oracle_dominating_check(obs, 1, -60.0, 90.0)
         assert res.verdict == DominatingVerdict.NOT_WEAKLY_BETTER
-        assert res.counterexample is not None
+        assert res.counterexample == (-210.0, -210.0, -210.0)
+        world = sc.with_followers(res.counterexample)
+        assert wm_winner(world, [-30.0, 90.0]) == (0, -30.0)
+        assert wm_winner(world, [-30.0, -60.0]) == (1, -60.0)
 
-    def test_requires_samples(self):
-        sc = load_fixture("appendix_b").scenario
-        obs = observe(sc, sc.truthful_state())
-        with pytest.raises(ValueError):
-            oracle_dominating_check(sc, obs, 1, 29.0, profile_samples=0, seed=5)
+    def test_inconsistent_observation_raises(self):
+        bogus = ObservedState((0.0, 0.0), 1)  # proxy 0 wins every tie
+        with pytest.raises(InconsistentObservationError):
+            oracle_dominating_check(bogus, 1, 0.5, 3.0)
 
-    def test_inconsistent_observation_exhausts_budget(self):
-        from proxyline import ObservedState
+    @pytest.mark.parametrize(
+        "declared, winner, proxy_id, candidate, peak",
+        [
+            # the harming medians fill the open gap (2, 2.5) between breakpoints
+            ((1.0, 3.0, -1.0, 2.0), 3, 3, -3.0, -2.0),
+            # the harming median sits one float off the rounded midpoint -2.5
+            ((-2.9, -2.1), 1, 0, -2.5, 1.9),
+            # the point past the lower end would overflow; its float neighbour harms
+            ((-1.7e308, 1.7e308), 0, 0, 1e308, -1.7e308),
+        ],
+    )
+    def test_hidden_harm_is_found(self, declared, winner, proxy_id, candidate, peak):
+        res = oracle_dominating_check(ObservedState(declared, winner), proxy_id, candidate, peak)
+        assert res.verdict == DominatingVerdict.NOT_WEAKLY_BETTER
+        world = Scenario(declared, res.counterexample)
+        deviated = list(declared)
+        deviated[proxy_id] = candidate
+        assert wm_winner(world, list(declared))[0] == winner
+        assert abs(wm_winner(world, deviated)[1] - peak) > abs(declared[winner] - peak)
 
-        sc = Scenario((0.0, 1.0))
-        bogus = ObservedState((0.0, 1.0), winner_id=1)  # proxy 0 wins every tie
-        with pytest.raises(SamplingBudgetError):
-            oracle_dominating_check(sc, bogus, 1, 0.5, profile_samples=3, seed=1)
+    def test_agrees_with_every_small_follower_profile(self):
+        # a harm among the profiles of up to 3 followers on a grid is a harm
+        # the exact check finds; each harm it finds is a profile wm_winner
+        # confirms
+        grid = [float(k) for k in range(-7, 8)]
+        profiles = [f for n in range(4) for f in itertools.combinations_with_replacement(grid, n)]
+        rng = random.Random(4)
+        harms = 0
+        for _ in range(60):
+            m = rng.randint(2, 4)
+            declared = [float(rng.randint(-5, 5)) for _ in range(m)]
+            hidden = tuple(float(rng.randint(-5, 5)) for _ in range(rng.randint(0, 3)))
+            obs = observe(Scenario(tuple(declared), hidden), declared)
+            j, x, peak = rng.randrange(m), rng.randint(-12, 12) / 2, float(rng.randint(-6, 6))
+            deviated = declared[:j] + [x] + declared[j + 1 :]
+            before = declared[obs.winner_id]
+
+            def harmed(followers):
+                world = Scenario(tuple(declared), followers)
+                if wm_winner(world, declared)[0] != obs.winner_id:
+                    return False
+                return abs(wm_winner(world, deviated)[1] - peak) > abs(before - peak)
+
+            res = oracle_dominating_check(obs, j, x, peak)
+            if res.verdict == DominatingVerdict.NOT_WEAKLY_BETTER:
+                harms += 1
+                assert harmed(res.counterexample)
+            else:
+                assert not any(map(harmed, profiles))
+        assert harms >= 20

@@ -12,7 +12,6 @@ from proxyline import (
     ObservedState,
     PolicyKind,
     PolicySpec,
-    SamplingBudgetError,
     Scenario,
     Scheduler,
     Space,
@@ -23,9 +22,7 @@ from proxyline import (
     minimax_regret_strategy,
     observe,
     run_dynamics,
-    sample_consistent_profile,
     true_median,
-    unweighted_median,
     update_belief,
     update_median_interval,
 )
@@ -129,27 +126,44 @@ class TestUpdateInterval:
     @pytest.mark.parametrize("space", [Space(), Space(1.0)])
     def test_random_play_never_raises_and_stays_sound(self, space):
         # minimax_regret and scripted proxies mixed at random, winners moving
-        # included. Scripted reports stay on their peak's side of the true
-        # median, so no report crosses it and the median every poll is about
-        # stays the true one; reports that cross it move the median itself
+        # and reports crossing the median included: a crossing moves the
+        # median, and each poll's interval holds the median of its own state
         rng = random.Random(16)
         unit = 1.0 if space.step else 0.5
         for _ in range(150):
             sc = random_scenario(rng, space=space, min_proxies=2)
-            med = true_median(sc)
-            k = int(med / unit)
             policies = []
-            for peak in sc.proxy_peaks:
-                if peak == med or rng.random() < 0.5:
+            for _ in sc.proxy_peaks:
+                if rng.random() < 0.5:
                     policies.append(PolicySpec(PolicyKind.MINIMAX_REGRET))
                     continue
-                lo, hi = (-30, k - 1) if peak < med else (k + 1, 30)
-                script = tuple(rng.randint(lo, hi) * unit for _ in range(rng.randint(1, 4)))
+                script = tuple(rng.randint(-30, 30) * unit for _ in range(rng.randint(1, 4)))
                 policies.append(PolicySpec(PolicyKind.SCRIPTED, positions=script))
             trace = run_dynamics(
                 sc, Scheduler.round_robin(), policies, max_steps=60, mode="partial_info"
             )
-            assert all(iv.contains(med) for iv in trace.interval_history)
+            assert_polls_sound(trace)
+
+    @pytest.mark.xfail(
+        strict=True, reason="a decimal midpoint rounds past the median (ROADMAP item 5)"
+    )
+    def test_decimal_polls_stay_sound(self):
+        # move 5 polls (-4.9, -4.800000000000001]: the exact midpoint of the
+        # reports -5.000000000000001 and -4.800000000000001 lies below the
+        # median -4.9 but rounds to it, so the open bound leaves it out
+        sc = Scenario((-6.4, 0.0), (-4.9,))
+        trace = run_dynamics(
+            sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2,
+            max_steps=60, mode="partial_info",
+        )
+        assert_polls_sound(trace)
+
+
+def assert_polls_sound(trace):
+    """Each poll's median interval holds the median of the state it polled."""
+    medians = [true_median(trace.scenario)] + [rec.median_after for rec in trace.records]
+    for k, (iv, med) in enumerate(zip(trace.interval_history, medians, strict=True)):
+        assert iv.contains(med), f"poll {k}: {iv} leaves out the median {med}"
 
 
 class TestDominatingSets:
@@ -197,17 +211,17 @@ class TestDominatingSets:
             for med in (5.01, 5.5, 6.0):
                 assert abs(x - med) < abs(12.0 - med)
 
-    def test_nonwinner_members_dominate_under_sampling(self):
+    def test_nonwinner_members_dominate_exactly(self):
         sc = load_fixture("appendix_b").scenario
         declared, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         dom = dominating_set_nonwinner(belief, 1, 90.0)
         obs = observe(sc, declared)
         for x in (25.5, 27.0, 28.5):
             assert dom.contains(x)
-            res = oracle_dominating_check(sc, obs, 1, x, profile_samples=400, seed=17)
+            res = oracle_dominating_check(obs, 1, x, 90.0)
             assert res.verdict == DominatingVerdict.DOMINATING
         # just outside the set: never strictly better
-        res = oracle_dominating_check(sc, obs, 1, 29.5, profile_samples=400, seed=17)
+        res = oracle_dominating_check(obs, 1, 29.5, 90.0)
         assert res.verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
 
 
@@ -298,28 +312,6 @@ class TestSampling:
         for profile in (top.follower_positions, bottom.follower_positions):
             world = top.with_followers(profile)
             assert wm_winner(world, list(obs.declared))[0] == obs.winner_id
-
-    def test_samples_keep_median_in_initial_interval(self):
-        sc = load_fixture("appendix_b").scenario
-        obs = observe(sc, sc.truthful_state())
-        iv = init_belief(obs).interval
-        for seed in range(50):
-            profile = sample_consistent_profile(obs, sc.num_followers, rng_seed=seed)
-            world = sc.with_followers(profile)
-            med = unweighted_median(world, list(obs.declared))
-            assert iv.contains(med)
-
-    def test_deterministic_per_seed(self):
-        sc = load_fixture("appendix_b").scenario
-        obs = observe(sc, sc.truthful_state())
-        a = sample_consistent_profile(obs, 3, rng_seed=9)
-        b = sample_consistent_profile(obs, 3, rng_seed=9)
-        assert a == b
-
-    def test_impossible_observation_exhausts_budget(self):
-        bogus = ObservedState((0.0, 1.0), 1)  # ties always favor proxy 0
-        with pytest.raises(SamplingBudgetError):
-            sample_consistent_profile(bogus, 0, rng_seed=1)
 
 
 def test_minimax_play_converges_to_true_median_from_truth():
