@@ -26,9 +26,11 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, ScenarioValidationError
 from .intervals import INF, Interval
-from .manipulation import Piece, improving_pieces, is_better_response
+from .manipulation import improving_pieces, is_better_response
 from .metrics import delta, true_median
-from .model import Scenario, _check_proxy, _check_state, nearest, unweighted_median, wm_winner
+from .model import (
+    Scenario, _check_proxy, _check_state, nearer, nearest, unweighted_median, wm_winner,
+)
 from .partial_info import (
     BeliefState,
     ObservedState,
@@ -40,7 +42,6 @@ from .partial_info import (
 
 OSCILLATION_TOL = 1e-9
 OSCILLATION_WINDOW = 16  # moves in the tail that must repeat with period 2
-BOUND_TOL = 1e-9  # float slack of the bound invariant
 
 
 class PolicyKind(enum.Enum):
@@ -288,24 +289,13 @@ def _propose_scripted(
 
 def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> float | None:
     """The truth-oriented rule: report the peak when it is an improving
-    report that is weakly best among all improving reports."""
+    report. No other report then gets an outcome nearer the peak."""
     peak = scenario.proxy_peaks[mover]
     if declared[mover] == peak:
         return None
     _, wm = wm_winner(scenario, declared)
     improving = improving_pieces(scenario, declared, mover, wm)
-    gaps = [_gap(piece, peak) for piece in improving]
-    at_peak = [g for piece, g in zip(improving, gaps) if piece.reports.contains(peak)]
-    return peak if at_peak and at_peak[0] <= min(gaps) else None
-
-
-def _gap(piece: Piece, peak: float) -> float:
-    """The least |outcome - peak| over the piece's reports (an infimum on
-    the open stretch)."""
-    if piece.outcome is not None:
-        return abs(piece.outcome - peak)
-    reports = piece.reports
-    return 0.0 if reports.contains(peak) else min(abs(reports.lo - peak), abs(reports.hi - peak))
+    return peak if any(piece.reports.contains(peak) for piece in improving) else None
 
 
 @dataclass(frozen=True)
@@ -556,22 +546,18 @@ def detect_meta_moves(trace: DynamicsTrace) -> list[MetaSegment]:
 
 def check_bound_invariant(trace: DynamicsTrace) -> bool:
     """Medians and outcomes stay within the truthful Δ-ball around the
-    true median, and no mover ever declares across the far bound."""
+    true median, and no mover ever declares across the far bound: x leaves
+    the ball iff the truthful outcome is strictly nearer the true median."""
     scenario = trace.scenario
     med0 = true_median(scenario)
-    dlt0 = delta(scenario, scenario.truthful_state())
-    lo, hi = med0 - dlt0 - BOUND_TOL, med0 + dlt0 + BOUND_TOL
+    _, wm0 = wm_winner(scenario, scenario.truthful_state())
     for rec in trace.records:
-        if not lo <= rec.median_after <= hi:
-            return False
-        if not lo <= rec.wm_after <= hi:
+        if nearer(med0, wm0, rec.median_after) or nearer(med0, wm0, rec.wm_after):
             return False
         peak = scenario.proxy_peaks[rec.mover]
-        if peak < med0 and rec.to_pos > hi:
-            return False
-        if peak > med0 and rec.to_pos < lo:
-            return False
-        if peak == med0 and not lo <= rec.to_pos <= hi:
+        # a report on the peak's own side of the true median may leave the ball
+        across = peak <= med0 <= rec.to_pos or rec.to_pos <= med0 <= peak
+        if across and nearer(med0, wm0, rec.to_pos):
             return False
     return True
 

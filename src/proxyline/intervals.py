@@ -53,7 +53,8 @@ class Interval:
         return True
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None when empty."""
+        """Intersection, or None when it holds no float (an open interval
+        between two adjacent floats holds none)."""
         if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
             lo, lo_open = self.lo, self.lo_open
         else:
@@ -65,6 +66,8 @@ class Interval:
         if lo > hi:
             return None
         if lo == hi and (lo_open or hi_open):
+            return None
+        if lo_open and hi_open and math.nextafter(lo, INF) == hi:
             return None
         return Interval(lo, hi, lo_open, hi_open)
 

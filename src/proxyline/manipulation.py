@@ -3,11 +3,11 @@
 The analytic route here works from the median-voter geometry: moving one
 proxy while the rest stay put clamps the combined median into a fixed
 window, so the outcome as a function of the deviation has at most five
-pieces (two constant tails, two boundary reports, one stretch where the
-report itself wins). :func:`outcome_pieces` is the one owner of that
-geometry and :func:`improving_pieces` of which pieces beat the current
-outcome; the better-response set here and the policies in
-:mod:`proxyline.dynamics` read them. The winner rule
+pieces (two constant tails, one stretch where the report itself wins, and
+a boundary report at each lower-index tie win). :func:`outcome_pieces` is
+the one owner of that geometry and :func:`improving_pieces` of which
+pieces beat the current outcome; the better-response set here and the
+policies in :mod:`proxyline.dynamics` read them. The winner rule
 :func:`proxyline.model.wm_winner`, evaluated on the whole changed state,
 stays independent of that geometry and cross-checks every claim.
 """
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .intervals import INF, Interval, IntervalSet
 from .metrics import true_median
-from .model import Scenario, _check_proxy, _check_state, nearer, nearest, wm_winner
+from .model import Scenario, _check_proxy, _check_state, nearer, nearest, reflect, wm_winner
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,41 @@ def outcome_pieces(scenario: Scenario, declared: list[float], proxy_id: int) -> 
     """The outcome of ``proxy_id``'s report while the others stay put, as at
     most five pieces in ascending order of report: a constant tail, a
     boundary report, the stretch where the report wins, a boundary report,
-    a constant tail. When both boundaries are one report (and the stretch
-    is empty) the first piece holding it applies."""
+    a constant tail.
+
+    Beyond each bound of the median window the report wins up to an edge:
+    the nearest fixed proxy's position when that lies beyond the bound,
+    else its reflection across the bound (:func:`~proxyline.model.reflect`,
+    correctly rounded). The stretch holds the edge iff the report wins
+    strictly there and the tail iff the fixed proxy's position is the
+    outcome there; a boundary report remains only where the report wins an
+    exact-distance tie by its lower index."""
     lo, hi, others = _median_window(scenario, declared, proxy_id)
     # ``others`` ascends by id, so a nearest tie keeps the lower one
     positions = [p for p, _ in others]
 
-    def side(bound: float, sign: float) -> tuple[float, Piece | None, Piece | None]:
-        """The edge beyond ``bound``, its tail and its boundary report."""
+    def side(bound: float, sign: float) -> tuple[float, bool, Piece | None, Piece | None]:
+        """The edge beyond ``bound``, whether the stretch holds it, its tail
+        and its boundary report."""
         if not others or math.isinf(bound):  # a lone proxy, or no bound: the report wins
-            return sign * INF, None, None
+            return sign * INF, False, None, None
         pos, k = others[nearest(positions, bound)]
-        edge = bound + sign * abs(pos - bound)
-        if math.isinf(edge):  # past float max: no finite report reaches the tail
-            return edge, None, None
-        tail = Interval(edge, INF) if sign > 0 else Interval(-INF, edge)
-        # at the edge the deviator ties the nearest fixed proxy; lower index wins
-        tie = proxy_id < k and pos != edge
-        at_edge = edge if tie or pos == edge else pos
-        return edge, Piece(tail, pos), Piece(Interval.point(edge), at_edge, tie)
+        edge = pos if sign * (pos - bound) >= 0 else reflect(bound, pos)
+        if edge is None:  # past float max: every finite report beyond the bound wins
+            return sign * INF, False, None, None
+        wins = nearer(bound, edge, pos)
+        tie_win = edge != pos and not wins and not nearer(bound, pos, edge) and proxy_id < k
+        tail_open = wins or tie_win
+        tail = Interval(edge, INF, tail_open) if sign > 0 else Interval(-INF, edge, True, tail_open)
+        point = Piece(Interval.point(edge), edge, True) if tie_win else None
+        return edge, wins, Piece(tail, pos), point
 
-    left_edge, left_tail, left_point = side(lo, -1.0)
-    right_edge, right_tail, right_point = side(hi, 1.0)
-    stretch = Piece(Interval(left_edge, right_edge), None) if left_edge < right_edge else None
+    left_edge, left_in, left_tail, left_point = side(lo, -1.0)
+    right_edge, right_in, right_tail, right_point = side(hi, 1.0)
+    reports = Interval(left_edge, INF, not left_in).intersect(
+        Interval(-INF, right_edge, True, not right_in)
+    )
+    stretch = Piece(reports, None) if reports is not None else None
     return [p for p in (left_tail, left_point, stretch, right_point, right_tail) if p is not None]
 
 
@@ -96,21 +108,26 @@ def improving_pieces(
     scenario: Scenario, declared: list[float], proxy_id: int, current: float
 ) -> list[Piece]:
     """The pieces of :func:`outcome_pieces` whose outcome is strictly nearer
-    the proxy's peak than ``current``, with the stretch cut to the open ball
-    of such reports. The ball's near end is ``current`` itself; its far end
-    is the reflection of ``current`` across the peak, rounded."""
+    the proxy's peak than ``current``, with the stretch cut to the ball of
+    such reports. The ball's near end is ``current`` itself, open; its far
+    end is the reflection of ``current`` across the peak, correctly
+    rounded, and closed iff it is strictly nearer the peak."""
     peak = scenario.proxy_peaks[proxy_id]
     if current == peak:
         return []
-    far = peak + (peak - current)
-    ball_lo, ball_hi = min(current, far), max(current, far)
+    far = reflect(peak, current)
+    far_open = far is None or not nearer(peak, far, current)
+    if far is None:  # past float max: the ball holds every finite report beyond the peak
+        far = math.copysign(INF, peak - current)
+    ball = (
+        Interval(current, far, True, far_open) if current < far else Interval(far, current, far_open)
+    )
     out = []
     for piece in outcome_pieces(scenario, declared, proxy_id):
         if piece.outcome is None:
-            a = max(piece.reports.lo, ball_lo)
-            b = min(piece.reports.hi, ball_hi)
-            if a < b:
-                out.append(Piece(Interval(a, b), None))
+            reports = piece.reports.intersect(ball)
+            if reports is not None:
+                out.append(Piece(reports, None))
         elif nearer(peak, piece.outcome, current):
             out.append(piece)
     return out
@@ -215,12 +232,11 @@ def follower_manipulation_scan(scenario: Scenario) -> tuple[int, float] | None:
     declared = scenario.truthful_state()
     _, truthful_outcome = wm_winner(scenario, declared)
     for i, peak in enumerate(scenario.follower_positions):
-        base = abs(truthful_outcome - peak)
         for x in dict.fromkeys(declared):
             followers = list(scenario.follower_positions)
             followers[i] = x
             trial = scenario.with_followers(tuple(followers))
             _, outcome = wm_winner(trial, declared)
-            if abs(outcome - peak) < base:
+            if nearer(peak, outcome, truthful_outcome):
                 return i, x
     return None

@@ -13,6 +13,7 @@ index) pair, never to randomness or history.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -196,6 +197,22 @@ def nearer(x: float, a: float, b: float) -> bool:
 
         s = Fraction(a) + Fraction(b) - 2 * Fraction(x)
     return s > 0 if a < b else s < 0
+
+
+def reflect(c: float, p: float) -> float | None:
+    """2c − p correctly rounded: the reflection of ``p`` across ``c``, or
+    None when it lies beyond the largest float. The one owner of the
+    breakpoints that are reflections."""
+    try:
+        r = math.fsum((c, c, -p))
+    except OverflowError:  # an intermediate sum overflowed; the result may not
+        r = math.inf
+    if abs(r) < sys.float_info.max:
+        return r
+    from fractions import Fraction  # imported here: rare, and slow to import
+
+    exact = 2 * Fraction(c) - Fraction(p)  # ±float max may be rounded from beyond
+    return float(exact) if abs(exact) <= sys.float_info.max else None
 
 
 def nearest(positions: list[float], x: float) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistentObservationError
-from .model import Scenario, _check_proxy, nearer, nearest, wm_winner
+from .model import Scenario, _check_proxy, nearer, nearest, reflect, wm_winner
 from .partial_info import ObservedState
 
 
@@ -40,54 +40,32 @@ class GridSpec:
         return (self.lower + k * self.step for k in range(count))
 
 
-def _reflect(f: float, p: float) -> float | None:
-    """2f − p correctly rounded, or None beyond the float range."""
-    try:
-        return math.fsum((f, f, -p))
-    except OverflowError:  # an intermediate sum overflowed; the result may not
-        from fractions import Fraction  # imported here: rare, and slow to import
-
-        exact = 2 * Fraction(f) - Fraction(p)
-        return float(exact) if abs(exact) <= sys.float_info.max else None
-
-
 def deviation_reports(scenario: Scenario, declared: list[float], proxy_id: int) -> list[float]:
     """Finite reports that reach every outcome proxy ``proxy_id`` can get.
 
     The breakpoints are the other declared positions and, for each follower
     f, its reflections 2f − L and 2f − R across the nearest other positions
-    L ≤ f ≤ R. Between consecutive breakpoints every follower's delegation
-    and the report's rank among the others are fixed, so the winner is too,
-    and the outcome is constant or equals the report. The reports are the
-    breakpoints plus one per open gap (the tails clipped at the float
-    range): the peak if the gap holds it, else a point stepped in from the
-    edge e nearest the peak by min(s/2, half the gap), s = base − |e − peak|,
-    which improves whenever any report in the gap does; the midpoint when
-    s ≤ 0.
+    L ≤ f ≤ R (:func:`~proxyline.model.reflect`, correctly rounded, so no
+    float lies between a breakpoint and the exact value). Between
+    consecutive breakpoints every follower's delegation and the report's
+    rank among the others are fixed, so the winner is too, and the outcome
+    is constant or equals the report. The reports are the breakpoints plus
+    one per gap between them that holds a float: the gap's float nearest
+    the peak, which is the peak itself or the float next to the gap's edge.
     """
     peak = scenario.proxy_peaks[proxy_id]
-    _, current = wm_winner(scenario, declared)
-    base = abs(current - peak)
     others = sorted({p for k, p in enumerate(declared) if k != proxy_id})
     breaks = set(others)
     for f in scenario.follower_positions:
         i, k = bisect_right(others, f), bisect_left(others, f)
-        breaks.update(_reflect(f, p) for p in others[i - 1 : i] + others[k : k + 1])
+        breaks.update(reflect(f, p) for p in others[i - 1 : i] + others[k : k + 1])
     breaks.discard(None)
     cuts = sorted(breaks)
-    top = sys.float_info.max
     reports = list(cuts)
-    for a, b in zip([-top] + cuts, cuts + [top]):
-        if not a < b:
-            continue
-        if a < peak < b:
-            reports.append(peak)
-            continue
-        e, inward = (b, -1.0) if b <= peak else (a, 1.0)
-        s = base - abs(e - peak)
-        # halves, so that no width overflows; a NaN s (both distances
-        # overflowed) improves nowhere, like s <= 0
-        reports.append(e + inward * min(s / 2, b / 2 - a / 2) if s > 0 else a / 2 + b / 2)
+    for a, b in zip([-math.inf] + cuts, cuts + [math.inf]):
+        first, last = math.nextafter(a, math.inf), math.nextafter(b, -math.inf)
+        if first <= last:
+            reports.append(min(max(peak, first), last))
     return sorted(reports)
 
 

@@ -7,9 +7,9 @@ current state consistent with the polls so far, following the median as
 reports move across it; dominating sets and the minimax-regret rule are
 computed from that interval alone, never from hidden follower positions.
 
-Interval bounds carry tie-aware closure flags: a midpoint median is
-consistent exactly when the announced winner also wins the distance tie
-there, which the fixed lower-index rule decides.
+Each bound of a poll's interval is the correctly rounded midpoint toward
+a declared neighbour, and it belongs to the interval iff the announced
+winner wins there (:func:`~proxyline.model.nearest`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentObservationError
 from .intervals import INF, Interval, IntervalSet
-from .model import Scenario, _check_proxy, wm_winner
+from .model import Scenario, _check_proxy, nearest, wm_winner
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class ObservedState:
     @property
     def winner_position(self) -> float:
         return self.declared[self.winner_id]
-
-
-@dataclass(frozen=True)
-class _Neighbor:
-    position: float
-    proxy_id: int
 
 
 @dataclass(frozen=True)
@@ -56,39 +50,41 @@ def observe(scenario: Scenario, declared: list[float]) -> ObservedState:
     return ObservedState(tuple(declared), winner_id)
 
 
-def _neighbors(observed: ObservedState) -> tuple[_Neighbor | None, _Neighbor | None]:
+def _neighbors(observed: ObservedState) -> tuple[float | None, float | None]:
+    """The nearest declared positions below and above the winner's."""
     w = observed.winner_position
-    left: _Neighbor | None = None
-    right: _Neighbor | None = None
-    for k, pos in enumerate(observed.declared):
-        if pos < w and (left is None or pos > left.position):
-            left = _Neighbor(pos, k)
-        if pos > w and (right is None or pos < right.position):
-            right = _Neighbor(pos, k)
-    return left, right
+    below = above = None
+    for p in observed.declared:
+        if p < w:
+            if below is None or p > below:
+                below = p
+        elif p > w and (above is None or p < above):
+            above = p
+    return below, above
+
+
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2 correctly rounded. A finite sum is rounded once and
+    halved exactly, or, when the half is subnormal, is exact and halved
+    with one rounding; past float max the two halves are exact."""
+    s = a + b
+    return s / 2 if math.isfinite(s) else a / 2 + b / 2
 
 
 def _midpoint_interval(observed: ObservedState) -> Interval:
     """Medians under which the announced winner really wins.
 
-    Bounds sit at the midpoints toward the nearest declared neighbors,
-    computed as ``a/2 + b/2`` so that they cannot overflow; a bound is
-    closed iff the winner also wins the exact-distance tie there (lower
-    proxy index).
+    Bounds sit at the correctly rounded midpoints toward the nearest
+    declared neighbours; a bound is closed iff the announced winner wins
+    there, which decides a rounded midpoint and an exact-distance tie
+    alike.
     """
-    w = observed.winner_position
-    wid = observed.winner_id
+    w, declared, wid = observed.winner_position, observed.declared, observed.winner_id
     left, right = _neighbors(observed)
-    if left is None:
-        lo, lo_open = -INF, True
-    else:
-        lo = left.position / 2 + w / 2
-        lo_open = not wid < left.proxy_id
-    if right is None:
-        hi, hi_open = INF, True
-    else:
-        hi = right.position / 2 + w / 2
-        hi_open = not wid < right.proxy_id
+    lo = -INF if left is None else _midpoint(left, w)
+    hi = INF if right is None else _midpoint(w, right)
+    lo_open = left is None or nearest(declared, lo) != wid
+    hi_open = right is None or nearest(declared, hi) != wid
     return Interval(lo, hi, lo_open, hi_open)
 
 
@@ -148,7 +144,7 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
             return IntervalSet.empty()
         parts = [w - 2.0 * abs(w - ell)]
         if left is not None:
-            parts.append(left.position)
+            parts.append(left)
         lower = max(min(parts), 2.0 * peak - w)
         if lower >= w:
             return IntervalSet.empty()
@@ -158,7 +154,7 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
         return IntervalSet.empty()
     parts = [w + 2.0 * abs(r - w)]
     if right is not None:
-        parts.append(right.position)
+        parts.append(right)
     upper = min(max(parts), 2.0 * peak - w)
     if upper <= w:
         return IntervalSet.empty()
@@ -179,7 +175,7 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     if peak < w < iv.lo:
         if right is None or not math.isfinite(iv.hi):
             return IntervalSet.empty()
-        r, s_r = iv.hi, right.position
+        r, s_r = iv.hi, right
         if not abs(r - s_r) > abs(r - w):
             return IntervalSet.empty()
         lower = max(r - abs(r - s_r), 2.0 * peak - w)
@@ -189,7 +185,7 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     if peak > w > iv.hi:
         if left is None or not math.isfinite(iv.lo):
             return IntervalSet.empty()
-        ell, s_l = iv.lo, left.position
+        ell, s_l = iv.lo, left
         if not abs(ell - s_l) > abs(ell - w):
             return IntervalSet.empty()
         upper = min(ell + abs(ell - s_l), 2.0 * peak - w)

@@ -241,6 +241,19 @@ class TestRun:
         summary = json.loads((tmp_path / "appendix_b_summary.json").read_text())
         assert summary["median_intervals"][0] == [None, 1.35e308, True, False]
 
+    def test_subnormal_proxies_under_partial_info(self, tmp_path):
+        # both midpoints round to the winner's position -2e-323, where it
+        # wins: the first poll is the point [-2e-323, -2e-323]
+        doc = json.loads((fixtures_dir() / "appendix_b.json").read_text())
+        doc["scenario"] = {"proxies": [-2.5e-323, -2e-323, -1.5e-323], "followers": [],
+                           "space": {"kind": "continuous"}}
+        doc["policies"] = [{"kind": "minimax_regret"}] * 3
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path), "run", str(path)]) == 0
+        summary = json.loads((tmp_path / "appendix_b_summary.json").read_text())
+        assert summary["median_intervals"][0] == [-2e-323, -2e-323, False, False]
+
     def test_max_steps_override(self, tmp_path):
         code = main([
             "--output-dir", str(tmp_path), "run", fixture_path("example3"), "--max-steps", "3",

@@ -1,8 +1,11 @@
 """Better-response sets, the manipulability characterization, PNE tests."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyline import (
     Scenario,
@@ -11,6 +14,7 @@ from proxyline import (
     better_response_set,
     characterize_truthful_manipulability,
     delegation_weights,
+    deviation_reports,
     dominating_set_nonwinner,
     follower_manipulation_scan,
     init_belief,
@@ -19,12 +23,14 @@ from proxyline import (
     max_regret,
     minimax_regret_strategy,
     observe,
+    oracle_best_deviation,
     oracle_dominating_check,
     true_median,
     wm_winner,
 )
 from proxyline import manipulation
 from proxyline.fixtures import load_fixture
+from proxyline.model import nearest
 
 
 @pytest.fixture
@@ -133,6 +139,48 @@ class TestBetterResponseSet:
                     trial = list(state)
                     trial[j] = x
                     assert (x if piece.outcome is None else piece.outcome) == wm_winner(sc, trial)[1]
+
+
+POSITION_KINDS = {
+    "decimal": st.integers(-20, 20).map(lambda k: k / 10),
+    "float": st.floats(-8.0, 8.0),
+    "subnormal": st.integers(-12, 12).map(lambda k: k * 5e-324),
+    "hostile": st.sampled_from(
+        [1.7e308, -1.7e308, 1e308, -1e308, 1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 0.1, 0.3, 1e-300]
+    ),
+}
+
+
+def _bounds_and_neighbours(intervals):
+    """Every finite bound of ``intervals`` and the floats next to it."""
+    bounds = {b for iv in intervals for b in (iv.lo, iv.hi) if math.isfinite(b)}
+    near = {math.nextafter(b, d) for b in bounds for d in (-math.inf, math.inf)}
+    return sorted(x for x in bounds | near if math.isfinite(x))
+
+
+class TestExactBounds:
+    """Every reported bound is the rounded breakpoint, in the set iff the
+    set's own predicate holds there: checked at each bound and at the
+    floats next to it, where a rounded bound would err."""
+
+    @pytest.mark.parametrize("kind", sorted(POSITION_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_hold_exactly_their_predicate(self, kind, data):
+        pos = POSITION_KINDS[kind]
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
+        sc = Scenario(tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n)))
+        state = [data.draw(pos) for _ in range(m)]
+        for j in range(m):
+            brs = better_response_set(sc, state, j)
+            for x in _bounds_and_neighbours(brs.intervals):
+                assert brs.contains(x) == is_better_response(sc, state, j, x), (j, x)
+            found = oracle_best_deviation(sc, state, j, deviation_reports(sc, state, j))
+            assert brs.is_empty() == (found is None), j
+        observed = observe(sc, state)
+        interval = init_belief(observed).interval
+        for x in _bounds_and_neighbours([interval]):
+            assert interval.contains(x) == (nearest(state, x) == observed.winner_id), x
 
 
 class TestCharacterization:

@@ -78,6 +78,16 @@ class TestInitInterval:
         iv = init_belief(observe(sc, sc.truthful_state())).interval
         assert (iv.lo, iv.hi, iv.hi_open) == (-math.inf, 1.35e308, False)
 
+    def test_subnormal_midpoints_round_onto_the_winner(self):
+        # the exact midpoints -4.5 and -3.5 times 5e-324 both round to the
+        # winner's -4 times 5e-324, where the winner wins: a closed point
+        sc = Scenario((-2.5e-323, -2e-323, -1.5e-323))
+        obs = observe(sc, sc.truthful_state())
+        assert obs.winner_id == 1
+        iv = init_belief(obs).interval
+        assert iv == Interval.point(-2e-323)
+        assert iv.contains(true_median(sc))
+
 
 class TestUpdateInterval:
     def test_appendix_b_updates(self):
@@ -144,13 +154,10 @@ class TestUpdateInterval:
             )
             assert_polls_sound(trace)
 
-    @pytest.mark.xfail(
-        strict=True, reason="a decimal midpoint rounds past the median (ROADMAP item 5)"
-    )
     def test_decimal_polls_stay_sound(self):
-        # move 5 polls (-4.9, -4.800000000000001]: the exact midpoint of the
+        # move 5 polls [-4.9, -4.800000000000001]: the exact midpoint of the
         # reports -5.000000000000001 and -4.800000000000001 lies below the
-        # median -4.9 but rounds to it, so the open bound leaves it out
+        # median -4.9 but rounds to it, where the announced winner wins
         sc = Scenario((-6.4, 0.0), (-4.9,))
         trace = run_dynamics(
             sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2,
