@@ -17,7 +17,6 @@ from .dynamics import (
     check_bound_invariant,
     check_delta_lemmas,
     detect_meta_moves,
-    monotone_median_check,
     run_dynamics,
     step,
     trace_is_monotone,

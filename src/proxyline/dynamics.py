@@ -219,9 +219,13 @@ def _propose_monotone(
         limit = min(max(limit, -sys.float_info.max), sys.float_info.max)
         if toward * (limit - cur) <= 0:
             return None
-        x = cur + spec.fraction * (limit - cur)
-        if toward * (x - limit) >= 0:
-            x = cur / 2.0 + limit / 2.0  # no overflow past float max
+        span = limit - cur
+        if math.isfinite(span):
+            x = cur + spec.fraction * span
+        else:  # a span past float max: the same step, taken on the halves
+            x = 2.0 * (cur / 2.0 + spec.fraction * (limit / 2.0 - cur / 2.0))
+        if toward * (x - limit) >= 0:  # rounded onto or past the far end
+            x = math.nextafter(limit, cur)
         if space.is_discrete:
             return Interval.open(min(cur, limit), max(cur, limit)).nearest_grid_point(x, space.step)
         return x
@@ -576,17 +580,13 @@ def check_delta_lemmas(trace: DynamicsTrace) -> bool:
     return all(seg.exit_delta < seg.entry_delta + tol for seg in detect_meta_moves(trace))
 
 
-def monotone_median_check(trace: DynamicsTrace) -> bool:
-    """True iff the unweighted median never moves along the trace."""
-    med0 = unweighted_median(trace.scenario, trace.initial_declared)
-    return all(rec.median_after == med0 for rec in trace.records)
-
-
 def trace_is_monotone(trace: DynamicsTrace) -> bool:
-    """Every move stays on the mover's own side of the true median."""
-    med0 = true_median(trace.scenario)
-    if not monotone_median_check(trace):
+    """The unweighted median never moves along the trace, and every move
+    stays on the mover's own side of the true median."""
+    start = unweighted_median(trace.scenario, trace.initial_declared)
+    if any(rec.median_after != start for rec in trace.records):
         return False
+    med0 = true_median(trace.scenario)
     for rec in trace.records:
         peak = trace.scenario.proxy_peaks[rec.mover]
         if peak < med0 and rec.to_pos > med0:

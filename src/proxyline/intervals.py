@@ -98,6 +98,10 @@ class Interval:
             return None
         return min(max(round(target / step), k_lo), k_hi) * step
 
+    def __neg__(self) -> "Interval":
+        """The mirror image through 0; float negation is exact."""
+        return Interval(-self.hi, -self.lo, self.hi_open, self.lo_open)
+
     def __str__(self) -> str:
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"
@@ -145,6 +149,9 @@ class IntervalSet:
 
     def has_grid_point(self, step: float) -> bool:
         return any(iv.has_grid_point(step) for iv in self.intervals)
+
+    def __neg__(self) -> "IntervalSet":
+        return IntervalSet([-iv for iv in self.intervals])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.intervals == other.intervals

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentObservationError
 from .intervals import INF, Interval, IntervalSet
-from .model import Scenario, _check_proxy, nearest, wm_winner
+from .model import Scenario, _check_proxy, nearest, reflect, wm_winner
 
 
 @dataclass(frozen=True)
@@ -124,79 +124,88 @@ def update_belief(belief: BeliefState, observed_after: ObservedState) -> BeliefS
     return BeliefState(observed_after, update_median_interval(belief, observed_after))
 
 
+def _mirror(belief: BeliefState) -> BeliefState:
+    """The belief's mirror image through 0. Float negation is exact and
+    keeps every proxy id, so each distance and each lower-index tie
+    carries over bit for bit: a rule written for a peak at or left of the
+    winner serves a right peak as ``-rule(_mirror(belief), ..., -peak)``."""
+    observed = ObservedState(tuple(-p for p in belief.observed.declared), belief.observed.winner_id)
+    return BeliefState(observed, -belief.interval)
+
+
+def _open_below(lower: float, w: float) -> IntervalSet:
+    """The open interval (lower, w), empty when it holds no float."""
+    dom = Interval.open(lower, INF).intersect(Interval.open(-INF, w))
+    return IntervalSet([dom] if dom else [])
+
+
 def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) -> IntervalSet:
     """Strong-monotone dominating reports for a proxy that is not winning.
 
-    Open interval between the winner and the farther of (nearest same-side
-    neighbor, reflection of the relevant interval bound), additionally
-    clamped at the reflection of the proxy's peak so a winning report can
-    never land farther from the peak than the status quo.
+    For a peak at or left of the winner w, the open interval
+    (max(2·peak − w, 2·least − w), w), where ``least`` is the least float
+    the median interval holds and each reflection is correctly rounded
+    (:func:`~proxyline.model.reflect`; one past the float range gives no
+    bound). Left of 2·least − w a report never beats w at any consistent
+    median, and left of 2·peak − w its win lands farther from the peak
+    than w. Empty when that interval, or the median interval, holds no
+    float. A right peak is the mirror image (:func:`_mirror`).
     """
     _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
     if proxy_id == belief.observed.winner_id:
         raise ValueError("proxy is the current winner; use dominating_set_winner")
-    w = belief.winner_position
-    iv = belief.interval
-    left, right = _neighbors(belief.observed)
-    if peak <= w:
-        ell = iv.lo
-        if ell >= w:
-            return IntervalSet.empty()
-        parts = [w - 2.0 * abs(w - ell)]
-        if left is not None:
-            parts.append(left)
-        lower = max(min(parts), 2.0 * peak - w)
-        if lower >= w:
-            return IntervalSet.empty()
-        return IntervalSet([Interval(lower, w, True, True)])
-    r = iv.hi
-    if r <= w:
+    w, iv = belief.winner_position, belief.interval
+    if peak > w:
+        return -dominating_set_nonwinner(_mirror(belief), proxy_id, -peak)
+    least = iv.lo if not iv.lo_open else math.nextafter(iv.lo, INF)
+    # no median left of w: no report left of it wins (and reflect(least, w)
+    # may pass float max, which would read as no bound)
+    if least >= w or not iv.contains(least):
         return IntervalSet.empty()
-    parts = [w + 2.0 * abs(r - w)]
-    if right is not None:
-        parts.append(right)
-    upper = min(max(parts), 2.0 * peak - w)
-    if upper <= w:
-        return IntervalSet.empty()
-    return IntervalSet([Interval(w, upper, True, True)])
+    bounds = [r for r in (reflect(peak, w), reflect(least, w)) if r is not None]
+    return _open_below(max(bounds, default=-INF), w)
 
 
 def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     """Dominating meta-moves for the reigning winner.
 
-    Nonempty only when the winner sits strictly between its peak and the
-    median interval and the far-side neighbor is farther from the far
-    bound than the winner is; the safe stretch is bounded by the
-    reflection of that neighbor across the far bound.
+    For a peak left of the winner: nonempty only when the winner sits
+    strictly between its peak and the median interval and the right
+    neighbor is farther from the interval's right bound than the winner
+    is; the safe stretch is bounded by the reflection of that neighbor
+    across the bound. A right peak is the mirror image (:func:`_mirror`).
     """
     w = belief.winner_position
     iv = belief.interval
-    left, right = _neighbors(belief.observed)
-    if peak < w < iv.lo:
-        if right is None or not math.isfinite(iv.hi):
-            return IntervalSet.empty()
-        r, s_r = iv.hi, right
-        if not abs(r - s_r) > abs(r - w):
-            return IntervalSet.empty()
-        lower = max(r - abs(r - s_r), 2.0 * peak - w)
-        if lower >= w:
-            return IntervalSet.empty()
-        return IntervalSet([Interval(lower, w, True, True)])
-    if peak > w > iv.hi:
-        if left is None or not math.isfinite(iv.lo):
-            return IntervalSet.empty()
-        ell, s_l = iv.lo, left
-        if not abs(ell - s_l) > abs(ell - w):
-            return IntervalSet.empty()
-        upper = min(ell + abs(ell - s_l), 2.0 * peak - w)
-        if upper <= w:
-            return IntervalSet.empty()
-        return IntervalSet([Interval(w, upper, True, True)])
-    return IntervalSet.empty()
+    if peak > w:
+        return -dominating_set_winner(_mirror(belief), -peak)
+    if not peak < w < iv.lo:
+        return IntervalSet.empty()
+    right = _neighbors(belief.observed)[1]
+    if right is None or not math.isfinite(iv.hi):
+        return IntervalSet.empty()
+    r, s_r = iv.hi, right
+    if not abs(r - s_r) > abs(r - w):
+        return IntervalSet.empty()
+    return _open_below(max(r - abs(r - s_r), 2.0 * peak - w), w)
 
 
-def _max_regret_left(ell: float, w: float, interval: Interval, candidate: float) -> float:
-    """Worst-case regret for a proxy with peak left of the winner."""
+def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:
+    """Maximal ex-post regret of a report, over all consistent medians.
+
+    Written for a peak at or left of the winner; a right peak is the
+    mirror image (:func:`_mirror`), with the candidate negated too.
+    """
+    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
+    if not math.isfinite(candidate):
+        raise ValueError("candidate must be finite")
+    if proxy_id == belief.observed.winner_id:
+        raise ValueError("max_regret is defined for non-winning proxies")
+    w = belief.winner_position
+    interval = belief.interval
+    if peak > w:
+        return max_regret(_mirror(belief), proxy_id, -candidate, -peak)
+    ell = interval.lo
     if not math.isfinite(ell):
         return INF
     g = abs(w - ell)
@@ -209,34 +218,15 @@ def _max_regret_left(ell: float, w: float, interval: Interval, candidate: float)
     # linear and decreasing in m on both branches.
     sup = 0.0
     mid = (candidate + w) / 2.0
-    lo = interval.lo
-    if not math.isfinite(lo):
-        return INF
-    if lo < mid:  # medians where the report wins: regret = report - optimum
-        sup = max(sup, candidate + w - 2.0 * lo)
-    seg_b_lo = max(lo, mid)
+    if ell < mid:  # medians where the report wins: regret = report - optimum
+        sup = max(sup, candidate + w - 2.0 * ell)
+    seg_b_lo = max(ell, mid)
     b_nonempty = (
         interval.hi > mid or (interval.hi == mid and not interval.hi_open)
     ) and seg_b_lo < w
     if b_nonempty:  # medians where the outcome stays put: regret = winner - optimum
         sup = max(sup, 2.0 * (w - seg_b_lo))
     return sup
-
-
-def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:
-    """Maximal ex-post regret of a report, over all consistent medians."""
-    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
-    if not math.isfinite(candidate):
-        raise ValueError("candidate must be finite")
-    if proxy_id == belief.observed.winner_id:
-        raise ValueError("max_regret is defined for non-winning proxies")
-    w = belief.winner_position
-    iv = belief.interval
-    if peak <= w:
-        return _max_regret_left(iv.lo, w, iv, candidate)
-    # mirror the right-peaked case through the winner position
-    mirrored = Interval(2 * w - iv.hi, 2 * w - iv.lo, iv.hi_open, iv.lo_open)
-    return _max_regret_left(2 * w - iv.hi, w, mirrored, 2 * w - candidate)
 
 
 def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> float:

@@ -10,7 +10,7 @@ PUBLIC_API = [
     # dynamics
     "DynamicsTrace", "MetaSegment", "MoveRecord", "PolicyKind", "PolicySpec", "Scheduler",
     "StopReason", "check_bound_invariant", "check_delta_lemmas", "detect_meta_moves",
-    "monotone_median_check", "run_dynamics", "step", "trace_is_monotone",
+    "run_dynamics", "step", "trace_is_monotone",
     # errors
     "ConfigurationError", "EmptyElectorateError", "InconsistentObservationError",
     "ProxylineError", "ScenarioValidationError",

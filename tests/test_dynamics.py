@@ -1,5 +1,6 @@
 """Engine behavior: steps, schedulers, traces, meta-moves, bounds, labels."""
 
+import math
 import random
 import re
 import sys
@@ -25,14 +26,14 @@ from proxyline import (
     detect_meta_moves,
     init_belief,
     is_better_response,
-    monotone_median_check,
     observe,
     run_dynamics,
     step,
     true_median,
+    unweighted_median,
     wm_winner,
 )
-from proxyline import dynamics, partial_info
+from proxyline import dynamics, manipulation, partial_info
 from proxyline.dynamics import replay_consistent, trace_is_monotone
 from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
 from proxyline.scenario_io import run_scenario_file
@@ -386,6 +387,34 @@ class TestRunDynamics:
         assert trace.records[0].to_pos == -sign * sys.float_info.max / 2
         assert trace.final_declared == [-sign * 1e308]
 
+    @pytest.mark.parametrize(
+        "followers, state, far_end, to",
+        [
+            ((-0.25, 1.0), [-0.75, -0.25], 0.25, {0.5: 0.0, 1.0: 0.24999999999999997}),
+            ((-0.3, 1.0), [-0.8, -0.3], 0.20000000000000007, {0.5: -0.04999999999999999, 1.0: 0.2}),
+        ],
+        ids=["dyadic", "decimal"],
+    )
+    def test_monotone_winner_full_step_ends_inside_the_far_end(self, followers, state, far_end, to):
+        # the winner's improving stretch is open at far_end; fraction 1.0
+        # steps all the way, to the float next to far_end where the step
+        # rounds onto it (dyadic), and to the rounded step where it does
+        # not (decimal), never back to fraction 0.5's report
+        sc = Scenario((-1.6, 0.7), followers)
+        pieces = manipulation.improving_pieces(sc, state, 1, state[1])
+        stretch = next(p.reports for p in pieces if p.outcome is None)
+        assert (stretch.hi, stretch.hi_open) == (far_end, True)
+        for f, x in to.items():
+            assert step(sc, state, 1, replace(MONO, fraction=f, truth_oriented=False)).to_pos == x
+
+    def test_monotone_winner_step_past_float_max_keeps_its_fraction(self):
+        # the winner at 1.7e308 improves on every report down to -1.7e308,
+        # a span past float max: each fraction still steps that share of it
+        sc = Scenario((-1.0, 1.7e308))
+        for f, x in ((0.25, 8.5e307), (0.5, 0.0), (1.0, math.nextafter(-1.7e308, 0.0))):
+            spec = replace(MONO, fraction=f, truth_oriented=False)
+            assert step(sc, [1.7e308, 1.7e308], 0, spec).to_pos == x
+
     def test_parameters_at_their_defaults_accepted(self):
         sc = load_fixture("example1").scenario
         spec = PolicySpec(PolicyKind.SCRIPTED, fraction=0.5, alpha1=0.25, decay=0.5)
@@ -530,17 +559,17 @@ class TestClassification:
             big_steps(fig5_trace(), alpha=1.0)
 
 
-class TestMonotoneMedianCheck:
+class TestTraceIsMonotone:
     def test_single_monotone_move(self):
         trace = fig5_trace()
-        assert monotone_median_check(trace)
+        start = unweighted_median(trace.scenario, trace.initial_declared)
+        assert [r.median_after for r in trace.records] == [start] * len(trace.records)
         assert trace_is_monotone(trace)
 
     def test_appendix_a_trace_median_moves(self):
         # the scripted cross-median moves shift the median 0 -> 1 -> 5
         trace = run_scenario_file(load_fixture("appendix_a"))
         assert [r.median_after for r in trace.records] == [0.0, 1.0, 5.0, 5.0, 5.0, 5.0]
-        assert not monotone_median_check(trace)
         assert not trace_is_monotone(trace)
 
     def test_cross_median_weight_shift_detected(self):
@@ -550,4 +579,15 @@ class TestMonotoneMedianCheck:
         trace = run_dynamics(sc, Scheduler.scripted([0]), pols, max_steps=1)
         assert len(trace.records) == 1
         assert trace.records[0].median_after == 5.0
-        assert not monotone_median_check(trace)
+        assert not trace_is_monotone(trace)
+
+    def test_own_side_move_that_moves_the_median(self):
+        # proxy 0 reports its peak, left of the true median 0, from 3: the
+        # median moves 3 -> 0, and only the median clause sees it
+        sc = Scenario((-5.0, 5.0), (0.0,))
+        pols = [PolicySpec(PolicyKind.SCRIPTED, positions=(-5.0,)), PolicySpec(PolicyKind.SCRIPTED)]
+        trace = run_dynamics(
+            sc, Scheduler.scripted([0]), pols, max_steps=1, initial_declared=[3.0, 5.0]
+        )
+        assert [(r.to_pos, r.median_after) for r in trace.records] == [(-5.0, 0.0)]
+        assert not trace_is_monotone(trace)

@@ -27,6 +27,14 @@ def test_infinite_bounds_forced_open():
     assert iv.lo_open and not iv.hi_open
 
 
+def test_negation_mirrors_through_zero_and_swaps_flags():
+    assert -Interval(-1.0, 2.5, True, False) == Interval(-2.5, 1.0, False, True)
+    assert -Interval(-math.inf, 0.0, True, False) == Interval(-0.0, math.inf, False, True)
+    dom = IntervalSet([Interval.open(-3.0, -1.0), Interval(2.0, 4.0, False, True)])
+    assert -dom == IntervalSet([Interval(-4.0, -2.0, True, False), Interval.open(1.0, 3.0)])
+    assert -(-dom) == dom
+
+
 def test_intersection_prefers_tighter_flags():
     a = Interval(0.0, 2.0, False, True)
     b = Interval(0.0, 2.0, True, False)

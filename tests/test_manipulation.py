@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyline import (
+    DominatingVerdict,
     Scenario,
     ScenarioValidationError,
     Space,
@@ -181,6 +182,32 @@ class TestExactBounds:
         interval = init_belief(observed).interval
         for x in _bounds_and_neighbours([interval]):
             assert interval.contains(x) == (nearest(state, x) == observed.winner_id), x
+
+
+class TestDominatingSetSound:
+    @pytest.mark.parametrize("kind", sorted(POSITION_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nonwinner_set_members_dominate(self, kind, data):
+        # on each scenario's own poll, the set's midpoint and the float just
+        # inside each finite bound dominate under the exact check
+        pos = POSITION_KINDS[kind]
+        m, n = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 6))
+        sc = Scenario(tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n)))
+        observed = observe(sc, [data.draw(pos) for _ in range(m)])
+        belief = init_belief(observed)
+        for j in range(m):
+            if j == observed.winner_id:
+                continue
+            peak = data.draw(pos)
+            dom = dominating_set_nonwinner(belief, j, peak)
+            for iv in dom.intervals:
+                first, last = math.nextafter(iv.lo, math.inf), math.nextafter(iv.hi, -math.inf)
+                probes = {first, last, min(max(iv.lo / 2 + iv.hi / 2, first), last)}
+                for x in sorted(p for p in probes if math.isfinite(p)):
+                    assert dom.contains(x), (j, x)
+                    verdict = oracle_dominating_check(observed, j, x, peak).verdict
+                    assert verdict == DominatingVerdict.DOMINATING, (j, peak, x, verdict)
 
 
 class TestCharacterization:

@@ -9,6 +9,7 @@ from proxyline import (
     BeliefState,
     InconsistentObservationError,
     Interval,
+    IntervalSet,
     ObservedState,
     PolicyKind,
     PolicySpec,
@@ -232,6 +233,35 @@ class TestDominatingSets:
         assert res.verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
 
 
+    def test_nonwinner_set_leaves_out_a_report_that_never_wins(self):
+        # 2.9999999999999996 would win only at a median in
+        # (2.4999999999999998, 2.5), and the poll's interval (-inf, 2.5)
+        # holds no float there: the set ends at the reflection of the
+        # greatest median it holds, 2.4999999999999996, across the winner
+        obs = ObservedState((3.0, 2.0), 1)
+        belief = init_belief(obs)
+        assert belief.interval == Interval(-math.inf, 2.5, True, True)
+        dom = dominating_set_nonwinner(belief, 0, 8.0)
+        assert dom == IntervalSet([Interval.open(2.0, 2.999999999999999)])
+        verdict = oracle_dominating_check(obs, 0, 2.9999999999999996, 8.0).verdict
+        assert verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
+        verdict = oracle_dominating_check(obs, 0, 2.9999999999999987, 8.0).verdict
+        assert verdict == DominatingVerdict.DOMINATING
+
+    def test_right_peak_sets_follow_the_mirrored_rules(self):
+        # winner 3 with medians in (2.25, 4.5]: a report right of it beats
+        # the winner at some median only below 2 * 4.5 - 3 = 6, short of
+        # the neighbor at 7.5, and a peak at 4 caps the set at 2 * 4 - 3
+        obs = ObservedState((-1.0, 3.0, 7.5), 1)
+        belief = BeliefState(obs, Interval(2.25, 4.5, True, False))
+        assert dominating_set_nonwinner(belief, 2, 20.0) == IntervalSet([Interval.open(3.0, 6.0)])
+        assert dominating_set_nonwinner(belief, 2, 4.0) == IntervalSet([Interval.open(3.0, 5.0)])
+        # the winner right of its medians (1.5, 2], peak 5: the safe stretch
+        # ends at the reflection of the left neighbor -1 across 1.5
+        winner = BeliefState(obs, Interval(1.5, 2.0, True, False))
+        assert dominating_set_winner(winner, 5.0) == IntervalSet([Interval.open(3.0, 4.0)])
+
+
 class TestMaxRegret:
     def _belief(self, ell=2.0, w=3.0, hi=10.0):
         obs = ObservedState((3.0, 20.0), 0)
@@ -270,6 +300,13 @@ class TestMaxRegret:
                 else:
                     num = max(num, w - opt)
             assert max_regret(belief, 1, cand, peak=-5.0) == pytest.approx(num, abs=5e-3)
+
+    def test_right_peak_past_float_max_does_not_overflow(self):
+        # the mirror through 0 is exact: 2w - x for w = -1.7e308 overflowed
+        belief = BeliefState(
+            ObservedState((-1.7e308, -1.7e308), 0), Interval(-1.7e308, math.inf, False, True)
+        )
+        assert max_regret(belief, 1, 1.0, peak=-5e-324) == math.inf
 
     def test_winner_rejected(self):
         belief = self._belief()
