@@ -131,12 +131,19 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
         max_steps=60, mode="partial_info",
     )
     # each poll's interval holds the median of the state it polled
-    medians = [metrics.true_median(part)] + [rec.median_after for rec in ptrace.records]
+    pmed = metrics.true_median(part)
+    medians = [pmed] + [rec.median_after for rec in ptrace.records]
     missed = [
         k for k, (iv, med) in enumerate(zip(ptrace.interval_history, medians))
         if not iv.contains(med)
     ]
     results.append(("interval_holds_each_state_median", not missed, f"polls {missed} miss"))
+    # the abstract's claim: regret-averse play under partial information
+    # still reaches the median
+    pfinal = ptrace.final_outcome()
+    reached = abs(pfinal - pmed) <= dyn.outcome_tol(pfinal)
+    results.append(("minimax_regret_reaches_median", reached,
+                    f"stop {ptrace.stop_reason.value}, outcome {pfinal}, med {pmed}"))
     return results
 
 

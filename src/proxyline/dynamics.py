@@ -44,6 +44,12 @@ OSCILLATION_TOL = 1e-9
 OSCILLATION_WINDOW = 16  # moves in the tail that must repeat with period 2
 
 
+def outcome_tol(w: float) -> float:
+    """How near two outcomes around ``w`` must be to count as one:
+    ``OSCILLATION_TOL``, relative once ``|w|`` exceeds 1."""
+    return OSCILLATION_TOL * max(1.0, abs(w))
+
+
 class PolicyKind(enum.Enum):
     MONOTONE_BETTER_RESPONSE = "monotone_better_response"
     DISCRETE_BEST_RESPONSE = "discrete_best_response"
@@ -141,6 +147,7 @@ class MoveRecord:
 
 class StopReason(enum.Enum):
     PNE = "pne"
+    CONVERGED = "converged"
     MAX_STEPS = "max_steps"
     OSCILLATION_DETECTED = "oscillation_detected"
 
@@ -187,6 +194,19 @@ class DynamicsTrace:
 
     def initial_outcome(self) -> float:
         return wm_winner(self.scenario, self.initial_declared)[1]
+
+    @property
+    def converged(self) -> bool:
+        """The run settled on one outcome: a PNE, a certified partial-information
+        poll, or a detected tail whose last two outcomes agree within
+        :func:`outcome_tol`. A 2-cycle between distinct outcomes and a run
+        cut at its step budget have not converged."""
+        if self.stop_reason in (StopReason.PNE, StopReason.CONVERGED):
+            return True
+        if self.stop_reason != StopReason.OSCILLATION_DETECTED:
+            return False
+        last, prev = self.records[-1].wm_after, self.records[-2].wm_after
+        return abs(last - prev) <= outcome_tol(last)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +438,16 @@ def step(
     )
 
 
+def _certified(belief: BeliefState) -> bool:
+    """The poll pins the outcome: the median interval, which holds every
+    median the polls allow (the true one included), is at most
+    ``outcome_tol(w)`` wide and the announced winner w lies within that
+    tolerance of both its bounds. Reads only public data."""
+    w, iv = belief.winner_position, belief.interval
+    tol = outcome_tol(w)
+    return iv.hi - iv.lo <= tol and w - iv.lo <= tol and iv.hi - w <= tol
+
+
 def _detect_oscillation(records: list[MoveRecord]) -> bool:
     if len(records) < OSCILLATION_WINDOW:
         return False
@@ -441,12 +471,15 @@ def run_dynamics(
     initial_declared: list[float] | None = None,
     initial_belief: BeliefState | None = None,
 ) -> DynamicsTrace:
-    """Iterate single-proxy moves until PNE, step budget, or oscillation.
+    """Iterate single-proxy moves until PNE, a certified convergence, the
+    step budget, or oscillation.
 
     The default initial state is truthful. PNE is certified by a full
-    round of passes; the oscillation detector looks for a settled
-    2-cycle of winner positions. An ``initial_belief`` must be a poll of
-    the initial state, as :func:`step` requires.
+    round of passes. Under partial information the poll after each move
+    may certify the outcome (:func:`_certified`). The oscillation
+    detector, the fallback, looks for a settled 2-cycle of winner
+    positions. An ``initial_belief`` must be a poll of the initial state,
+    as :func:`step` requires.
     """
     if max_steps < 1:
         raise ConfigurationError("max_steps must be >= 1")
@@ -493,6 +526,9 @@ def run_dynamics(
             # the poll after the move: the record already holds its winner
             belief = update_belief(belief, ObservedState(tuple(declared), rec.winner_after))
             interval_history.append(belief.interval)
+            if _certified(belief):
+                stop = StopReason.CONVERGED
+                break
         if _detect_oscillation(records):
             stop = StopReason.OSCILLATION_DETECTED
             break

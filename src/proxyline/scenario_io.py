@@ -20,7 +20,6 @@ from .dynamics import (
     PolicyKind,
     PolicySpec,
     Scheduler,
-    StopReason,
     run_dynamics,
 )
 from .errors import ConfigurationError, ScenarioValidationError
@@ -275,11 +274,6 @@ def trace_json(trace: DynamicsTrace) -> str:
 def summarize(trace: DynamicsTrace) -> dict:
     scenario = trace.scenario
     recs = trace.records
-    converged = trace.stop_reason != StopReason.MAX_STEPS or (
-        len(recs) >= 2
-        and abs(recs[-1].wm_after - recs[-2].wm_after) <= 1e-6
-        and abs(recs[-1].delta_after - recs[-2].delta_after) <= 1e-6
-    )
     initial, final = trace.initial_outcome(), trace.final_outcome()
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -292,7 +286,7 @@ def summarize(trace: DynamicsTrace) -> dict:
         "sc_final": social_cost(scenario, final),
         "stop_reason": trace.stop_reason.value,
         "limit_delta": trace.limit_delta,
-        "converged": converged,
+        "converged": trace.converged,
         "final_state": list(trace.final_declared),
     }
     if trace.interval_history:

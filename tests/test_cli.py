@@ -69,6 +69,7 @@ class TestRun:
         summary = json.loads((tmp_path / "example3_summary.json").read_text())
         assert summary["stop_reason"] == "oscillation_detected"
         assert abs(summary["limit_delta"] - 0.5) <= 1e-6
+        assert summary["converged"] is False  # a 2-cycle between -1/2 and +1/2
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -89,7 +90,7 @@ class TestRun:
         "example1_trace.jsonl": "c1ef0ebef3813547b0ec867666e9c7d7e01a789a83f627f2592d808071b7d133",
         "example2_summary.json": "1b1d9167582ef18f75eccb8e2e12475afd1fcec10c4b960a047ff5ef0e503703",
         "example2_trace.jsonl": "ce272a2ea63ea10158d5d58cb43ad0799e58b80ef9efb262e03e603fc853a589",
-        "example3_summary.json": "86e02268d1dd922b00821d396c433ca6febeda80379f5bcf78035366a220bf03",
+        "example3_summary.json": "c56bf3688894a767697f91789f17441e2d81b90ab8a618dcccb5344d736ddc2c",
         "example3_trace.jsonl": "2b658785f28a3698e70589acaa79e321a6ffba17cfaabc34109ffb51c773ebfe",
         "fig3_summary.json": "617d87bafbeb25de6465983ad5540480a7edc7941191f8e2257ea6a26ed94fe4",
         "fig3_trace.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -504,7 +505,7 @@ class TestCheck:
 
     # sha256 of the stdout of `check --random 300 --seed 7`. A change to any
     # row, tally or verdict must update it on purpose.
-    RANDOM_300_SEED_7_SHA256 = "0b5d40d260ce08e6db761c6822b49f68104f4b84157ae12ec686e01141e35a61"
+    RANDOM_300_SEED_7_SHA256 = "665f9a197c275be788ef08b1fbee82bf760134cdca42ddf47d09ccaa021f2967"
 
     def test_random_300_output_is_pinned(self, capsys):
         assert main(["check", "--random", "300", "--seed", "7"]) == 0

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyline import (
+    BeliefState,
     ConfigurationError,
+    Interval,
     ObservedState,
     PolicyKind,
     PolicySpec,
@@ -201,6 +203,63 @@ class TestRunDynamics:
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=200)
         assert trace.stop_reason == StopReason.OSCILLATION_DETECTED
         assert trace.limit_delta == pytest.approx(0.5, abs=1e-6)
+
+    def test_partial_run_stops_at_the_first_certified_poll(self):
+        # the 32nd poll's median interval is narrower than 1e-9 and holds
+        # the winner, so every median the polls allow, the true median 1
+        # among them, lies within the tolerance of the outcome
+        sc = Scenario((-4.0, 3.0), (1.0,))
+        pols = [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2
+        trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=60, mode="partial_info")
+        assert trace.stop_reason == StopReason.CONVERGED and len(trace.records) == 32
+        last = trace.interval_history[-1]
+        assert last == Interval(0.9999999994179234, 1.0000000002328306, True, False)
+        assert trace.final_outcome() == 1.0000000002328306
+        assert trace.converged and replay_consistent(trace)
+        cut = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=31, mode="partial_info")
+        assert cut.stop_reason == StopReason.MAX_STEPS
+
+    def test_narrow_interval_away_from_the_winner_certifies_nothing(self):
+        # the belief pins the median to 1, but the winner sits at 0: each
+        # poll's interval is the point 1, and the run plays on to its PNE
+        sc = Scenario((0.0, 3.0), (1.0,))
+        belief = BeliefState(observe(sc, [0.0, 3.0]), Interval.point(1.0))
+        pols = [
+            PolicySpec(PolicyKind.SCRIPTED), PolicySpec(PolicyKind.SCRIPTED, positions=(4.0, 5.0)),
+        ]
+        trace = run_dynamics(
+            sc, Scheduler.round_robin(), pols, max_steps=10, mode="partial_info",
+            initial_belief=belief,
+        )
+        assert trace.interval_history == [Interval.point(1.0)] * 3
+        assert trace.stop_reason == StopReason.PNE and len(trace.records) == 2
+        assert trace.final_outcome() == 0.0
+
+    def test_settled_tail_on_the_median_is_an_oscillation_that_converged(self):
+        # the outcome sits on the follower at the median: the interval keeps
+        # a width of about 6e-5 and only the repeat window ends the run
+        sc = Scenario((-3.0, 5.0), (0.0, 1.0, 2.0))
+        pols = [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2
+        trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=60, mode="partial_info")
+        assert trace.stop_reason == StopReason.OSCILLATION_DETECTED
+        assert trace.final_outcome() == 1.0 and trace.converged
+
+    @pytest.mark.parametrize(
+        "name, converged",
+        [("appendix_a", True), ("appendix_b", True), ("example1", True), ("example3", False),
+         ("example2", False)],
+    )
+    def test_converged_means_one_outcome(self, name, converged):
+        # a PNE, and a repeat window whose last two outcomes agree, converged;
+        # example3's ±1/2 2-cycle and a run cut at its step budget did not
+        assert run_scenario_file(load_fixture(name)).converged is converged
+
+    def test_run_cut_at_its_budget_has_not_converged(self):
+        # 40 moves into example1 the outcome moves by about 3e-12 a move,
+        # but only the repeat window, 5 moves later, says it settled
+        sc = load_fixture("example1").scenario
+        trace = run_dynamics(sc, Scheduler.round_robin(), [MONO] * 2, max_steps=40)
+        assert trace.stop_reason == StopReason.MAX_STEPS and not trace.converged
 
     def test_max_steps_respected(self):
         sc = load_fixture("example1").scenario

@@ -16,6 +16,7 @@ from proxyline import (
     Scenario,
     Scheduler,
     Space,
+    StopReason,
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
@@ -23,10 +24,12 @@ from proxyline import (
     minimax_regret_strategy,
     observe,
     run_dynamics,
+    step,
     true_median,
     update_belief,
     update_median_interval,
 )
+from proxyline.dynamics import outcome_tol
 from proxyline.fixtures import appendix_b_opening, load_fixture
 from proxyline.generators import random_scenario
 from proxyline.oracle import DominatingVerdict, oracle_dominating_check
@@ -172,6 +175,71 @@ def assert_polls_sound(trace):
     medians = [true_median(trace.scenario)] + [rec.median_after for rec in trace.records]
     for k, (iv, med) in enumerate(zip(trace.interval_history, medians, strict=True)):
         assert iv.contains(med), f"poll {k}: {iv} leaves out the median {med}"
+
+
+def play_on(trace, moves):
+    """Continue a round-robin minimax-regret run past its stop with ``step``
+    and ``update_belief``, up to ``moves`` moves in all or a full round of
+    passes, asserting that each new poll's interval holds its state's
+    median. Returns the number of moves played in all."""
+    sc, m = trace.scenario, trace.scenario.num_proxies
+    spec = PolicySpec(PolicyKind.MINIMAX_REGRET)
+    records, declared = list(trace.records), list(trace.final_declared)
+    belief = BeliefState(observe(sc, declared), trace.interval_history[-1])
+    turn = records[-1].mover + 1 if records else 0
+    passes = 0
+    while len(records) < moves and passes < m:
+        rec = step(sc, declared, turn % m, spec, records, belief)
+        turn += 1
+        if rec is None:
+            passes += 1
+            continue
+        passes = 0
+        records.append(rec)
+        declared[rec.mover] = rec.to_pos
+        belief = update_belief(belief, ObservedState(tuple(declared), rec.winner_after))
+        assert belief.interval.contains(rec.median_after), (
+            f"move {rec.t}: {belief.interval} leaves out the median {rec.median_after}"
+        )
+    return len(records)
+
+
+class TestConvergedStop:
+    """A partial-information run stops at the first poll whose median
+    interval pins the outcome within ``outcome_tol``. Such a stop must have
+    reached the true median, and play past it must keep every poll sound:
+    that float-resolution tail is where a bound rounds, and the runs of
+    ``check --random`` no longer play it."""
+
+    RUNS = 250
+    MOVES = 60
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        rng = random.Random(26)
+        traces = []
+        for _ in range(self.RUNS):
+            sc = random_scenario(rng, min_proxies=2, both_sides=True, no_peak_at_median=True)
+            traces.append(run_dynamics(
+                sc, Scheduler.round_robin(),
+                [PolicySpec(PolicyKind.MINIMAX_REGRET)] * sc.num_proxies,
+                max_steps=self.MOVES, mode="partial_info",
+            ))
+        return traces
+
+    def test_a_converged_stop_has_reached_the_true_median(self, runs):
+        converged = [t for t in runs if t.stop_reason == StopReason.CONVERGED]
+        assert len(converged) > self.RUNS // 2
+        for trace in converged:
+            med, outcome = true_median(trace.scenario), trace.final_outcome()
+            assert trace.interval_history[-1].contains(med)
+            assert abs(outcome - med) <= outcome_tol(outcome)
+
+    def test_play_past_the_stop_keeps_every_poll_sound(self, runs):
+        for trace in runs:
+            assert_polls_sound(trace)
+            # every run still has moves to play past its stop
+            assert play_on(trace, self.MOVES) > len(trace.records)
 
 
 class TestDominatingSets:
