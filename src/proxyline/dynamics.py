@@ -448,20 +448,6 @@ def _certified(belief: BeliefState) -> bool:
     return iv.hi - iv.lo <= tol and w - iv.lo <= tol and iv.hi - w <= tol
 
 
-def _detect_oscillation(records: list[MoveRecord]) -> bool:
-    if len(records) < OSCILLATION_WINDOW:
-        return False
-    tail = records[-OSCILLATION_WINDOW:]
-    wm = [r.wm_after for r in tail]
-    dl = [r.delta_after for r in tail]
-    for i in range(2, OSCILLATION_WINDOW):
-        if abs(wm[i] - wm[i - 2]) > OSCILLATION_TOL:
-            return False
-        if abs(dl[i] - dl[i - 2]) > OSCILLATION_TOL:
-            return False
-    return True
-
-
 def run_dynamics(
     scenario: Scenario,
     scheduler: Scheduler,
@@ -503,6 +489,7 @@ def run_dynamics(
 
     records: list[MoveRecord] = []
     passed: set[int] = set()  # proxies that passed since the last accepted move
+    repeats = 0  # consecutive moves that repeat the move two before, within tolerance
     turn = 0
     stop = StopReason.MAX_STEPS
 
@@ -529,7 +516,16 @@ def run_dynamics(
             if _certified(belief):
                 stop = StopReason.CONVERGED
                 break
-        if _detect_oscillation(records):
+        if len(records) > 2:
+            before = records[-3]
+            if abs(rec.wm_after - before.wm_after) > OSCILLATION_TOL or \
+                    abs(rec.delta_after - before.delta_after) > OSCILLATION_TOL:
+                repeats = 0
+            else:
+                repeats += 1
+        # a settled 2-cycle: the last OSCILLATION_WINDOW moves repeat with
+        # period 2 (a count of OSCILLATION_WINDOW - 2 needs that many moves)
+        if repeats >= OSCILLATION_WINDOW - 2:
             stop = StopReason.OSCILLATION_DETECTED
             break
 

@@ -129,40 +129,45 @@ class Scenario:
         The band covers ranks k−m−1 to k+1, k = ⌊(n+m−1)/2⌋: every follower
         rank the median of a state (:func:`unweighted_median`) or one proxy's
         median window (:func:`proxyline.manipulation._median_window`) reads.
-        Two pivots a ≤ b from a sorted strided sample of about n^(2/3)
-        followers bracket those ranks (Floyd & Rivest 1975), and the band is
-        every follower in [a, b]. It holds whole runs of equal positions, so
-        its stable sort orders them as the full sort does, and r counts the
-        followers below a. Pivots that miss the ranks, or a sample stride
-        below 11 (n < 1 158), give the full sort: the band is exact for any
-        pivots, and the sample decides only the speed. Below about n = 1 000
-        the two comprehension passes cost more than the sort saves.
+        Each level takes two pivots a ≤ b from a sorted strided sample of
+        about N^(2/3) of its N followers that bracket those ranks (Floyd &
+        Rivest 1975), and keeps every follower in [a, b], in input order;
+        r counts the followers below. The next level samples what this one
+        kept, while its stride is at least 11 (N ≥ 1 158) and each level
+        brackets the ranks and shrinks the set. Each level keeps whole runs
+        of equal positions, so the stable sort of the last one orders them
+        as the full sort does. A level whose pivots miss the ranks stops
+        there, and its whole set is sorted: the band is exact for any
+        pivots, and the sample decides only the speed. Below about
+        N = 1 000 a level's two comprehension passes cost more than the sort
+        saves.
         """
         fs = self.follower_positions
         n, m = len(fs), len(self.proxy_peaks)
         k = (n + m - 1) // 2
         first, last = max(0, k - m - 1), min(n, k + 2)  # the band's ranks: [first, last)
-        stride = round(n ** (1 / 3))
-        if stride >= 11:
-            sample = sorted(fs[::stride])
+        r, band = 0, fs
+        while (stride := round(len(band) ** (1 / 3))) >= 11:
+            sample = sorted(band[::stride])
             # sample j's rank is near j·stride, off by about sqrt(len)/2 sample
             # ranks (one sd): the pivots sit about four sd beyond the band's ranks
             gap = 2 * math.isqrt(len(sample)) + 1
-            i, j = first // stride - gap, last // stride + gap
+            i, j = (first - r) // stride - gap, (last - r) // stride + gap
             a = sample[i] if i > 0 else -math.inf
             b = sample[j] if j < len(sample) else math.inf
-            upper = [x for x in fs if x >= a]
-            r = n - len(upper)
-            band = [x for x in upper if x <= b]
-            if r <= first and last <= r + len(band):
-                band.sort()
-                return r, band
-        return 0, sorted(fs)
+            upper = [x for x in band if x >= a]
+            below = r + len(band) - len(upper)
+            kept = [x for x in upper if x <= b]
+            if not (below <= first and last <= below + len(kept) and len(kept) < len(band)):
+                break
+            r, band = below, kept
+        return r, sorted(band)
 
     @cached_property
-    def _states(self) -> dict[tuple[float, ...], list]:
-        """The records :func:`_record` keeps, least recently used first."""
-        return {}
+    def _states(self) -> list[tuple[list[float], list]]:
+        """The (snapshot, record) pairs :func:`_record` keeps, at most two,
+        most recently used last."""
+        return []
 
     def truthful_state(self) -> list[float]:
         return list(self.proxy_peaks)
@@ -258,21 +263,28 @@ def _record(scenario: Scenario, declared: list[float]) -> list:
 
     Two states are enough: a turn only evaluates the state being played and
     one proposal, and a passing round re-evaluates one unchanged state.
-    States are keyed by ``tuple(declared)``, so 0.0 and -0.0, or 1 and 1.0,
-    share a key. That is exact: ``==``-equal positions are at equal
-    distance from every follower and sort identically, so they give the
-    same winner id and median index; the callers read the position back
-    from ``declared``, which keeps its zero sign and type.
+    ``declared`` (as a list) is compared by ``==`` with a copy of each
+    recorded state, most recent first, so a caller that changes its list in
+    place gets a fresh record, and 0.0 and -0.0, or 1 and 1.0, share one.
+    That is exact: ``==``-equal positions are at equal distance from every
+    follower and sort identically, so they give the same winner id and
+    median index; the callers read the position back from ``declared``,
+    which keeps its zero sign and type. A recorded state passed the check,
+    and a NaN equals no float, so a state holding one always reaches it.
     """
     states = scenario._states
-    key = tuple(declared)
-    record = states.pop(key, None)
-    if record is None:
-        _check_state(scenario, declared)
-        record = [None, None]
-        if len(states) > 1:
-            del states[next(iter(states))]
-    states[key] = record
+    if type(declared) is not list:
+        declared = list(declared)
+    if states and states[-1][0] == declared:
+        return states[-1][1]
+    if len(states) > 1 and states[0][0] == declared:
+        states.reverse()
+        return states[-1][1]
+    _check_state(scenario, declared)
+    record = [None, None]
+    if len(states) > 1:
+        del states[0]
+    states.append((list(declared), record))
     return record
 
 

@@ -319,27 +319,69 @@ class TestSortedRoutes:
         }  # delegate keeps no memo; the median read the band
         assert repr(sc.median_band) == "(0, [-1.0, 0.0, -0.0, 2.0, 2.0])"  # stable
         with mock.patch.object(model, "SCAN_MAX_FOLLOWERS", 0):
-            # 0.0, -0.0 and 0 share a key; the answers keep each call's own
-            # zero. [2.0, 2.0] evicts the least recently used state
+            # 0.0, -0.0 and 0 share a record; the answers keep each call's
+            # own zero. [2.0, 2.0] evicts the least recently used state
             states = ([1.0, -2.0], [0.0, 1.0], [-0.0, 1.0], [0, 1], [2.0, 2.0], [-0.0, 1.0])
             for declared in states:
                 for evaluate in (wm_winner, unweighted_median):
                     fresh = Scenario((1.0, -2.0), followers)
                     assert repr(evaluate(sc, declared)) == repr(evaluate(fresh, declared))
                 assert len(sc._states) <= 2
-        assert list(sc._states) == [(2.0, 2.0), (0.0, 1.0)]
+        assert [snapshot for snapshot, _ in sc._states] == [[2.0, 2.0], [0.0, 1.0]]
         assert sc == Scenario((1.0, -2.0), followers)
         assert (hash(sc), repr(sc)) == before
         assert [f.name for f in dataclasses.fields(sc)] == [
             "proxy_peaks", "follower_positions", "space"
         ]
 
+    def test_record_keeps_its_own_copy_of_the_state(self):
+        # a caller that changes its list in place between two calls gets the
+        # new state's answer, not the record of the old one
+        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        sc = Scenario((-5.0, 4.0), followers)
+        declared = [-5.0, 4.0]
+        assert wm_winner(sc, declared) == (1, 4.0)
+        declared[0] = 0.5
+        for evaluate in (wm_winner, unweighted_median):
+            fresh = Scenario((-5.0, 4.0), followers)
+            assert repr(evaluate(sc, declared)) == repr(evaluate(fresh, declared))
+        assert wm_winner(sc, declared) == (0, 0.5)
+        assert [snapshot for snapshot, _ in sc._states] == [[-5.0, 4.0], [0.5, 4.0]]
+
+    @pytest.mark.parametrize("spellings", [((-5.0, 4.0), [-5, 4.0]), ([-5.0, 4], (-5, 4.0))])
+    def test_tuple_and_list_spellings_share_a_record(self, spellings):
+        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        sc = Scenario((-5.0, 4.0), followers)
+        first, second = spellings
+        assert wm_winner(sc, first) == (1, 4.0)
+        with mock.patch.object(model, "_check_state", side_effect=AssertionError("a new record")), \
+                mock.patch.object(model, "weighted_median", side_effect=AssertionError("ranked")):
+            assert wm_winner(sc, second) == (1, 4.0)
+            assert unweighted_median(sc, second) == unweighted_median(sc, first)
+        assert len(sc._states) == 1
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_nan_next_to_a_recorded_state_is_refused(self, j):
+        # NaN == NaN is false, so a NaN never matches a record: it reaches
+        # the state check, also when it replaces a position of a recorded list
+        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        sc = Scenario((-5.0, 4.0), followers)
+        declared = [-5.0, 4.0]
+        wm_winner(sc, declared)
+        declared[j] = math.nan
+        for evaluate in (wm_winner, unweighted_median):
+            with pytest.raises(ScenarioValidationError) as exc:
+                evaluate(sc, declared)
+            assert exc.value.path == f"state[{j}]"
+        assert len(sc._states) == 1
+
     @pytest.mark.parametrize("kind", sorted(STATE_KINDS))
     @given(data=st.data())
     @settings(max_examples=100)
     def test_record_answers_like_a_fresh_scenario(self, kind, data):
-        # repeated states on one Scenario, with zero signs flipped and
-        # integral positions given as int between calls
+        # repeated states on one Scenario, with zero signs flipped,
+        # integral positions given as int and lists given as tuples
+        # between calls
         pos = STATE_KINDS[kind]
         m = data.draw(st.integers(1, 5))
         n = model.SCAN_MAX_FOLLOWERS + data.draw(st.integers(1, 4))
@@ -356,6 +398,8 @@ class TestSortedRoutes:
         for _ in range(data.draw(st.integers(1, 12))):
             state = data.draw(st.sampled_from(states))
             declared = [data.draw(st.sampled_from(spellings(x))) for x in state]
+            if data.draw(st.booleans()):
+                declared = tuple(declared)
             evaluate = data.draw(st.sampled_from([wm_winner, unweighted_median]))
             got = evaluate(sc, declared)
             want = evaluate(Scenario(peaks, followers), declared)
@@ -414,6 +458,15 @@ def _band_is_the_sorted_slice(sc):
 
 
 def _band_followers(family, rng, n):
+    # float(int) makes a new object per follower, so the identity check of
+    # _band_is_the_sorted_slice sees the order of equal positions
+    if family == "equal":  # no level can shrink the set
+        return [float(7) for _ in range(n)]
+    if family == "two_values":
+        return [float(rng.choice((-1, 2))) for _ in range(n)]
+    if family == "periodic":  # every first-level sample is 0.0: its pivots miss
+        stride = round(n ** (1 / 3))
+        return [float(i % stride) for i in range(n)]
     if family == "duplicates":
         return [float(rng.randint(-40, 40)) for _ in range(n)]
     if family == "signed_zeros":  # a run of 0.0 and -0.0 that holds the median
@@ -428,10 +481,15 @@ def _band_followers(family, rng, n):
     return fs if family == "sorted" else fs[::-1]
 
 
+BAND_FAMILIES = [
+    "equal", "two_values", "periodic", "duplicates", "signed_zeros", "sorted", "reverse_sorted"
+]
+
+
 class TestMedianBand:
-    """The band of followers around the median, selected from a sample, is
-    the full sort's slice at sizes where selection runs (stride >= 11,
-    n >= 1 158)."""
+    """The band of followers around the median, selected level by level
+    from samples, is the full sort's slice at sizes where selection runs
+    (stride >= 11, n >= 1 158)."""
 
     @pytest.mark.parametrize("family", ["duplicates", "signed_zeros", "sorted", "reverse_sorted"])
     @pytest.mark.parametrize("seed", range(6))
@@ -448,6 +506,30 @@ class TestMedianBand:
             assert repr(unweighted_median(sc, state)) == repr(_pool_median(sc, state))
             for j in range(m):
                 assert repr(_median_window(sc, state, j)) == repr(_pool_window(sc, state, j))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_level_keeps_the_sorted_slice(self, data):
+        # sizes: the last with no level and the first with one, then the
+        # last with one level and the first with two on sorted input
+        # (m = 50, then m <= 5), and any size up to where a third level runs
+        family = data.draw(st.sampled_from(BAND_FAMILIES))
+        n = data.draw(st.sampled_from([1_157, 1_158, 4_492, 4_493, 4_896, 4_897])
+                      | st.integers(1_000, 12_000))
+        m = data.draw(st.integers(1, 60))
+        followers = _band_followers(family, random.Random(data.draw(st.integers(0, 2**32))), n)
+        r, band = _band_is_the_sorted_slice(Scenario((0.0,) * m, tuple(followers)))
+        if family in ("equal", "periodic") or n < 1_158:
+            assert (r, len(band)) == (0, n)  # no level kept fewer: the full sort
+
+    @pytest.mark.parametrize("m, n", [(1, 4_896), (5, 4_896), (50, 4_492)])
+    def test_second_level_starts(self, m, n):
+        # on sorted input the first level keeps 1 140 (m <= 5) or 1 121
+        # (m = 50) followers at n, too few for a stride of 11; one follower
+        # more and it keeps over 1 158, which a second level narrows
+        for size, kept in ((n, range(1_100, 1_158)), (n + 1, range(400, 600))):
+            sc = Scenario((0.0,) * m, tuple(float(x) for x in range(size)))
+            assert len(_band_is_the_sorted_slice(sc)[1]) in kept
 
     def test_state_of_another_length_is_refused(self):
         # the band holds the ranks of the scenario's m; a longer or shorter
