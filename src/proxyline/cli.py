@@ -181,24 +181,14 @@ def cmd_check(args) -> int:
         for results in per_seed:
             for name, ok, detail in results:
                 passed, total, first_fail = tally.get(name, (0, 0, ""))
-                tally[name] = (
-                    passed + (1 if ok else 0),
-                    total + 1,
-                    first_fail or ("" if ok else detail),
-                )
+                tally[name] = (passed + ok, total + 1, first_fail or ("" if ok else detail))
         for name, (passed, total, first_fail) in tally.items():
             rows.append((f"{name} [{passed}/{total}]", passed == total, first_fail))
 
     width = max(len(name) for name, _, _ in rows)
-    all_ok = True
     for name, ok, detail in rows:
-        mark = "PASS" if ok else "FAIL"
-        line = f"{mark}  {name.ljust(width)}"
-        if detail and not ok:
-            line += f"  {detail}"
-        print(line)
-        all_ok &= ok
-    return 0 if all_ok else 1
+        _print_check(name.ljust(width), ok, detail)
+    return 0 if all(ok for _, ok, _ in rows) else 1
 
 
 def cmd_replicate(args) -> int:
@@ -210,12 +200,13 @@ def cmd_replicate(args) -> int:
         return 2
     report = replicate(args.name)
     for check in report.checks:
-        mark = "PASS" if check.ok else "FAIL"
-        line = f"{mark}  {report.name}.{check.name}"
-        if check.detail and not check.ok:
-            line += f"  {check.detail}"
-        print(line)
+        _print_check(f"{report.name}.{check.name}", check.ok, check.detail)
     return 0 if report.ok else 1
+
+
+def _print_check(name: str, ok: bool, detail: str) -> None:
+    """A check's line: its mark and name, and the detail of a failure."""
+    print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  {detail}" if detail and not ok else ""))
 
 
 @functools.cache

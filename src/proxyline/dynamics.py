@@ -29,7 +29,8 @@ from .intervals import INF, Interval
 from .manipulation import improving_pieces, is_better_response
 from .metrics import delta, true_median
 from .model import (
-    Scenario, _check_proxy, _check_state, nearer, nearest, unweighted_median, wm_winner,
+    Scenario, _check_proxy, _check_state, _finite_number, nearer, nearest, unweighted_median,
+    wm_winner,
 )
 from .partial_info import (
     BeliefState,
@@ -77,12 +78,15 @@ class PolicySpec:
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ConfigurationError(f"{self.kind.value} does not use {f.name}")
         # an unread parameter keeps its default, which is in range
+        for name in ("fraction", "alpha1", "decay"):
+            if not _finite_number(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a finite number", name)
         if not 0 < self.fraction <= 1:
             raise ConfigurationError("fraction must be in (0, 1]")
         if not (self.alpha1 > 0 and 0 < self.decay < 1):
             raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
         for k, p in enumerate(self.positions):
-            if not (isinstance(p, (int, float)) and math.isfinite(p)):
+            if not _finite_number(p):
                 raise ConfigurationError(f"scripted position {p!r} is not finite", f"positions[{k}]")
 
     def validate(self, scenario: Scenario, mode: str) -> None:
@@ -127,8 +131,8 @@ class Scheduler:
 
     def validate(self, num_proxies: int) -> None:
         for j in self.order:
-            if not 0 <= j < num_proxies:
-                raise ConfigurationError(f"scheduler order references unknown proxy {j}")
+            if type(j) is not int or not 0 <= j < num_proxies:
+                raise ConfigurationError(f"scheduler order references unknown proxy {j!r}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,7 @@ def _propose_monotone(
         if toward * (x - limit) >= 0:  # rounded onto or past the far end
             x = math.nextafter(limit, cur)
         if space.is_discrete:
-            return Interval.open(min(cur, limit), max(cur, limit)).nearest_grid_point(x, space.step)
+            return space.grid_point(Interval.open(min(cur, limit), max(cur, limit)), x)
         return x
 
     if peak == med:
@@ -262,7 +266,7 @@ def _propose_monotone(
         return None
     target = (1.0 - spec.fraction) * dlt
     if space.is_discrete:  # largest grid point <= target
-        target = Interval(-INF, target, True, False).nearest_grid_point(target, space.step)
+        target = space.grid_point(Interval(-INF, target, True, False), target)
     x = med + own * target
     return x if x != cur else None
 
@@ -273,14 +277,13 @@ def _propose_discrete_best(
 ) -> float | None:
     peak = scenario.proxy_peaks[mover]
     cur = declared[mover]
-    step = scenario.space.step
     _, wm = wm_winner(scenario, declared)
     # (outcome distance, |x - cur|, x) for the grid report nearest the peak in
     # each improving piece; boundary reports are skipped (strict wins only)
     candidates = []
     for piece in improving_pieces(scenario, declared, mover, wm):
         if piece.reports.lo < piece.reports.hi:
-            x = piece.reports.nearest_grid_point(peak, step)
+            x = scenario.space.grid_point(piece.reports, peak)
             if x is not None and x != cur:
                 outcome = x if piece.outcome is None else piece.outcome
                 candidates.append((abs(outcome - peak), abs(x - cur), x))
@@ -467,8 +470,8 @@ def run_dynamics(
     positions. An ``initial_belief`` must be a poll of the initial state,
     as :func:`step` requires.
     """
-    if max_steps < 1:
-        raise ConfigurationError("max_steps must be >= 1")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 1:
+        raise ConfigurationError("max_steps must be an integer >= 1")
     if mode not in ("full_info", "partial_info"):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if initial_belief is not None and mode == "full_info":

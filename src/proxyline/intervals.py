@@ -44,7 +44,7 @@ class Interval:
         return self.lo == self.hi and not self.lo_open and not self.hi_open
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN is in no interval
             return False
         if x == self.lo and self.lo_open:
             return False
@@ -70,33 +70,6 @@ class Interval:
         if lo_open and hi_open and math.nextafter(lo, INF) == hi:
             return None
         return Interval(lo, hi, lo_open, hi_open)
-
-    def _grid_index_range(self, step: float) -> tuple[float, float]:
-        """First and last k with k * step inside the interval; an unbounded
-        end gives an infinite index."""
-        k_lo: float = -INF
-        if math.isfinite(self.lo):
-            k_lo = math.ceil(self.lo / step - 1e-9)
-            if self.lo_open and abs(k_lo * step - self.lo) <= 1e-9 * max(1.0, abs(self.lo)):
-                k_lo += 1
-        k_hi: float = INF
-        if math.isfinite(self.hi):
-            k_hi = math.floor(self.hi / step + 1e-9)
-            if self.hi_open and abs(k_hi * step - self.hi) <= 1e-9 * max(1.0, abs(self.hi)):
-                k_hi -= 1
-        return k_lo, k_hi
-
-    def has_grid_point(self, step: float) -> bool:
-        k_lo, k_hi = self._grid_index_range(step)
-        return k_lo <= k_hi
-
-    def nearest_grid_point(self, target: float, step: float) -> float | None:
-        """Multiple of ``step`` inside the interval nearest to ``target``
-        (None when the interval holds none)."""
-        k_lo, k_hi = self._grid_index_range(step)
-        if k_lo > k_hi:
-            return None
-        return min(max(round(target / step), k_lo), k_hi) * step
 
     def __neg__(self) -> "Interval":
         """The mirror image through 0; float negation is exact."""
@@ -146,9 +119,6 @@ class IntervalSet:
 
     def contains(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
-
-    def has_grid_point(self, step: float) -> bool:
-        return any(iv.has_grid_point(step) for iv in self.intervals)
 
     def __neg__(self) -> "IntervalSet":
         return IntervalSet([-iv for iv in self.intervals])

@@ -184,8 +184,8 @@ def is_pne(scenario: Scenario, declared: list[float], include_tie_wins: bool = T
     """
     for j in range(scenario.num_proxies):
         brs = better_response_set(scenario, declared, j, include_tie_wins=include_tie_wins)
-        if scenario.space.is_discrete:
-            if brs.has_grid_point(scenario.space.step):
+        if scenario.space.is_discrete:  # any target finds a grid point where there is one
+            if any(scenario.space.grid_point(iv, 0.0) is not None for iv in brs.intervals):
                 return False
         elif not brs.is_empty():
             return False

@@ -21,6 +21,7 @@ from itertools import repeat
 from operator import truediv
 
 from .errors import EmptyElectorateError, ScenarioValidationError
+from .intervals import Interval
 
 # Most followers whose winner ``wm_winner`` takes from delegation weights.
 SCAN_MAX_FOLLOWERS = 32
@@ -55,6 +56,44 @@ class Space:
         q = x / self.step
         # a quotient that overflows (or a NaN or infinite x) is on no grid
         return math.isfinite(q) and abs(q - round(q)) <= 1e-9
+
+    def grid_point(self, iv: Interval, target: float) -> float | None:
+        """The multiple ``k * step`` in ``iv`` nearest ``target``, or None. An end that
+        :meth:`on_grid` accepts is moved to its multiple's float product (the literal 0.3
+        is ``3 * 0.1`` on step 0.1); then k is in ``iv`` iff ``iv`` contains ``k * step``,
+        and k is ``round(target / step)`` clamped to those k, found by walking over
+        integer-valued floats from the rounded quotients of the ends."""
+        step, big = self.step, sys.float_info.max
+        lo = _k(iv.lo / step) * step if self.on_grid(iv.lo) else iv.lo
+        hi = _k(iv.hi / step) * step if self.on_grid(iv.hi) else iv.hi
+        ends = lo, hi, iv.lo_open, iv.hi_open
+        k_t = _k(min(max(target, -big), big) / step)  # an infinite target aims at ±max
+        k = min(max(k_t, _k(lo / step)), _k(hi / step))
+        while k * step <= lo and not _holds(k * step, *ends):
+            k = _k(k, 1.0)
+        while k * step >= hi and not _holds(k * step, *ends):
+            k = _k(k, -1.0)
+        d = 1.0 if k < k_t else -1.0  # in iv now, if iv holds a multiple: go toward k_t
+        while k != k_t and _holds(_k(k, d) * step, *ends):
+            k = _k(k, d)
+        return k * step if _holds(k * step, *ends) else None
+
+
+def _holds(x: float, lo: float, hi: float, lo_open: bool, hi_open: bool) -> bool:
+    # Interval.contains on bare ends, which may meet or cross
+    return (lo < x or (x == lo and not lo_open)) and (x < hi or (x == hi and not hi_open))
+
+
+def _k(q: float, d: float = 0.0) -> float:
+    """round(q) + d as a float, d 0.0 or ±1.0; from 2**53 on floats step by ulps."""
+    if abs(q) < 2.0**53:
+        return round(q) + d
+    return math.nextafter(q, d * math.inf) if d else q
+
+
+def _finite_number(x) -> bool:
+    """The input rule for numbers: no bool; NaN, ±inf and ints past float range fail."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _floats(name: str, values) -> tuple[float, ...]:

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from sys import float_info
 
 from .dynamics import (
     _POLICIES,
@@ -24,7 +23,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, ScenarioValidationError
 from .metrics import social_cost
-from .model import Scenario, Space
+from .model import Scenario, Space, _finite_number
 
 SCHEMA_VERSION = 1
 
@@ -72,8 +71,7 @@ def _str(obj, path: str) -> str:
 
 
 def _number(obj, path: str) -> float:
-    # an exact comparison, which NaN, the infinities and integers beyond float range fail
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= float_info.max:
+    if not _finite_number(obj):
         raise ScenarioValidationError(path, "expected a finite number")
     return float(obj)
 
@@ -164,8 +162,6 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
     sc_obj = _object(doc.get("scenario"), "$.scenario")
     _require_keys(sc_obj, {"proxies", "followers", "space", "alt_followers"}, "$.scenario")
     proxies = _number_list(sc_obj.get("proxies", []), "$.scenario.proxies")
-    if not proxies:
-        raise ScenarioValidationError("$.scenario.proxies", "at least one proxy required")
     followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers")
     step = _parse_space_step(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
     try:

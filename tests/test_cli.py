@@ -151,6 +151,15 @@ class TestRun:
         assert err.startswith("error: ") and "scenario.proxies[0]" in err
         assert err.count("\n") == 1
 
+    def test_no_proxies_exits_2(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "example1.json").read_text())
+        doc["scenario"]["proxies"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--output-dir", str(tmp_path / "out"), "run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: $.scenario.proxies: at least one proxy required\n"
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

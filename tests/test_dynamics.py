@@ -28,6 +28,7 @@ from proxyline import (
     detect_meta_moves,
     init_belief,
     is_better_response,
+    is_pne,
     observe,
     run_dynamics,
     step,
@@ -41,6 +42,7 @@ from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
 from proxyline.scenario_io import run_scenario_file
 
 MONO = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
+DISCRETE_BEST = PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE)
 PARTIAL_INFO_FIXTURES = sorted(
     p.stem for p in fixtures_dir().glob("*.json") if load_fixture(p.stem).mode == "partial_info"
 )
@@ -183,6 +185,43 @@ class TestStep:
         assert replay_consistent(trace) and replay_consistent(tail)
 
 
+def _mono(fraction):
+    return PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=fraction)
+
+
+class TestDecimalGrid:
+    """On step 0.1 the literal 0.6 and the product 6 * 0.1 = 0.6000000000000001
+    are one grid point: a set whose end lies at one of them holds that point
+    iff the end is closed, so no proposal lands one ulp from the report it
+    replaces and a closed end keeps its grid point."""
+
+    @pytest.mark.parametrize(
+        "peaks, followers, state, mover, spec, to_pos",
+        [
+            # the winner's stretch (0.6, 0.8) from 0.6: the next grid point up is 0.7
+            ([0.7, -0.3, 1.0], [0.6, 0.4, -0.3], [0.6, 1.0, -1.0], 0, _mono(0.1), 0.7000000000000001),
+            # the stretch (0.6, 0.7) holds no grid point, so the winner passes
+            ([0.8, 0.5, -0.7], [-0.6, 1.0, 0.4], [0.6, 0.7, 0.8], 0, _mono(0.5), None),
+            # a loser's floor under a target one ulp below 0.1 is 0.1, not 0.0
+            ([-0.9, -0.1], [0.9, 0.8, 0.8], [0.2, 1.0], 0, _mono(0.5), 0.7000000000000001),
+            # the piece (-inf, -0.09999999999999998) is open at the grid point -0.1
+            ([0.6, -0.7], [-0.5, 0.6, 0.2], [0.1, 0.5], 0, DISCRETE_BEST, -0.2),
+            # the piece (0.5999999999999999, 0.8) is open at the grid point 0.6
+            ([1.0, -0.5], [0.7], [0.8, -0.5], 1, DISCRETE_BEST, 0.7000000000000001),
+        ],
+    )
+    def test_a_literal_end_is_its_grid_point(self, peaks, followers, state, mover, spec, to_pos):
+        sc = Scenario(tuple(peaks), tuple(followers), Space.discrete(0.1))
+        rec = step(sc, state, mover, spec)
+        assert (None if rec is None else rec.to_pos) == to_pos
+
+    def test_closed_end_keeps_its_grid_point_for_is_pne(self):
+        # proxy 0's better responses are [0.10000000000000003, 0.2), whose closed
+        # end is the grid point 0.1
+        sc = Scenario((-0.9, -1.0), (0.2,), Space.discrete(0.1))
+        assert not is_pne(sc, [0.2, 0.3])
+
+
 class TestRunDynamics:
     def test_one_sided_scenario_immediate_pne(self):
         sc = load_fixture("fig3_one_side").scenario
@@ -322,6 +361,9 @@ class TestRunDynamics:
             run_dynamics(sc, Scheduler.round_robin(), [MONO] * 2, max_steps=0)
         with pytest.raises(ConfigurationError):
             run_dynamics(sc, Scheduler.scripted([5]), [MONO] * 2, max_steps=5)
+        for order in ((1.0,), (True,)):  # a proxy id is an int, never a float or a bool
+            with pytest.raises(ConfigurationError, match="unknown proxy"):
+                run_dynamics(sc, Scheduler(order), [MONO] * 2, max_steps=5)
         with pytest.raises(ConfigurationError):
             run_dynamics(sc, Scheduler.round_robin(), [MONO], max_steps=5)
         with pytest.raises(ConfigurationError):  # oscillating needs continuous space
@@ -375,22 +417,34 @@ class TestRunDynamics:
         with pytest.raises(ConfigurationError, match=field):
             run_dynamics(sc, Scheduler.round_robin(), [spec()] * 2, max_steps=5, mode=mode)
 
+    @pytest.mark.parametrize("max_steps", [2.5, True, "3"])
+    def test_max_steps_that_is_no_integer_refused(self, max_steps):
+        sc = load_fixture("example1").scenario
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            run_dynamics(sc, Scheduler.round_robin(), [MONO] * 2, max_steps=max_steps)
+
     @pytest.mark.parametrize(
-        "kind, params, message",
+        "kind, params, message, field",
         [
-            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"alpha1": 7.0, "fraction": 5.0}, "alpha1"),
-            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 5.0}, "fraction"),
-            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 0.0}, "fraction"),
-            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": 0.0}, "alpha1"),
-            (PolicyKind.OSCILLATING_ALPHA, {"decay": 1.0}, "decay"),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"alpha1": 7.0, "fraction": 5.0}, "alpha1", None),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 5.0}, "fraction", None),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 0.0}, "fraction", None),
+            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": 0.0}, "alpha1", None),
+            (PolicyKind.OSCILLATING_ALPHA, {"decay": 1.0}, "decay", None),
+            # what a scenario file refuses as no finite number, refused at its field
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": "0.5"}, "fraction", "fraction"),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": True}, "fraction", "fraction"),
+            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": float("inf")}, "alpha1", "alpha1"),
+            (PolicyKind.OSCILLATING_ALPHA, {"decay": float("nan")}, "decay", "decay"),
         ],
     )
-    def test_spec_checks_its_parameters_when_built(self, kind, params, message):
+    def test_spec_checks_its_parameters_when_built(self, kind, params, message, field):
         # so step(), which never sees a whole run, cannot play a bad spec either
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(ConfigurationError, match=message) as err:
             PolicySpec(kind, **params)
+        assert err.value.field == field
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a", True, 10**400])
     def test_nonfinite_script_position_refused_when_built(self, bad):
         # on the line no grid check would catch it before is_better_response
         with pytest.raises(ConfigurationError, match="not finite") as err:

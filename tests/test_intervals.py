@@ -1,4 +1,4 @@
-"""Interval and interval-set semantics: flags, normalization, grids."""
+"""Interval and interval-set semantics: flags and normalization."""
 
 import math
 
@@ -20,6 +20,11 @@ def test_point_and_validity():
 def test_open_bounds_exclude_endpoints():
     iv = Interval.open(0.0, 1.0)
     assert not iv.contains(0.0) and not iv.contains(1.0) and iv.contains(0.5)
+
+
+def test_nan_is_in_no_interval():
+    assert not Interval(-math.inf, math.inf).contains(math.nan)
+    assert not IntervalSet([Interval.point(0.0)]).contains(math.nan)
 
 
 def test_infinite_bounds_forced_open():
@@ -62,32 +67,6 @@ def test_normalization_keeps_open_gap():
 def test_point_merges_into_open_interval():
     s = IntervalSet([Interval.point(1.0), Interval.open(1.0, 2.0)])
     assert s.intervals == [Interval(1.0, 2.0, False, True)]
-
-
-def test_grid_points_respect_openness():
-    # open ends exclude their own grid points, closed ends keep them
-    assert Interval.open(0.0, 3.0).nearest_grid_point(-1.0, 1.0) == 1.0
-    assert Interval.open(0.0, 3.0).nearest_grid_point(4.0, 1.0) == 2.0
-    assert Interval(0.0, 3.0, False, False).nearest_grid_point(-1.0, 1.0) == 0.0
-    assert Interval(0.0, 3.0, False, False).nearest_grid_point(4.0, 1.0) == 3.0
-    assert not Interval.open(0.0, 1.0).has_grid_point(1.0)
-    assert Interval(0.0, 1.0, True, False).has_grid_point(1.0)
-    assert Interval(0.0, 1.0, False, True).has_grid_point(1.0)
-    assert not Interval.open(5.0, 6.0).has_grid_point(1.0)
-    assert Interval.open(5.0, 6.0).has_grid_point(0.25)
-
-
-def test_halfline_always_has_grid_points():
-    assert Interval(-math.inf, 0.0).has_grid_point(1.0)
-
-
-def test_nearest_grid_point_clamps_into_interval():
-    assert Interval.open(0.0, 3.0).nearest_grid_point(7.4, 1.0) == 2.0
-    assert Interval(0.0, 3.0, False, False).nearest_grid_point(-5.0, 1.0) == 0.0
-    assert Interval.open(0.0, 3.0).nearest_grid_point(1.4, 0.5) == 1.5
-    assert Interval(-math.inf, 2.0).nearest_grid_point(9.0, 1.0) == 1.0
-    assert Interval(2.0, math.inf).nearest_grid_point(-9.0, 1.0) == 3.0
-    assert Interval.open(5.0, 6.0).nearest_grid_point(5.5, 1.0) is None
 
 
 finite_floats = st.integers(-40, 40).map(lambda k: k / 4.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from proxyline import (
     EmptyElectorateError,
+    Interval,
     PolicyKind,
     PolicySpec,
     Scenario,
@@ -731,3 +732,156 @@ class TestInvariants:
         with pytest.raises(ScenarioValidationError):
             wm_winner(example1, [0.0])
 
+
+def _placed(space, iv):
+    """``iv``'s ends and flags, each end that ``space.on_grid`` accepts moved
+    to its multiple's float product."""
+    def place(b):
+        return round(b / space.step) * space.step if space.on_grid(b) else b
+    return place(iv.lo), place(iv.hi), iv.lo_open, iv.hi_open
+
+
+def _in(x, lo, hi, lo_open, hi_open):
+    return lo <= x <= hi and not (x == lo and lo_open) and not (x == hi and hi_open)
+
+
+def _contained_k(step, ends, bounds):
+    """The k near each finite value in ``bounds`` (exact Python ints) whose
+    multiple ``k * step`` lies between the placed ``ends``."""
+    ks = set()
+    for b in bounds:
+        if math.isfinite(b):
+            q = round(b / step)
+            ks.update(k for k in range(q - 8, q + 9) if _in(k * step, *ends))
+    return ks
+
+
+# a bound or target: a multiple k * step, on it or off it by a third of a
+# step, by 5e-10 or by one ulp; |k| stays below 2**52, where ints are exact
+_STEPS = [1.0, 0.5, 0.25, 0.1, 0.3, 0.001, 1e-10]
+_OFFSETS = st.sampled_from(["on", "+third", "-third", "+5e-10", "-5e-10", "+ulp", "-ulp"])
+_K = st.builds(
+    lambda base, sign, i: sign * base + i,
+    st.sampled_from([0, 7, 10**6, 10**12, 2**52 - 40]),
+    st.sampled_from([1, -1]),
+    st.integers(-12, 12),
+)
+
+
+def _near_multiple(step, k, offset):
+    x = k * step
+    return {
+        "on": x, "+third": x + step / 3, "-third": x - step / 3,
+        "+5e-10": x + 5e-10, "-5e-10": x - 5e-10,
+        "+ulp": math.nextafter(x, math.inf), "-ulp": math.nextafter(x, -math.inf),
+    }[offset]
+
+
+class TestGridPoint:
+    """``Space.grid_point``: an end that ``Space.on_grid`` accepts stands at
+    its multiple's float product; then a multiple is in a set iff the set
+    contains its product."""
+
+    def test_grid_points_respect_openness(self):
+        # open ends exclude their own grid points, closed ends keep them
+        unit = Space.discrete(1.0)
+        assert unit.grid_point(Interval.open(0.0, 3.0), -1.0) == 1.0
+        assert unit.grid_point(Interval.open(0.0, 3.0), 4.0) == 2.0
+        assert unit.grid_point(Interval(0.0, 3.0, False, False), -1.0) == 0.0
+        assert unit.grid_point(Interval(0.0, 3.0, False, False), 4.0) == 3.0
+        assert unit.grid_point(Interval.open(0.0, 1.0), 0.0) is None
+        assert unit.grid_point(Interval(0.0, 1.0, True, False), 0.0) is not None
+        assert unit.grid_point(Interval(0.0, 1.0, False, True), 0.0) is not None
+        assert unit.grid_point(Interval.open(5.0, 6.0), 0.0) is None
+        assert Space.discrete(0.25).grid_point(Interval.open(5.0, 6.0), 0.0) is not None
+
+    def test_halfline_always_has_grid_points(self):
+        assert Space.discrete(1.0).grid_point(Interval(-math.inf, 0.0), 0.0) is not None
+
+    def test_nearest_grid_point_clamps_into_interval(self):
+        unit = Space.discrete(1.0)
+        assert unit.grid_point(Interval.open(0.0, 3.0), 7.4) == 2.0
+        assert unit.grid_point(Interval(0.0, 3.0, False, False), -5.0) == 0.0
+        assert Space.discrete(0.5).grid_point(Interval.open(0.0, 3.0), 1.4) == 1.5
+        assert unit.grid_point(Interval(-math.inf, 2.0), 9.0) == 1.0
+        assert unit.grid_point(Interval(2.0, math.inf), -9.0) == 3.0
+        assert unit.grid_point(Interval.open(5.0, 6.0), 5.5) is None
+
+    def test_open_end_far_from_zero_keeps_its_inner_multiple(self):
+        # the open end 0.001 above 1e10 excludes 1e10 only; 1e10 + 1 lies inside
+        iv = Interval(1e10 + 0.001, 1e10 + 1.5, True, True)
+        assert Space.discrete(1.0).grid_point(iv, 1e10) == 1e10 + 1
+
+    def test_an_end_on_the_grid_is_its_multiple(self):
+        # 3 + 5e-10 is the report 3 on the unit grid, as on_grid accepts it;
+        # 3 + 1e-6 is no report, and the point holds no multiple
+        unit = Space.discrete(1.0)
+        assert unit.grid_point(Interval.point(3 + 5e-10), 3.0) == 3.0
+        assert unit.grid_point(Interval.point(3 + 1e-6), 3.0) is None
+        # on step 0.1 the literal 0.3 is the multiple 3 * 0.1 = 0.30000000000000004
+        tenth = Space.discrete(0.1)
+        assert tenth.grid_point(Interval.open(0.3, 0.7), 0.34) == 0.4
+        assert tenth.grid_point(Interval.open(0.3, 0.35), 0.0) is None
+        assert tenth.grid_point(Interval(-math.inf, 0.3, True, False), 0.3) == 3 * 0.1
+        assert tenth.grid_point(Interval(0.10000000000000003, 0.2, False, True), 0.0) == 0.1
+
+    @pytest.mark.parametrize(
+        "step, lo, target",
+        [(3.0, 9419094073063828.0, 9419094073061394.0), (1e-10, 375096.48368459154, 375096.4)],
+    )
+    def test_rounded_quotient_past_the_first_multiple(self, step, lo, target):
+        # round(lo / step) is one k above the first multiple in [lo, inf), which
+        # is lo itself, so the query walks back toward the target
+        space = Space.discrete(step)
+        assert space.grid_point(Interval(lo, math.inf, False, True), target) == lo
+        assert space.grid_point(Interval(-math.inf, -lo, True, False), -target) == -lo
+
+    @given(
+        st.sampled_from(_STEPS), _K, _OFFSETS, _K, _OFFSETS, _K, _OFFSETS,
+        st.sampled_from(["finite", "no lo", "no hi"]), st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=500)
+    def test_agrees_with_enumeration(
+        self, step, ka, oa, kb, ob, kt, ot, ends, lo_open, hi_open
+    ):
+        lo, hi = sorted((_near_multiple(step, ka, oa), _near_multiple(step, kb, ob)))
+        lo = -math.inf if ends == "no lo" else lo
+        hi = math.inf if ends == "no hi" else hi
+        if lo == hi:
+            lo_open = hi_open = False
+        iv = Interval(lo, hi, lo_open, hi_open)
+        target = _near_multiple(step, kt, ot)
+        space = Space.discrete(step)
+        got = space.grid_point(iv, target)
+        # the contained k form one run: its ends lie near lo and hi
+        ends = _placed(space, iv)
+        ks = _contained_k(step, ends, (lo, hi, target))
+        if not ks:
+            assert got is None
+            return
+        k_lo = min(ks) if math.isfinite(lo) else -math.inf
+        k_hi = max(ks) if math.isfinite(hi) else math.inf
+        assert got is not None and _in(got, *ends)
+        # repr, so that the sign of a zero counts too: k = 0 gives 0.0
+        assert repr(got) == repr(min(max(round(target / step), k_lo), k_hi) * step)
+
+    @given(
+        st.sampled_from([1.0, 0.5, 0.1, 3.0, 1e-10, 5e-324, 1e308]),
+        st.sampled_from(HOSTILE_FLOATS),
+        st.sampled_from(HOSTILE_FLOATS),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(HOSTILE_FLOATS),
+    )
+    @settings(max_examples=500)
+    def test_hostile_magnitudes_stay_inside(self, step, lo, hi, lo_open, hi_open, target):
+        # past 2**53 * step consecutive k share one float; the query still
+        # ends, raises nothing and answers a float between the placed ends
+        # (a NaN target included: NaN is in no interval)
+        try:
+            iv = Interval(lo, hi, lo_open, hi_open)
+        except ValueError:
+            return
+        space = Space.discrete(step)
+        got = space.grid_point(iv, target)
+        assert got is None or _in(got, *_placed(space, iv))
