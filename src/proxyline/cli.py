@@ -10,8 +10,6 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from . import dynamics as dyn
 from . import manipulation as manip
@@ -19,20 +17,27 @@ from . import metrics, model
 from . import partial_info as pinfo
 from .dynamics import PolicyKind, PolicySpec, Scheduler
 from .errors import ProxylineError
-from .fixtures import REPLICATIONS, replicate
 from .generators import random_scenario, random_state
 from .model import Space
 from .oracle import deviation_reports, oracle_best_deviation
-from .scenario_io import (
-    load_scenario_file,
-    run_scenario_file,
-    summarize,
-    summary_json,
-    trace_json,
-)
+
+# The file layer (``scenario_io``) and the replication layer (``fixtures``)
+# are imported inside the commands that use them, so ``check --random``
+# neither compiles nor builds them.
 
 
 def cmd_run(args) -> int:
+    from dataclasses import replace
+    from pathlib import Path
+
+    from .scenario_io import (
+        load_scenario_file,
+        run_scenario_file,
+        summarize,
+        summary_json,
+        trace_json,
+    )
+
     sf = load_scenario_file(args.file)
     if args.max_steps is not None:
         sf = replace(sf, max_steps=args.max_steps)
@@ -148,6 +153,8 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _check_file(path: str) -> list[tuple[str, bool, str]]:
+    from .scenario_io import load_scenario_file, run_scenario_file
+
     sf = load_scenario_file(path)
     scenario = sf.scenario
     state = scenario.truthful_state()
@@ -192,6 +199,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_replicate(args) -> int:
+    from .fixtures import REPLICATIONS, replicate
+
     if args.name not in REPLICATIONS:
         print(
             f"error: unknown fixture {args.name!r}; known: {', '.join(sorted(REPLICATIONS))}",

@@ -82,9 +82,11 @@ class PolicySpec:
             if not _finite_number(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be a finite number", name)
         if not 0 < self.fraction <= 1:
-            raise ConfigurationError("fraction must be in (0, 1]")
-        if not (self.alpha1 > 0 and 0 < self.decay < 1):
-            raise ConfigurationError("alpha1 must be positive and decay in (0, 1)")
+            raise ConfigurationError("fraction must be in (0, 1]", "fraction")
+        if not self.alpha1 > 0:
+            raise ConfigurationError("alpha1 must be positive", "alpha1")
+        if not 0 < self.decay < 1:
+            raise ConfigurationError("decay must be in (0, 1)", "decay")
         for k, p in enumerate(self.positions):
             if not _finite_number(p):
                 raise ConfigurationError(f"scripted position {p!r} is not finite", f"positions[{k}]")

@@ -342,8 +342,10 @@ class TestSchema:
             # 1-based proxy ids out of range (example1 has 2 proxies)
             ("scheduler", "order", [0], "$.scheduler.order[0]"),
             ("scheduler", "order", [1, 3], "$.scheduler.order[1]"),
-            # a parameter out of its range: the constructor's error, at the policy
-            ("policies", "fraction", 5.0, "$.policies[0]"),
+            # a parameter out of its range: the constructor's error, at the field
+            ("policies", "fraction", 5.0, "$.policies[0].fraction"),
+            ("oscillating_alpha", "alpha1", 0.0, "$.policies[0].alpha1"),
+            ("oscillating_alpha", "decay", 1.0, "$.policies[0].decay"),
             ("run", "max_steps", 0, "$.run.max_steps"),
             ("run", "max_steps", -3, "$.run.max_steps"),
             # integers beyond float range
@@ -359,6 +361,8 @@ class TestSchema:
             doc[key] = value
         elif section == "policies":
             doc["policies"][0][key] = value
+        elif section == "oscillating_alpha":  # a policy that reads alpha1 and decay
+            doc["policies"][0] = {"kind": section, key: value}
         elif section == "scheduler":
             doc["scheduler"] = {"kind": "scripted", key: value}
         else:
@@ -552,18 +556,40 @@ class TestParser:
         capsys.readouterr()
         assert probe_output() == first
 
+    @staticmethod
+    def fresh_python(*args):
+        """The stdout of ``python *args`` in a new process that imports this
+        package from where the tests do; a non-zero exit fails the test."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, check=True).stdout
+
     def test_parser_is_built_on_first_use(self):
         # not at import, which would add to every process's start-up; nor
         # does a serial run import the process pool (and with it logging)
-        code = (
+        out = self.fresh_python("-c", (
             "import sys; import proxyline.cli as cli; n = cli._parser.cache_info().currsize;"
             " cli.main(['replicate', 'example1']);"
             " print(n, cli._parser.cache_info().currsize, 'concurrent.futures' in sys.modules)"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
+        ))
         assert out.splitlines()[-1] == "0 1 False"
+
+    def test_random_check_loads_no_file_or_replication_layer(self):
+        # this module imports both at its top, so only a new process shows it
+        out = self.fresh_python("-c", (
+            "import sys; import proxyline.cli as cli; cli.main(['check', '--random', '1']);"
+            " print(sorted({'proxyline.fixtures', 'proxyline.scenario_io'} & sys.modules.keys()))"
+        ))
+        assert out.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", fixture_path("example1")], ["check", fixture_path("example1")],
+         ["replicate", "example1"]],
+        ids=["run", "check", "replicate"],
+    )
+    def test_command_imports_its_layers_in_a_new_process(self, tmp_path, argv):
+        self.fresh_python("-m", "proxyline.cli", "--output-dir", str(tmp_path), *argv)
 
 
 class TestReplicate:

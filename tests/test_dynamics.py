@@ -427,11 +427,11 @@ class TestRunDynamics:
         "kind, params, message, field",
         [
             (PolicyKind.MONOTONE_BETTER_RESPONSE, {"alpha1": 7.0, "fraction": 5.0}, "alpha1", None),
-            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 5.0}, "fraction", None),
-            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 0.0}, "fraction", None),
-            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": 0.0}, "alpha1", None),
-            (PolicyKind.OSCILLATING_ALPHA, {"decay": 1.0}, "decay", None),
-            # what a scenario file refuses as no finite number, refused at its field
+            # out of range, or no finite number: refused at its field
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 5.0}, "fraction", "fraction"),
+            (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": 0.0}, "fraction", "fraction"),
+            (PolicyKind.OSCILLATING_ALPHA, {"alpha1": 0.0}, "alpha1", "alpha1"),
+            (PolicyKind.OSCILLATING_ALPHA, {"decay": 1.0}, "decay", "decay"),
             (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": "0.5"}, "fraction", "fraction"),
             (PolicyKind.MONOTONE_BETTER_RESPONSE, {"fraction": True}, "fraction", "fraction"),
             (PolicyKind.OSCILLATING_ALPHA, {"alpha1": float("inf")}, "alpha1", "alpha1"),
