@@ -5,15 +5,14 @@ it only if it is a strict better response (full information) or a genuine
 position change (partial information, where dominating moves may leave
 the outcome unchanged). A full round of passes ends the run.
 
-Built-in policies only ever propose reports that win strictly (never by
-an index tie) and, for non-winners, sit strictly closer to the current
-median than the reigning winner. Boundary reports that win only through
-tie-breaking stay available to the analysis in
-:mod:`proxyline.manipulation` but are not played, which keeps the
-distance-contraction laws of monotone play intact. The truth-oriented
-rule, the discrete best response and a winner's monotone step choose
-among the improving pieces of
-:func:`proxyline.manipulation.improving_pieces`.
+A policy's own proposal only ever wins strictly (never by an index tie):
+a non-winner's report must be exactly nearer the current median than the
+winner (:func:`~proxyline.model.nearer`), and one rounded onto the
+winner's distance is a pass. So monotone play keeps Lemmas 3-4 exact, and
+:func:`check_delta_lemmas` decides them with no tolerance. The
+truth-oriented rule's peak report may still win by an index tie. It, the
+discrete best response and a winner's monotone step choose among the
+improving pieces of :func:`proxyline.manipulation.improving_pieces`.
 """
 
 from __future__ import annotations
@@ -270,7 +269,7 @@ def _propose_monotone(
     if space.is_discrete:  # largest grid point <= target
         target = space.grid_point(Interval(-INF, target, True, False), target)
     x = med + own * target
-    return x if x != cur else None
+    return x if x != cur and nearer(med, x, wm) else None
 
 
 def _propose_discrete_best(
@@ -305,7 +304,7 @@ def _propose_oscillating(
         return None
     sign = 1.0 if med > peak else -1.0
     x = med - sign * (dlt - alpha)
-    return x if x != declared[mover] else None
+    return x if x != declared[mover] and nearer(med, x, wm) else None
 
 
 def _propose_scripted(
@@ -407,7 +406,8 @@ def step(
     if belief is not None:
         _check_state(scenario, declared)
         polled = belief.observed
-        if polled.declared != tuple(declared) or not 0 <= polled.winner_id < len(declared):
+        if polled.declared != tuple(declared) or type(polled.winner_id) is not int \
+                or not 0 <= polled.winner_id < len(declared):
             raise ScenarioValidationError("belief", "its poll is not of the declared state")
     records = records if records is not None else []
     proposal = propose(scenario, declared, mover, spec, records, belief)
@@ -522,9 +522,8 @@ def run_dynamics(
                 stop = StopReason.CONVERGED
                 break
         if len(records) > 2:
-            before = records[-3]
-            if abs(rec.wm_after - before.wm_after) > OSCILLATION_TOL or \
-                    abs(rec.delta_after - before.delta_after) > OSCILLATION_TOL:
+            before, tol = records[-3], outcome_tol(rec.wm_after)
+            if abs(rec.wm_after - before.wm_after) > tol or abs(rec.delta_after - before.delta_after) > tol:
                 repeats = 0
             else:
                 repeats += 1
@@ -605,16 +604,17 @@ def check_bound_invariant(trace: DynamicsTrace) -> bool:
 
 def check_delta_lemmas(trace: DynamicsTrace) -> bool:
     """Lemma 3: every move by a non-winner strictly shrinks Δ. Lemma 4:
-    every meta-move leaves Δ below its entry value. Both are stated for
-    monotone traces; they are exact on a grid and hold up to 1e-12 of
-    rounding in continuous space."""
-    tol = 0.0 if trace.scenario.space.is_discrete else 1e-12
-    prev = trace.initial_delta
-    for rec in trace.records:
-        if rec.mover != rec.winner_before and not rec.delta_after < prev + tol:
-            return False
-        prev = rec.delta_after
-    return all(seg.exit_delta < seg.entry_delta + tol for seg in detect_meta_moves(trace))
+    every meta-move leaves Δ below its entry value. Both are decided
+    exactly (:func:`~proxyline.model.nearer`) for a monotone trace
+    (:func:`trace_is_monotone`), the precondition: its median stays put."""
+    records = trace.records
+    return all(
+        nearer(r.median_after, r.wm_after, r.wm_before) for r in records if r.mover != r.winner_before
+    ) and all(
+        nearer(records[s.start].median_after, records[s.start + s.length].wm_after,
+               records[s.start].wm_before)
+        for s in detect_meta_moves(trace)
+    )
 
 
 def trace_is_monotone(trace: DynamicsTrace) -> bool:

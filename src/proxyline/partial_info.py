@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistentObservationError
 from .intervals import INF, Interval, IntervalSet
-from .model import Scenario, _check_proxy, nearest, reflect, wm_winner
+from .model import Scenario, _check_proxy, nearer, nearest, reflect, wm_winner
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,10 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     For a peak left of the winner: nonempty only when the winner sits
     strictly between its peak and the median interval and the right
     neighbor is farther from the interval's right bound than the winner
-    is; the safe stretch is bounded by the reflection of that neighbor
-    across the bound. A right peak is the mirror image (:func:`_mirror`).
+    is (:func:`~proxyline.model.nearer`); the safe stretch is bounded by
+    the correctly rounded reflections (:func:`~proxyline.model.reflect`)
+    of that neighbor across the bound and of the winner across the peak.
+    A right peak is the mirror image (:func:`_mirror`).
     """
     w = belief.winner_position
     iv = belief.interval
@@ -182,12 +184,10 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     if not peak < w < iv.lo:
         return IntervalSet.empty()
     right = _neighbors(belief.observed)[1]
-    if right is None or not math.isfinite(iv.hi):
+    if right is None or not math.isfinite(iv.hi) or not nearer(iv.hi, w, right):
         return IntervalSet.empty()
-    r, s_r = iv.hi, right
-    if not abs(r - s_r) > abs(r - w):
-        return IntervalSet.empty()
-    return _open_below(max(r - abs(r - s_r), 2.0 * peak - w), w)
+    bounds = [r for r in (reflect(iv.hi, right), reflect(peak, w)) if r is not None]
+    return _open_below(max(bounds, default=-INF), w)
 
 
 def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:

@@ -37,9 +37,12 @@ from proxyline import (
     wm_winner,
 )
 from proxyline import dynamics, manipulation, partial_info
-from proxyline.dynamics import replay_consistent, trace_is_monotone
+from proxyline.dynamics import check_delta_lemmas, replay_consistent, trace_is_monotone
 from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
+from proxyline.model import nearer
 from proxyline.scenario_io import run_scenario_file
+
+from test_manipulation import POSITION_KINDS
 
 MONO = PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.5, truth_oriented=True)
 DISCRETE_BEST = PolicySpec(PolicyKind.DISCRETE_BEST_RESPONSE)
@@ -152,8 +155,9 @@ class TestStep:
             lambda sc, declared: observe(sc, sc.truthful_state()),  # an earlier state
             lambda sc, declared: ObservedState(tuple(declared[:1]), 0),  # too short
             lambda sc, declared: ObservedState(tuple(declared), len(declared)),  # no such winner
+            lambda sc, declared: ObservedState(tuple(declared), True),  # would name proxy 1
         ],
-        ids=["earlier_state", "shorter_state", "winner_out_of_range"],
+        ids=["earlier_state", "shorter_state", "winner_out_of_range", "winner_is_a_bool"],
     )
     def test_belief_polled_at_another_state_refused(self, poll):
         # the record's winner_before comes from the poll, so it must be of this state
@@ -163,6 +167,13 @@ class TestStep:
         with pytest.raises(ScenarioValidationError) as err:
             step(sc, declared, 1, PolicySpec(PolicyKind.MINIMAX_REGRET), belief=belief)
         assert err.value.path == "belief"
+
+    def test_oscillating_report_rounded_onto_the_winners_distance_passes(self):
+        # 1 - 1e-17 rounds to 1.0: the report -1.0 would win only by the
+        # index tie with the winner at 1.0 and leave Δ at 1.0
+        sc = Scenario((-3.0, 1.0), (0.0,))
+        spec = PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=1e-17)
+        assert step(sc, [-3.0, 1.0], 0, spec) is None
 
     def test_partial_info_step_evaluates_no_winner(self, monkeypatch):
         # after the opening poll, the winner before a move comes from the poll
@@ -346,6 +357,28 @@ class TestRunDynamics:
         assert first != init_belief(observe(sf.scenario, declared)).interval
         assert tail.initial_belief is belief and replay_consistent(tail)
         assert run_scenario_file(sf).initial_belief is None
+
+    def test_initial_poll_naming_its_winner_by_a_bool_refused(self):
+        # True would read as proxy 1, the loser of this poll
+        sc = load_fixture("example1").scenario
+        declared = sc.truthful_state()
+        poll = ObservedState(tuple(declared), True)
+        belief = replace(init_belief(observe(sc, declared)), observed=poll)
+        with pytest.raises(ScenarioValidationError) as err:
+            run_dynamics(
+                sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2,
+                max_steps=5, mode="partial_info", initial_belief=belief,
+            )
+        assert err.value.path == "belief"
+
+    def test_monotone_target_rounded_onto_the_winners_distance_passes(self):
+        # proxy 0 aims at 1e16 - 1.5, which rounds to 9999999999999998.0,
+        # as far from the median 1e16 as the winner at 1e16 + 2: that report
+        # would win only by the index tie, so both proxies pass
+        sc = Scenario((-1e17, 1e16 + 2), (1e16,) * 3)
+        pols = [PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, fraction=0.25)] * 2
+        trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=50)
+        assert trace.stop_reason == StopReason.PNE and not trace.records
 
     def test_partial_info_run_polls_once(self, monkeypatch):
         # after the opening poll, each move's poll comes from its record
@@ -619,6 +652,52 @@ class TestBoundInvariant:
         sc = load_fixture("fig3_one_side").scenario
         trace = run_dynamics(sc, Scheduler.round_robin(), [MONO] * 4, max_steps=5)
         assert not trace.records and check_bound_invariant(trace)
+
+
+class TestDeltaLemmas:
+    def test_tie_win_that_keeps_delta_fails_lemma_3(self):
+        assert check_delta_lemmas(fig5_trace())  # its meta-move ends below its entry
+        # proxy 0 wins at 1.0 only by the index tie with the winner at -1.0:
+        # Δ stays 1.0, so the move breaks Lemma 3 and the meta-move Lemma 4
+        sc = Scenario((1.5, -1.0), (0.0,))
+        pols = [PolicySpec(PolicyKind.SCRIPTED, positions=(1.0,)), PolicySpec(PolicyKind.SCRIPTED)]
+        trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=5)
+        assert [(r.to_pos, r.wm_before, r.delta_after) for r in trace.records] == [(1.0, -1.0, 1.0)]
+        assert trace_is_monotone(trace) and not check_delta_lemmas(trace)
+
+
+# continuous positions for the non-winner proposal property: the hostile
+# families, and magnitudes past 2**53 where a target rounds by whole units
+NONWINNER_POSITIONS = {
+    **POSITION_KINDS,
+    "past_2**53": st.one_of(
+        st.integers(-24, 24).map(lambda k: 1e16 + k),
+        st.sampled_from((-1e17, 1e17, -2.0**60, 2.0**60)),
+    ),
+}
+NONWINNER_SPECS = st.one_of(
+    st.sampled_from((0.25, 0.5, 0.75, 1.0)).map(_mono),
+    st.floats(1e-20, 1.0).map(lambda a: PolicySpec(PolicyKind.OSCILLATING_ALPHA, alpha1=a)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(NONWINNER_POSITIONS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_nonwinner_moves_are_strictly_nearer_the_median(kind, data):
+    # Lemma 3 at the step: a monotone or oscillating non-winner's move lands
+    # exactly nearer the median than the winner, so it wins strictly and
+    # shrinks Δ, also where its target rounds onto the winner's distance
+    pos = NONWINNER_POSITIONS[kind]
+    m, n = data.draw(st.integers(2, 4)), data.draw(st.integers(0, 5))
+    sc = Scenario(tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n)))
+    state = [data.draw(pos) for _ in range(m)]
+    med = unweighted_median(sc, state)
+    winner, _ = wm_winner(sc, state)
+    for j in range(m):
+        rec = step(sc, state, j, data.draw(NONWINNER_SPECS))
+        if j != winner and rec is not None:
+            assert nearer(med, rec.to_pos, rec.wm_before), (j, rec)
 
 
 def big_steps(trace, alpha):

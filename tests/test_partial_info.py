@@ -329,6 +329,24 @@ class TestDominatingSets:
         winner = BeliefState(obs, Interval(1.5, 2.0, True, False))
         assert dominating_set_winner(winner, 5.0) == IntervalSet([Interval.open(3.0, 4.0)])
 
+    @pytest.mark.parametrize(
+        "observed, interval, peak, expected",
+        [
+            # mirrored, the far end is reflect(0.2, 1.1), rounded once;
+            # 0.2 - |0.2 - 1.1| rounds twice, to one ulp past it
+            (ObservedState((0.6, -1.1, -1.1), 0), Interval(-0.2, 0.1, True, True), 1.5,
+             Interval.open(0.6, 0.7000000000000001)),
+            # the winner's and the right neighbor's rounded distances from
+            # 8.5e307 tie, but the winner is exactly nearer it
+            (ObservedState((1.7e308, 1.7e308, 1.5e-323, -1.7e308), 2),
+             Interval(0.05, 8.5e307, True, False), -0.0, Interval.open(0.0, 1.5e-323)),
+        ],
+        ids=["reflection_rounded_once", "rounded_distances_tie"],
+    )
+    def test_winner_set_takes_exact_bounds_and_guard(self, observed, interval, peak, expected):
+        belief = BeliefState(observed, interval)
+        assert dominating_set_winner(belief, peak) == IntervalSet([expected])
+
 
 class TestMaxRegret:
     def _belief(self, ell=2.0, w=3.0, hi=10.0):
