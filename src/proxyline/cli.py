@@ -42,8 +42,8 @@ def cmd_run(args) -> int:
     if args.max_steps is not None:
         sf = replace(sf, max_steps=args.max_steps)
     trace = run_scenario_file(sf)
-    summary = summarize(trace)
-    trace_text, summary_text = trace_json(trace), summary_json(summary)
+    summary = summarize(trace, sf.step)
+    trace_text, summary_text = trace_json(trace, sf.step), summary_json(summary)
     out_dir = Path(args.output_dir)
     trace_path = out_dir / sf.trace_path
     summary_path = out_dir / sf.summary_path

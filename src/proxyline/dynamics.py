@@ -10,9 +10,9 @@ a non-winner's report must be exactly nearer the current median than the
 winner (:func:`~proxyline.model.nearer`), and one rounded onto the
 winner's distance is a pass. So monotone play keeps Lemmas 3-4 exact, and
 :func:`check_delta_lemmas` decides them with no tolerance. The
-truth-oriented rule's peak report may still win by an index tie. It, the
-discrete best response and a winner's monotone step choose among the
-improving pieces of :func:`proxyline.manipulation.improving_pieces`.
+truth-oriented rule, the discrete best response and a winner's monotone
+step choose among the improving pieces of
+:func:`proxyline.manipulation.improving_pieces`, never an index-tie win.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, ScenarioValidationError
-from .intervals import INF, Interval
+from .intervals import Interval
 from .manipulation import improving_pieces, is_better_response
 from .metrics import delta, true_median
 from .model import (
@@ -103,10 +103,9 @@ class PolicySpec:
             raise ConfigurationError(f"{self.kind.value} requires {other} mode", "kind")
         if policy.space is not None and (policy.space == "discrete") != scenario.space.is_discrete:
             raise ConfigurationError(f"{self.kind.value} requires {policy.space} space", "kind")
-        if scenario.space.is_discrete:
-            for k, p in enumerate(self.positions):
-                if not scenario.space.on_grid(p):
-                    raise ConfigurationError(f"scripted position {p} off grid", f"positions[{k}]")
+        for k, p in enumerate(self.positions):
+            if not scenario.space.on_grid(p):
+                raise ConfigurationError(f"scripted position {p} off grid", f"positions[{k}]")
 
 
 @dataclass(frozen=True)
@@ -266,8 +265,7 @@ def _propose_monotone(
     if dlt == 0:
         return None
     target = (1.0 - spec.fraction) * dlt
-    if space.is_discrete:  # largest grid point <= target
-        target = space.grid_point(Interval(-INF, target, True, False), target)
+    target = float(math.floor(target)) if space.is_discrete else target  # on the grid: <= target
     x = med + own * target
     return x if x != cur and nearer(med, x, wm) else None
 
@@ -316,14 +314,14 @@ def _propose_scripted(
 
 
 def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> float | None:
-    """The truth-oriented rule: report the peak when it is an improving
-    report. No other report then gets an outcome nearer the peak."""
+    """The truth-oriented rule: report the peak when it is an improving report
+    that wins by no index tie. No other report then gets an outcome nearer it."""
     peak = scenario.proxy_peaks[mover]
     if declared[mover] == peak:
         return None
     _, wm = wm_winner(scenario, declared)
     improving = improving_pieces(scenario, declared, mover, wm)
-    return peak if any(piece.reports.contains(peak) for piece in improving) else None
+    return peak if any(p.reports.contains(peak) and not p.tie_win for p in improving) else None
 
 
 @dataclass(frozen=True)
@@ -411,9 +409,7 @@ def step(
             raise ScenarioValidationError("belief", "its poll is not of the declared state")
     records = records if records is not None else []
     proposal = propose(scenario, declared, mover, spec, records, belief)
-    if proposal is None or proposal == declared[mover]:
-        return None
-    if scenario.space.is_discrete and not scenario.space.on_grid(proposal):
+    if proposal is None or proposal == declared[mover] or not scenario.space.on_grid(proposal):
         return None
     if belief is None and not is_better_response(scenario, declared, mover, proposal):
         return None

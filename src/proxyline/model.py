@@ -4,10 +4,12 @@
 :data:`SCAN_MAX_FOLLOWERS` followers, and above it the proxy nearest the
 median (Lemma 1); :func:`delegate` is the definition it is checked against.
 
-Proxy ids are 0-based throughout the API; the CLI adds 1 when reporting.
-All functions here are pure and deterministic: delegation ties go to the
-lower proxy index and weighted-median ties to the smallest (position,
-index) pair, never to randomness or history.
+A report space is the line or the integers (:class:`Space`); a scenario
+file's grid step is a scale that :mod:`proxyline.scenario_io` owns. Proxy
+ids are 0-based throughout the API; the CLI adds 1 when reporting. All
+functions here are pure and deterministic: delegation ties go to the lower
+proxy index and weighted-median ties to the smallest (position, index)
+pair, never to randomness or history.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import truediv
 
 from .errors import EmptyElectorateError, ScenarioValidationError
 from .intervals import Interval
@@ -30,13 +30,16 @@ SCAN_MAX_FOLLOWERS = 32
 @dataclass(frozen=True)
 class Space:
     """The report space: the real line when ``step`` is None, else the
-    multiples of ``step``."""
+    integers (``step`` 1.0). A grid of another step is the integers scaled,
+    and the scale is the file layer's (:mod:`proxyline.scenario_io`): every
+    rule of the game is unchanged by scaling the line."""
 
     step: float | None = None
 
     def __post_init__(self):
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ScenarioValidationError("scenario.space.step", "step must be finite and positive")
+        if self.step is not None and (self.step != 1.0 or not _finite_number(self.step)):
+            why = f"step {self.step!r} is not 1: scale the grid to integers, as a file's step does"
+            raise ScenarioValidationError("scenario.space.step", why)
 
     @staticmethod
     def continuous() -> "Space":
@@ -51,44 +54,23 @@ class Space:
         return self.step is not None
 
     def on_grid(self, x: float) -> bool:
-        if self.step is None:
-            return True
-        q = x / self.step
-        # a quotient that overflows (or a NaN or infinite x) is on no grid
-        return math.isfinite(q) and abs(q - round(q)) <= 1e-9
+        return self.step is None or float(x).is_integer()  # NaN and ±inf are none
 
     def grid_point(self, iv: Interval, target: float) -> float | None:
-        """The multiple ``k * step`` in ``iv`` nearest ``target``, or None. An end that
-        :meth:`on_grid` accepts is moved to its multiple's float product (the literal 0.3
-        is ``3 * 0.1`` on step 0.1); then k is in ``iv`` iff ``iv`` contains ``k * step``,
-        and k is ``round(target / step)`` clamped to those k, found by walking over
-        integer-valued floats from the rounded quotients of the ends."""
-        step, big = self.step, sys.float_info.max
-        lo = _k(iv.lo / step) * step if self.on_grid(iv.lo) else iv.lo
-        hi = _k(iv.hi / step) * step if self.on_grid(iv.hi) else iv.hi
-        ends = lo, hi, iv.lo_open, iv.hi_open
-        k_t = _k(min(max(target, -big), big) / step)  # an infinite target aims at ±max
-        k = min(max(k_t, _k(lo / step)), _k(hi / step))
-        while k * step <= lo and not _holds(k * step, *ends):
-            k = _k(k, 1.0)
-        while k * step >= hi and not _holds(k * step, *ends):
-            k = _k(k, -1.0)
-        d = 1.0 if k < k_t else -1.0  # in iv now, if iv holds a multiple: go toward k_t
-        while k != k_t and _holds(_k(k, d) * step, *ends):
-            k = _k(k, d)
-        return k * step if _holds(k * step, *ends) else None
-
-
-def _holds(x: float, lo: float, hi: float, lo_open: bool, hi_open: bool) -> bool:
-    # Interval.contains on bare ends, which may meet or cross
-    return (lo < x or (x == lo and not lo_open)) and (x < hi or (x == hi and not hi_open))
-
-
-def _k(q: float, d: float = 0.0) -> float:
-    """round(q) + d as a float, d 0.0 or ±1.0; from 2**53 on floats step by ulps."""
-    if abs(q) < 2.0**53:
-        return round(q) + d
-    return math.nextafter(q, d * math.inf) if d else q
+        """The integer in ``iv`` nearest ``target``, or None: ``round(target)``
+        clamped between the least and greatest integers in ``iv``. An infinite
+        end bounds at the largest float; an open end that is an integer moves one
+        integer inward, which past 2**53, where every float is one, is one float."""
+        lo = float(math.ceil(max(iv.lo, -sys.float_info.max)))
+        if lo == iv.lo and iv.lo_open:
+            lo = lo + 1.0 if abs(lo) < 2.0**53 else math.nextafter(lo, math.inf)
+        hi = float(math.floor(min(iv.hi, sys.float_info.max)))
+        if hi == iv.hi and iv.hi_open:
+            hi = hi - 1.0 if abs(hi) < 2.0**53 else math.nextafter(hi, -math.inf)
+        if lo > hi:
+            return None
+        # min(hi, NaN) is hi; rounding is monotone, so the result stays in [lo, hi]
+        return float(round(max(lo, min(hi, target))))
 
 
 def _finite_number(x) -> bool:
@@ -128,28 +110,13 @@ class Scenario:
         object.__setattr__(self, "follower_positions", followers)
         if not peaks:
             raise ScenarioValidationError("scenario.proxies", "at least one proxy required")
-        step = self.space.step
+        on_grid = math.isfinite if self.space.step is None else float.is_integer
         for name, values in (("proxies", peaks), ("followers", followers)):
-            # one C-level pass per tuple accepts finite positions, or on a grid
-            # exact multiples of the step (NaN and ±inf are no multiple; x / 1.0
-            # is x bit for bit, so the unit grid skips the division); anything
-            # else goes through the loop, which applies the grid tolerance and
-            # reports the first offending position
-            if step is None:
-                accepted = all(map(math.isfinite, values))
-            elif step == 1.0:
-                accepted = all(map(float.is_integer, values))
-            else:
-                accepted = all(map(float.is_integer, map(truediv, values, repeat(step))))
-            if accepted:
-                continue
-            for i, p in enumerate(values):
-                if not math.isfinite(p):
-                    raise ScenarioValidationError(f"scenario.{name}[{i}]", f"{p} is not finite")
-                if step is not None and not self.space.on_grid(p):
-                    raise ScenarioValidationError(
-                        f"scenario.{name}[{i}]", f"{p} is not a multiple of step {step}"
-                    )
+            # one C-level pass per tuple; only a refused tuple is searched
+            if not all(map(on_grid, values)):
+                i, p = next((i, p) for i, p in enumerate(values) if not on_grid(p))
+                why = "an integer" if math.isfinite(p) else "finite"
+                raise ScenarioValidationError(f"scenario.{name}[{i}]", f"{p} is not {why}")
 
     @property
     def num_proxies(self) -> int:
@@ -400,8 +367,8 @@ def unweighted_median(scenario: Scenario, declared: list[float]) -> float:
     one point at rank lo−1 weighted by their number, those above as one at
     rank hi: at most 2m+3 weighted items. With more than
     :data:`SCAN_MAX_FOLLOWERS` followers the median's (index, value) is
-    kept in the scenario's record of the state, so a repeated state is not
-    ranked again.
+    kept in the scenario's record of the state, so a state met twice is
+    ranked once.
     """
     record = None
     if len(scenario.follower_positions) > SCAN_MAX_FOLLOWERS:

@@ -3,12 +3,18 @@
 Files use 1-based proxy ids; the library is 0-based. Unknown fields are
 rejected so typos fail loudly, and so are fields that the chosen kind
 ignores; every error carries a dotted path.
+
+A discrete space's ``step`` is a scale that only this layer reads: the
+library plays every grid game on the integers. Positions come in as their
+indices x / step (:func:`_index`), and every number written goes out times
+the step (:func:`_reported`). Step 1 and the line are the identity.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +44,7 @@ class ScenarioFile:
     trace_path: str = "trace.jsonl"
     summary_path: str = "summary.json"
     alt_followers: tuple[float, ...] | None = None
+    step: float = 1.0  # the scale from the scenario's reports to the file's
 
 
 def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -76,10 +83,24 @@ def _number(obj, path: str) -> float:
     return float(obj)
 
 
-def _number_list(obj, path: str) -> list[float]:
+def _number_list(obj, path: str, step: float | None = None) -> list[float]:
     if not isinstance(obj, list):
         raise ScenarioValidationError(path, "expected a list of numbers")
-    return [_number(x, f"{path}[{i}]") for i, x in enumerate(obj)]
+    return [_index(_number(x, f"{path}[{i}]"), step, f"{path}[{i}]") for i, x in enumerate(obj)]
+
+
+def _index(x: float, step: float | None, path: str) -> float:
+    """The index x / step of a position on a grid of ``step``, exact in the
+    shortest decimals of both (the literal 0.3 on step 0.1 is 3); refused at
+    ``path`` unless an integer within float range. The line and step 1 keep x."""
+    if step is None or step == 1.0 and x.is_integer():
+        return x
+    from fractions import Fraction  # imported here: only a scaled grid needs it
+
+    q = Fraction(repr(x)) / Fraction(repr(step))
+    if q.denominator != 1 or abs(q) > sys.float_info.max:
+        raise ScenarioValidationError(path, f"{x} / {step} is not an integer within float range")
+    return float(q)
 
 
 def _reject_unused(obj: dict, unused: set[str], path: str, kind: str) -> None:
@@ -97,27 +118,31 @@ def _parse_space_step(obj, path: str) -> float | None:
         _reject_unused(obj, {"step"}, path, kind)
         return None
     if kind == "discrete":
-        return _number(obj.get("step", 1.0), f"{path}.step")
+        step = _number(obj.get("step", 1.0), f"{path}.step")
+        if not step > 0:
+            raise ScenarioValidationError(f"{path}.step", "step must be finite and positive")
+        return step
     raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
-# the reader of each optional policy field
+# the reader of each optional policy field but ``positions``, which are read on the grid
 _POLICY_PARAMS = {
     "fraction": _number,
     "alpha1": _number,
     "decay": _number,
-    "positions": lambda obj, path: tuple(_number_list(obj, path)),
     "truth_oriented": _bool,
 }
 
 
-def _parse_policy(obj, path: str, scenario: Scenario, mode: str) -> PolicySpec:
-    _require_keys(_object(obj, path), {"kind"} | _POLICY_PARAMS.keys(), path)
+def _parse_policy(obj, path: str, scenario: Scenario, mode: str, step: float | None) -> PolicySpec:
+    _require_keys(_object(obj, path), {"kind", "positions"} | _POLICY_PARAMS.keys(), path)
     try:
         kind = PolicyKind(obj.get("kind"))
     except ValueError:
         raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
-    params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k != "kind"}
+    params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k in _POLICY_PARAMS}
+    if "positions" in obj:  # scripted reports are positions: on a grid, indices too
+        params["positions"] = tuple(_number_list(obj["positions"], f"{path}.positions", step))
     reads = {"kind", "truth_oriented", *_POLICIES[kind].params}
     _reject_unused(obj, obj.keys() - reads, path, kind.value)
     try:
@@ -161,16 +186,16 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         raise ScenarioValidationError("$.schema_version", f"expected {SCHEMA_VERSION}")
     sc_obj = _object(doc.get("scenario"), "$.scenario")
     _require_keys(sc_obj, {"proxies", "followers", "space", "alt_followers"}, "$.scenario")
-    proxies = _number_list(sc_obj.get("proxies", []), "$.scenario.proxies")
-    followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers")
     step = _parse_space_step(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
+    proxies = _number_list(sc_obj.get("proxies", []), "$.scenario.proxies", step)
+    followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers", step)
     try:
-        scenario = Scenario(tuple(proxies), tuple(followers), Space(step))
+        scenario = Scenario(tuple(proxies), tuple(followers), Space(None if step is None else 1.0))
     except ScenarioValidationError as exc:  # model paths start below the document root
         raise ScenarioValidationError(f"$.{exc.path}", exc.message) from None
     alt = None
     if "alt_followers" in sc_obj:
-        alt = tuple(_number_list(sc_obj["alt_followers"], "$.scenario.alt_followers"))
+        alt = tuple(_number_list(sc_obj["alt_followers"], "$.scenario.alt_followers", step))
 
     mode = doc.get("mode", "full_info")
     if mode not in ("full_info", "partial_info"):
@@ -179,7 +204,7 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
     if not isinstance(pol_obj, list) or len(pol_obj) != len(proxies):
         raise ScenarioValidationError("$.policies", "expected one policy per proxy")
     policies = [
-        _parse_policy(p, f"$.policies[{i}]", scenario, mode) for i, p in enumerate(pol_obj)
+        _parse_policy(p, f"$.policies[{i}]", scenario, mode, step) for i, p in enumerate(pol_obj)
     ]
 
     scheduler = _parse_scheduler(
@@ -204,6 +229,7 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         trace_path=_str(out_obj.get("trace", "trace.jsonl"), "$.output.trace"),
         summary_path=_str(out_obj.get("summary", "summary.json"), "$.output.summary"),
         alt_followers=alt,
+        step=step or 1.0,
     )
 
 
@@ -243,8 +269,8 @@ def run_scenario_file(sf: ScenarioFile) -> DynamicsTrace:
     )
 
 
-def record_to_dict(rec: MoveRecord) -> dict:
-    """1-based ids for reports."""
+def record_to_dict(rec: MoveRecord, step: float = 1.0) -> dict:
+    """1-based ids and positions scaled by ``step`` for reports."""
     row = {
         "t": rec.t,
         "mover": rec.mover + 1,
@@ -257,17 +283,17 @@ def record_to_dict(rec: MoveRecord) -> dict:
         "median_after": rec.median_after,
         "delta_after": rec.delta_after,
     }
-    return {key: _finite_or_null(value) for key, value in row.items()}
+    return {key: _reported(value, step) for key, value in row.items()}
 
 
-def trace_json(trace: DynamicsTrace) -> str:
+def trace_json(trace: DynamicsTrace, step: float = 1.0) -> str:
     lines = [
-        json.dumps(record_to_dict(r), sort_keys=True, allow_nan=False) for r in trace.records
+        json.dumps(record_to_dict(r, step), sort_keys=True, allow_nan=False) for r in trace.records
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def summarize(trace: DynamicsTrace) -> dict:
+def summarize(trace: DynamicsTrace, step: float = 1.0) -> dict:
     scenario = trace.scenario
     recs = trace.records
     initial, final = trace.initial_outcome(), trace.final_outcome()
@@ -289,14 +315,22 @@ def summarize(trace: DynamicsTrace) -> dict:
         summary["median_intervals"] = [
             [iv.lo, iv.hi, iv.lo_open, iv.hi_open] for iv in trace.interval_history
         ]
-    return {key: _finite_or_null(value) for key, value in summary.items()}
+    return {key: _reported(value, step) for key, value in summary.items()}
 
 
-def _finite_or_null(x):
-    """RFC 8259 has no NaN or infinities: a non-finite float is written as null."""
+def _reported(x, step: float):
+    """A value as written: a float times ``step``, exact and then rounded once,
+    and null where not finite (RFC 8259 has no NaN or infinities)."""
     if isinstance(x, list):
-        return [_finite_or_null(v) for v in x]
-    return None if isinstance(x, float) and not math.isfinite(x) else x
+        return [_reported(v, step) for v in x]
+    if type(x) is not float:  # ids, counts and flags
+        return x
+    if step == 1.0 or not math.isfinite(x):
+        return x if math.isfinite(x) else None
+    from fractions import Fraction  # imported here: only a scaled grid needs it
+
+    product = Fraction(x) * Fraction(repr(step))
+    return float(product) if abs(product) <= sys.float_info.max else None
 
 
 def summary_json(summary: dict) -> str:

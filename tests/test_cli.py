@@ -6,10 +6,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -412,6 +414,71 @@ class TestSchema:
             load_scenario_file(path)
 
 
+def _times(v, step):
+    """``v`` with each float x in it replaced by x·step, exact and then rounded once."""
+    if isinstance(v, (list, tuple)):
+        return type(v)(_times(x, step) for x in v)
+    if isinstance(v, dict):
+        return {key: _times(x, step) for key, x in v.items()}
+    return float(Fraction(v) * Fraction(repr(step))) if type(v) is float else v
+
+
+def _on_step(doc, step):
+    """``doc`` on a grid of ``step``: each position k written as the literal of k·step."""
+    doc = copy.deepcopy(doc)
+    doc["scenario"]["space"] = {"kind": "discrete", "step": step}
+    for obj in [doc["scenario"], *doc["policies"]]:
+        for key in ("proxies", "followers", "positions"):
+            if key in obj:
+                obj[key] = _times(obj[key], step)
+    return doc
+
+
+def _written(doc):
+    """The trace rows and the summary that ``run`` writes for ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "in.json").write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()):
+            assert main(["--output-dir", tmp, "run", str(Path(tmp) / "in.json")]) == 0
+        out = doc.get("output", {})
+        rows = (Path(tmp) / out.get("trace", "trace.jsonl")).read_text().splitlines()
+        return [json.loads(row) for row in rows], json.loads(
+            (Path(tmp) / out.get("summary", "summary.json")).read_text())
+
+
+class TestScaledGrid:
+    """A file on a grid of step s plays the game of its indices x / s: it writes
+    what its step-1 twin writes, each float times s, exact and then rounded
+    once (so 7 on step 0.1 reads 0.7, not 7 * 0.1 = 0.7000000000000001)."""
+
+    @pytest.mark.parametrize("step", [0.1, 0.3, 0.25, 0.001])
+    def test_file_writes_its_index_twin_scaled(self, step):
+        rng = random.Random(2026)
+        twins = [json.loads((fixtures_dir() / "appendix_a.json").read_text())]
+        for _ in range(12):  # random games on indices in [-20, 20]
+            m, n = rng.randint(2, 4), rng.randint(0, 6)
+            ints = [float(rng.randint(-20, 20)) for _ in range(m + n)]
+            policy = {"kind": rng.choice(["discrete_best_response", "monotone_better_response"])}
+            twins.append({"schema_version": 1, "run": {"max_steps": 500}, "policies": [policy] * m,
+                          "scenario": {"proxies": ints[:m], "followers": ints[m:]}})
+        for doc in twins:
+            assert _written(_on_step(doc, step)) == _times(_written(_on_step(doc, 1)), step)
+
+    def test_alt_followers_and_values_past_float_range(self):
+        # positions ±1e308 on step 2 are the indices ±5e307, whose social cost
+        # 1e308 is 2e308 on the file's grid: null, as on step 1, where it is inf
+        scenario = {"proxies": [-1e308, -1e308, 1e308], "followers": [], "alt_followers": [4.0]}
+        doc = {"schema_version": 1, "policies": [{"kind": "scripted"}] * 3, "scenario": scenario}
+        one, two = _on_step(doc, 1), _on_step(doc, 1)
+        two["scenario"]["space"]["step"] = 2
+        assert _written(two)[1]["sc_initial"] is None and _written(two) == _written(one)
+        assert parse_scenario_file(two).alt_followers == (2.0,)
+        two["scenario"]["alt_followers"] = [4.0, 3.0]
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario_file(two)
+        assert exc.value.path == "$.scenario.alt_followers[1]"
+
+
 def _slots(doc, path=()):
     """The path of every value below the root of a JSON document."""
     if isinstance(doc, dict):
@@ -575,10 +642,13 @@ class TestParser:
         assert out.splitlines()[-1] == "0 1 False"
 
     def test_random_check_loads_no_file_or_replication_layer(self):
-        # this module imports both at its top, so only a new process shows it
+        # this module imports both at its top, so only a new process shows it;
+        # nor does it import fractions or decimal, which only a scaled grid
+        # or an overflowing sum needs
         out = self.fresh_python("-c", (
             "import sys; import proxyline.cli as cli; cli.main(['check', '--random', '1']);"
-            " print(sorted({'proxyline.fixtures', 'proxyline.scenario_io'} & sys.modules.keys()))"
+            " print(sorted({'proxyline.fixtures', 'proxyline.scenario_io', 'fractions',"
+            " 'decimal'} & sys.modules.keys()))"
         ))
         assert out.splitlines()[-1] == "[]"
 

@@ -259,9 +259,9 @@ class TestIsPne:
         assert is_pne(sc, [3.0])
 
     def test_fine_grid_needs_no_point_list(self):
-        # the better-response sets span more than a million grid points of step 0.001
-        sc = Scenario((-1000.0, 1500.0), (0.0,), Space.discrete(0.001))
-        assert not is_pne(sc, [-1000.0, 1500.0])
+        # the better-response sets span more than a million grid points
+        sc = Scenario((-1e6, 1.5e6), (0.0,), Space.discrete(1.0))
+        assert not is_pne(sc, [-1e6, 1.5e6])
 
     def test_single_proxy_off_peak_can_improve(self):
         # the lone proxy always wins at its report, so moving to the peak helps

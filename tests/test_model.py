@@ -7,10 +7,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxyline import (
+    ConfigurationError,
     EmptyElectorateError,
     Interval,
     PolicyKind,
@@ -31,6 +32,7 @@ from proxyline import (
 from proxyline import model
 from proxyline.fixtures import load_fixture
 from proxyline.manipulation import _median_window
+from proxyline.scenario_io import parse_scenario_file
 
 
 @pytest.fixture
@@ -635,6 +637,8 @@ HOSTILE_FLOATS = (
     0.0, -0.0, 5e-324, 0.5, 1 - 2**-53, 2.0**53, 2.0**53 + 2, 1e308, -1e308,
     math.nan, math.inf, -math.inf,
 )
+# within 1e-9 of an integer, and so on no grid
+NEAR_INTEGERS = (3 + 5e-10, 2 + 1e-10, -(1 - 1e-12))
 
 
 class TestInvariants:
@@ -662,25 +666,15 @@ class TestInvariants:
             Scenario(())
 
     def test_discrete_grid_validation(self):
-        with pytest.raises(ScenarioValidationError):
-            Scenario((0.5,), (), Space.discrete(1.0))
-        Scenario((0.5,), (), Space.discrete(0.25))  # fine
-        # inexact quotients (0.7 / 0.1 != 7.0) still pass within tolerance
-        Scenario((0.1 * 3,), (0.7, -0.7), Space.discrete(0.1))
-        with pytest.raises(ScenarioValidationError) as exc:
-            Scenario((0.0,), (1.0, 2.5, 3.5), Space.discrete(1.0))
-        assert exc.value.path == "scenario.followers[1]"
-        # 1e308 / 1e-10 overflows to inf, which is on no grid
-        with pytest.raises(ScenarioValidationError) as exc:
-            Scenario((1e308, 2e-10), (0.0,), Space.discrete(1e-10))
-        assert exc.value.path == "scenario.proxies[0]"
-        for step in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ScenarioValidationError):
+        Scenario((1e308, -(2.0**53) - 2), (0.0,), Space.discrete(1.0))  # past 2**53, all are
+        # the library plays on the integers: another step is a scale, which
+        # the file layer owns
+        for step in (0.5, 0.1, 0.0, -1.0, math.nan, math.inf, True):
+            with pytest.raises(ScenarioValidationError, match="space.step") as exc:
                 Space(step)
+            assert exc.value.path == "scenario.space.step"
 
-    @pytest.mark.parametrize(
-        "space", [Space.continuous(), Space.discrete(1.0), Space.discrete(0.5)]
-    )
+    @pytest.mark.parametrize("space", [Space.continuous(), Space.discrete(1.0)])
     @pytest.mark.parametrize(
         "proxies, followers, path",
         [
@@ -709,179 +703,151 @@ class TestInvariants:
         assert exc.value.path == path
 
     @given(
-        st.sampled_from([1.0, 0.5, 0.1]),
-        st.lists(st.sampled_from(HOSTILE_FLOATS), min_size=1, max_size=4),
-        st.lists(st.sampled_from(HOSTILE_FLOATS), max_size=4),
+        st.sampled_from([1.0]),
+        st.lists(st.sampled_from(HOSTILE_FLOATS + NEAR_INTEGERS), min_size=1, max_size=4),
+        st.lists(st.sampled_from(HOSTILE_FLOATS + NEAR_INTEGERS), max_size=4),
     )
+    @example(step=1.0, proxies=[3 + 5e-10, 1.0], followers=[2.0])
+    @example(step=1.0, proxies=[2 + 1e-10], followers=[])
     @settings(max_examples=300)
     def test_grid_check_is_finite_and_on_grid(self, step, proxies, followers):
-        # the check's C-level passes (no division at step 1.0) accept exactly
-        # what the per-position rule accepts, and refuse at its first offender
+        # the C-level passes accept what the per-position rule accepts, with no
+        # tolerance, and refuse at its first offender; so do a file and a script
+        # at their own paths, where a script's non-finite numbers go first
         space = Space.discrete(step)
         named = [(f"scenario.proxies[{i}]", p) for i, p in enumerate(proxies)]
         named += [(f"scenario.followers[{i}]", p) for i, p in enumerate(followers)]
-        offenders = [path for path, p in named if not (math.isfinite(p) and space.on_grid(p))]
-        if not offenders:
-            Scenario(tuple(proxies), tuple(followers), space)
-            return
-        with pytest.raises(ScenarioValidationError) as exc:
-            Scenario(tuple(proxies), tuple(followers), space)
-        assert exc.value.path == offenders[0]
+
+        def first(named, nonfinite_first=False):
+            off = [path for path, p in named if not (math.isfinite(p) and space.on_grid(p))]
+            nonfinite = [path for path, p in named if not math.isfinite(p)] * nonfinite_first
+            return (nonfinite or off or [None])[0]
+
+        def script():
+            spec = PolicySpec(PolicyKind.SCRIPTED, positions=tuple(proxies))
+            spec.validate(Scenario((0.0,), (), space), "full_info")
+
+        doc = {"schema_version": 1, "policies": [{"kind": "scripted"}] * len(proxies),
+               "scenario": {"proxies": proxies, "followers": followers,
+                            "space": {"kind": "discrete", "step": step}}}
+        path = first(named)
+        assert _refused_at(lambda: Scenario(tuple(proxies), tuple(followers), space)) == path
+        assert _refused_at(lambda: parse_scenario_file(doc)) == (path and "$." + path)
+        positions = [(f"positions[{i}]", p) for i, p in enumerate(proxies)]
+        assert _refused_at(script) == first(positions, nonfinite_first=True)
 
     def test_state_length_checked(self, example1):
         with pytest.raises(ScenarioValidationError):
             wm_winner(example1, [0.0])
 
 
-def _placed(space, iv):
-    """``iv``'s ends and flags, each end that ``space.on_grid`` accepts moved
-    to its multiple's float product."""
-    def place(b):
-        return round(b / space.step) * space.step if space.on_grid(b) else b
-    return place(iv.lo), place(iv.hi), iv.lo_open, iv.hi_open
+def _refused_at(build):
+    """The path or field at which ``build()`` is refused, or None."""
+    try:
+        build()
+    except ScenarioValidationError as exc:
+        return exc.path
+    except ConfigurationError as exc:
+        return exc.field
+    return None
 
 
-def _in(x, lo, hi, lo_open, hi_open):
-    return lo <= x <= hi and not (x == lo and lo_open) and not (x == hi and hi_open)
+def _contained_k(iv, bounds):
+    """The integers (exact Python ints) in ``iv`` near each finite value in ``bounds``."""
+    return {
+        k for b in bounds if math.isfinite(b) for k in range(round(b) - 8, round(b) + 9)
+        if iv.contains(k)
+    }
 
 
-def _contained_k(step, ends, bounds):
-    """The k near each finite value in ``bounds`` (exact Python ints) whose
-    multiple ``k * step`` lies between the placed ``ends``."""
-    ks = set()
-    for b in bounds:
-        if math.isfinite(b):
-            q = round(b / step)
-            ks.update(k for k in range(q - 8, q + 9) if _in(k * step, *ends))
-    return ks
-
-
-# a bound or target: a multiple k * step, on it or off it by a third of a
-# step, by 5e-10 or by one ulp; |k| stays below 2**52, where ints are exact
-_STEPS = [1.0, 0.5, 0.25, 0.1, 0.3, 0.001, 1e-10]
-_OFFSETS = st.sampled_from(["on", "+third", "-third", "+5e-10", "-5e-10", "+ulp", "-ulp"])
-_K = st.builds(
-    lambda base, sign, i: sign * base + i,
+# a bound or target: an integer k, on it or off it by a third, by 5e-10 or
+# by one ulp; |k| stays below 2**52, where each is a float of its own
+_NEAR_INTEGER = st.builds(
+    lambda base, sign, i, offset: offset(float(sign * base + i)),
     st.sampled_from([0, 7, 10**6, 10**12, 2**52 - 40]),
     st.sampled_from([1, -1]),
     st.integers(-12, 12),
+    st.sampled_from([
+        lambda x: x, lambda x: x + 1 / 3, lambda x: x - 1 / 3, lambda x: x + 5e-10,
+        lambda x: x - 5e-10, lambda x: math.nextafter(x, math.inf),
+        lambda x: math.nextafter(x, -math.inf),
+    ]),
 )
 
 
-def _near_multiple(step, k, offset):
-    x = k * step
-    return {
-        "on": x, "+third": x + step / 3, "-third": x - step / 3,
-        "+5e-10": x + 5e-10, "-5e-10": x - 5e-10,
-        "+ulp": math.nextafter(x, math.inf), "-ulp": math.nextafter(x, -math.inf),
-    }[offset]
-
-
 class TestGridPoint:
-    """``Space.grid_point``: an end that ``Space.on_grid`` accepts stands at
-    its multiple's float product; then a multiple is in a set iff the set
-    contains its product."""
-
-    def test_grid_points_respect_openness(self):
-        # open ends exclude their own grid points, closed ends keep them
-        unit = Space.discrete(1.0)
-        assert unit.grid_point(Interval.open(0.0, 3.0), -1.0) == 1.0
-        assert unit.grid_point(Interval.open(0.0, 3.0), 4.0) == 2.0
-        assert unit.grid_point(Interval(0.0, 3.0, False, False), -1.0) == 0.0
-        assert unit.grid_point(Interval(0.0, 3.0, False, False), 4.0) == 3.0
-        assert unit.grid_point(Interval.open(0.0, 1.0), 0.0) is None
-        assert unit.grid_point(Interval(0.0, 1.0, True, False), 0.0) is not None
-        assert unit.grid_point(Interval(0.0, 1.0, False, True), 0.0) is not None
-        assert unit.grid_point(Interval.open(5.0, 6.0), 0.0) is None
-        assert Space.discrete(0.25).grid_point(Interval.open(5.0, 6.0), 0.0) is not None
-
-    def test_halfline_always_has_grid_points(self):
-        assert Space.discrete(1.0).grid_point(Interval(-math.inf, 0.0), 0.0) is not None
-
-    def test_nearest_grid_point_clamps_into_interval(self):
-        unit = Space.discrete(1.0)
-        assert unit.grid_point(Interval.open(0.0, 3.0), 7.4) == 2.0
-        assert unit.grid_point(Interval(0.0, 3.0, False, False), -5.0) == 0.0
-        assert Space.discrete(0.5).grid_point(Interval.open(0.0, 3.0), 1.4) == 1.5
-        assert unit.grid_point(Interval(-math.inf, 2.0), 9.0) == 1.0
-        assert unit.grid_point(Interval(2.0, math.inf), -9.0) == 3.0
-        assert unit.grid_point(Interval.open(5.0, 6.0), 5.5) is None
-
-    def test_open_end_far_from_zero_keeps_its_inner_multiple(self):
-        # the open end 0.001 above 1e10 excludes 1e10 only; 1e10 + 1 lies inside
-        iv = Interval(1e10 + 0.001, 1e10 + 1.5, True, True)
-        assert Space.discrete(1.0).grid_point(iv, 1e10) == 1e10 + 1
-
-    def test_an_end_on_the_grid_is_its_multiple(self):
-        # 3 + 5e-10 is the report 3 on the unit grid, as on_grid accepts it;
-        # 3 + 1e-6 is no report, and the point holds no multiple
-        unit = Space.discrete(1.0)
-        assert unit.grid_point(Interval.point(3 + 5e-10), 3.0) == 3.0
-        assert unit.grid_point(Interval.point(3 + 1e-6), 3.0) is None
-        # on step 0.1 the literal 0.3 is the multiple 3 * 0.1 = 0.30000000000000004
-        tenth = Space.discrete(0.1)
-        assert tenth.grid_point(Interval.open(0.3, 0.7), 0.34) == 0.4
-        assert tenth.grid_point(Interval.open(0.3, 0.35), 0.0) is None
-        assert tenth.grid_point(Interval(-math.inf, 0.3, True, False), 0.3) == 3 * 0.1
-        assert tenth.grid_point(Interval(0.10000000000000003, 0.2, False, True), 0.0) == 0.1
+    """``Space.grid_point``: the integer in a set nearest a target."""
 
     @pytest.mark.parametrize(
-        "step, lo, target",
-        [(3.0, 9419094073063828.0, 9419094073061394.0), (1e-10, 375096.48368459154, 375096.4)],
+        "iv, target, want",
+        [
+            # open ends exclude their own grid points, closed ends keep them
+            (Interval.open(0.0, 3.0), -1.0, 1.0),
+            (Interval.open(0.0, 3.0), 4.0, 2.0),
+            (Interval(0.0, 3.0, False, False), -1.0, 0.0),
+            (Interval(0.0, 3.0, False, False), 4.0, 3.0),
+            (Interval.open(0.0, 1.0), 0.0, None),
+            (Interval(0.0, 1.0, True, False), 0.0, 1.0),
+            (Interval(0.0, 1.0, False, True), 0.0, 0.0),
+            (Interval.open(5.0, 6.0), 0.0, None),
+            # the nearest grid point is clamped into the interval
+            (Interval.open(0.0, 3.0), 7.4, 2.0),
+            (Interval(0.0, 3.0, False, False), -5.0, 0.0),
+            (Interval(-math.inf, 0.0), 0.0, -1.0),
+            (Interval(-math.inf, 2.0), 9.0, 1.0),
+            (Interval(2.0, math.inf), -9.0, 3.0),
+            (Interval.open(5.0, 6.0), 5.5, None),
+            # the open end 0.001 above 1e10 excludes 1e10 only
+            (Interval(1e10 + 0.001, 1e10 + 1.5, True, True), 1e10, 1e10 + 1),
+            # no tolerance: a point 5e-10 above 3 holds no integer
+            (Interval.point(3 + 5e-10), 3.0, None),
+            (Interval.point(3 + 1e-6), 3.0, None),
+            (Interval(3 - 5e-10, 3 + 5e-10, True, True), 0.0, 3.0),
+            # past 2**53 every float is an integer, and the next one is 2 away
+            (Interval(2.0**53, math.inf, True, True), 0.0, 2.0**53 + 2),
+            (Interval(-math.inf, -(2.0**53), True, True), 0.0, -(2.0**53) - 2),
+            (Interval(2.0**53, 2.0**53 + 2, True, True), 0.0, None),
+        ],
     )
-    def test_rounded_quotient_past_the_first_multiple(self, step, lo, target):
-        # round(lo / step) is one k above the first multiple in [lo, inf), which
-        # is lo itself, so the query walks back toward the target
-        space = Space.discrete(step)
-        assert space.grid_point(Interval(lo, math.inf, False, True), target) == lo
-        assert space.grid_point(Interval(-math.inf, -lo, True, False), -target) == -lo
+    def test_nearest_integer_in_the_interval(self, iv, target, want):
+        assert Space.discrete(1.0).grid_point(iv, target) == want
 
     @given(
-        st.sampled_from(_STEPS), _K, _OFFSETS, _K, _OFFSETS, _K, _OFFSETS,
+        _NEAR_INTEGER, _NEAR_INTEGER, _NEAR_INTEGER,
         st.sampled_from(["finite", "no lo", "no hi"]), st.booleans(), st.booleans(),
     )
     @settings(max_examples=500)
-    def test_agrees_with_enumeration(
-        self, step, ka, oa, kb, ob, kt, ot, ends, lo_open, hi_open
-    ):
-        lo, hi = sorted((_near_multiple(step, ka, oa), _near_multiple(step, kb, ob)))
+    def test_agrees_with_enumeration(self, a, b, target, ends, lo_open, hi_open):
+        lo, hi = sorted((a, b))
         lo = -math.inf if ends == "no lo" else lo
         hi = math.inf if ends == "no hi" else hi
         if lo == hi:
             lo_open = hi_open = False
         iv = Interval(lo, hi, lo_open, hi_open)
-        target = _near_multiple(step, kt, ot)
-        space = Space.discrete(step)
-        got = space.grid_point(iv, target)
+        got = Space.discrete(1.0).grid_point(iv, target)
         # the contained k form one run: its ends lie near lo and hi
-        ends = _placed(space, iv)
-        ks = _contained_k(step, ends, (lo, hi, target))
+        ks = _contained_k(iv, (lo, hi, target))
         if not ks:
             assert got is None
             return
         k_lo = min(ks) if math.isfinite(lo) else -math.inf
         k_hi = max(ks) if math.isfinite(hi) else math.inf
-        assert got is not None and _in(got, *ends)
+        assert got is not None and iv.contains(got)
         # repr, so that the sign of a zero counts too: k = 0 gives 0.0
-        assert repr(got) == repr(min(max(round(target / step), k_lo), k_hi) * step)
+        assert repr(got) == repr(float(min(max(round(target), k_lo), k_hi)))
 
-    @given(
-        st.sampled_from([1.0, 0.5, 0.1, 3.0, 1e-10, 5e-324, 1e308]),
-        st.sampled_from(HOSTILE_FLOATS),
-        st.sampled_from(HOSTILE_FLOATS),
-        st.booleans(),
-        st.booleans(),
-        st.sampled_from(HOSTILE_FLOATS),
-    )
+    @given(*[st.sampled_from(HOSTILE_FLOATS)] * 2, st.booleans(), st.booleans(),
+           st.sampled_from(HOSTILE_FLOATS))
     @settings(max_examples=500)
-    def test_hostile_magnitudes_stay_inside(self, step, lo, hi, lo_open, hi_open, target):
-        # past 2**53 * step consecutive k share one float; the query still
-        # ends, raises nothing and answers a float between the placed ends
-        # (a NaN target included: NaN is in no interval)
+    def test_hostile_magnitudes_stay_inside(self, lo, hi, lo_open, hi_open, target):
+        # the query raises nothing and answers an integer in the interval (a
+        # NaN or infinite target included), or None only where it holds none
         try:
             iv = Interval(lo, hi, lo_open, hi_open)
         except ValueError:
             return
-        space = Space.discrete(step)
-        got = space.grid_point(iv, target)
-        assert got is None or _in(got, *_placed(space, iv))
+        got = Space.discrete(1.0).grid_point(iv, target)
+        if got is None:
+            assert not any(iv.contains(float(k)) for k in _contained_k(iv, (lo, hi)))
+        else:
+            assert got.is_integer() and iv.contains(got)
