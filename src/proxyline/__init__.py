@@ -6,20 +6,22 @@ winner-only partial-information layer, all backed by brute-force oracles.
 Proxy ids are 0-based in this API and 1-based in CLI reports.
 """
 
+from .claims import (
+    MetaSegment,
+    check_bound_invariant,
+    check_delta_lemmas,
+    detect_meta_moves,
+    trace_is_monotone,
+)
 from .dynamics import (
     DynamicsTrace,
-    MetaSegment,
     MoveRecord,
     PolicyKind,
     PolicySpec,
     Scheduler,
     StopReason,
-    check_bound_invariant,
-    check_delta_lemmas,
-    detect_meta_moves,
     run_dynamics,
     step,
-    trace_is_monotone,
 )
 from .errors import (
     ConfigurationError,

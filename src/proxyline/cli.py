@@ -11,15 +11,11 @@ import functools
 import random
 import sys
 
-from . import dynamics as dyn
-from . import manipulation as manip
-from . import metrics, model
-from . import partial_info as pinfo
-from .dynamics import PolicyKind, PolicySpec, Scheduler
+from . import claims
+from .dynamics import PolicyKind, PolicySpec, Scheduler, run_dynamics
 from .errors import ProxylineError
 from .generators import random_scenario, random_state
-from .model import Space
-from .oracle import deviation_reports, oracle_best_deviation
+from .model import Scenario, Space
 
 # The file layer (``scenario_io``) and the replication layer (``fixtures``)
 # are imported inside the commands that use them, so ``check --random``
@@ -71,42 +67,25 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# invariant checks
+# invariant checks: one row per claim function
 
 
-def _scenario_rows(
-    scenario: model.Scenario, states: list[list[float]]
-) -> list[tuple[str, bool, str]]:
-    """Lemma 1 on each state, Theorems 1 and 2 on the truthful state.
+def _row(claim, *args) -> tuple[str, bool, str]:
+    """A check row: the name of the claim function, and its verdict."""
+    return (claim.__name__, *claim(*args))
 
-    Lemma 1 compares the proxy nearest the median with the weighted median
-    of the delegation weights, not with ``wm_winner``, which above its scan
-    size is the nearest proxy itself. Theorem 2 compares the analytic
-    verdict with the oracle tried at every proxy's deviation reports.
-    """
-    lemma1 = all(
-        model.nearest_proxy_to_median(scenario, s)
-        == model.weighted_median(s, model.delegation_weights(scenario, s))[0]
-        for s in states
-    )
-    witness = manip.follower_manipulation_scan(scenario)
-    verdict = manip.characterize_truthful_manipulability(scenario)
-    truthful = scenario.truthful_state()
-    found = any(
-        oracle_best_deviation(scenario, truthful, j, deviation_reports(scenario, truthful, j))
-        is not None
-        for j in range(scenario.num_proxies)
-    )
+
+def _scenario_rows(scenario: Scenario, states: list[list[float]]) -> list[tuple[str, bool, str]]:
+    """Lemma 1 on each state, Theorems 1 and 2 on the truthful state."""
     return [
-        ("lemma1_equivalence", lemma1, ""),
-        ("theorem1_no_follower_manipulation", witness is None, str(witness)),
-        ("theorem2_oracle_agreement", verdict.manipulable == found,
-         f"analytic {verdict.manipulable}, oracle {found}"),
+        _row(claims.lemma1_equivalence, scenario, states),
+        _row(claims.theorem1_no_follower_manipulation, scenario),
+        _row(claims.theorem2_oracle_agreement, scenario),
     ]
 
 
 def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
-    """Full invariant sweep on one seeded random scenario."""
+    """Every claim on the games one seed draws."""
     rng = random.Random(seed)
     scenario = random_scenario(rng)
     results = _scenario_rows(scenario, [random_state(rng, scenario) for _ in range(6)])
@@ -117,39 +96,20 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
                    truth_oriented=True)
         for _ in range(disc.num_proxies)
     ]
-    trace = dyn.run_dynamics(disc, Scheduler.round_robin(), policies, max_steps=200)
-    med = metrics.true_median(disc)
-    final = trace.final_outcome()
-    ok = trace.stop_reason == dyn.StopReason.PNE and final == med
-    results.append(("discrete_monotone_converges_to_median", ok,
-                    f"stop {trace.stop_reason.value}, outcome {final}, med {med}"))
-
-    lemmas_ok = dyn.check_bound_invariant(trace)
-    if dyn.trace_is_monotone(trace):
-        lemmas_ok &= dyn.check_delta_lemmas(trace)
-    results.append(("delta_lemmas_and_bound", lemmas_ok, ""))
+    trace = run_dynamics(disc, Scheduler.round_robin(), policies, max_steps=200)
 
     part = random_scenario(rng, min_proxies=2, both_sides=True, no_peak_at_median=True)
-    ptrace = dyn.run_dynamics(
+    ptrace = run_dynamics(
         part, Scheduler.round_robin(),
         [PolicySpec(PolicyKind.MINIMAX_REGRET)] * part.num_proxies,
         max_steps=60, mode="partial_info",
     )
-    # each poll's interval holds the median of the state it polled
-    pmed = metrics.true_median(part)
-    medians = [pmed] + [rec.median_after for rec in ptrace.records]
-    missed = [
-        k for k, (iv, med) in enumerate(zip(ptrace.interval_history, medians))
-        if not iv.contains(med)
+    return results + [
+        _row(claims.discrete_monotone_converges_to_median, trace),
+        _row(claims.delta_lemmas_and_bound, trace),
+        _row(claims.interval_holds_each_state_median, ptrace),
+        _row(claims.minimax_regret_reaches_median, ptrace),
     ]
-    results.append(("interval_holds_each_state_median", not missed, f"polls {missed} miss"))
-    # the abstract's claim: regret-averse play under partial information
-    # still reaches the median
-    pfinal = ptrace.final_outcome()
-    reached = abs(pfinal - pmed) <= dyn.outcome_tol(pfinal)
-    results.append(("minimax_regret_reaches_median", reached,
-                    f"stop {ptrace.stop_reason.value}, outcome {pfinal}, med {pmed}"))
-    return results
 
 
 def _check_file(path: str) -> list[tuple[str, bool, str]]:
@@ -160,10 +120,8 @@ def _check_file(path: str) -> list[tuple[str, bool, str]]:
     state = scenario.truthful_state()
     results = _scenario_rows(scenario, [state])
     if sf.alt_followers is not None:
-        alt = scenario.with_followers(sf.alt_followers)
-        same = pinfo.observe(scenario, state) == pinfo.observe(alt, state)
-        results.append(("identical_observed_state", same, ""))
-    results.append(("trace_replays", dyn.replay_consistent(run_scenario_file(sf)), ""))
+        results.append(_row(claims.identical_observed_state, scenario, sf.alt_followers, state))
+    results.append(_row(claims.trace_replays, run_scenario_file(sf)))
     return results
 
 

@@ -1,4 +1,4 @@
-"""Iterative play: policies, scheduling, traces, meta-moves, bounds.
+"""Iterative play: policies, scheduling and traces.
 
 One proxy moves per step. A policy proposes a report; the engine accepts
 it only if it is a strict better response (full information) or a genuine
@@ -9,7 +9,7 @@ A policy's own proposal only ever wins strictly (never by an index tie):
 a non-winner's report must be exactly nearer the current median than the
 winner (:func:`~proxyline.model.nearer`), and one rounded onto the
 winner's distance is a pass. So monotone play keeps Lemmas 3-4 exact, and
-:func:`check_delta_lemmas` decides them with no tolerance. The
+:func:`proxyline.claims.check_delta_lemmas` decides them with no tolerance. The
 truth-oriented rule, the discrete best response and a winner's monotone
 step choose among the improving pieces of
 :func:`proxyline.manipulation.improving_pieces`, never an index-tie win.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigurationError, ScenarioValidationError
 from .intervals import Interval
 from .manipulation import improving_pieces, is_better_response
-from .metrics import delta, true_median
+from .metrics import delta
 from .model import (
     Scenario, _check_proxy, _check_state, _finite_number, nearer, nearest, unweighted_median,
     wm_winner,
@@ -154,17 +154,6 @@ class StopReason(enum.Enum):
     CONVERGED = "converged"
     MAX_STEPS = "max_steps"
     OSCILLATION_DETECTED = "oscillation_detected"
-
-
-@dataclass(frozen=True)
-class MetaSegment:
-    """A winning arrival plus its consecutive winning continuations."""
-
-    start: int  # record index of the arrival
-    length: int  # number of continuation records (0 = lone arrival)
-    mover: int
-    entry_delta: float
-    exit_delta: float
 
 
 @dataclass
@@ -538,125 +527,3 @@ def run_dynamics(
         interval_history=interval_history,
         initial_belief=initial_belief,
     )
-
-
-# ---------------------------------------------------------------------------
-# trace analysis
-
-
-def detect_meta_moves(trace: DynamicsTrace) -> list[MetaSegment]:
-    """Maximal runs of consecutive winning moves by one proxy.
-
-    A segment starts where a non-winner's move makes it the winner;
-    its length counts only the continuation moves that follow.
-    """
-    records = trace.records
-    base = delta(trace.scenario, trace.initial_declared)
-    segments = []
-    i = 0
-    while i < len(records):
-        rec = records[i]
-        if rec.mover != rec.winner_before and rec.winner_after == rec.mover:
-            j = i + 1
-            while (
-                j < len(records)
-                and records[j].mover == rec.mover
-                and records[j].winner_after == rec.mover
-            ):
-                j += 1
-            entry = records[i - 1].delta_after if i > 0 else base
-            segments.append(
-                MetaSegment(
-                    start=i,
-                    length=j - i - 1,
-                    mover=rec.mover,
-                    entry_delta=entry,
-                    exit_delta=records[j - 1].delta_after,
-                )
-            )
-            i = j
-        else:
-            i += 1
-    return segments
-
-
-def check_bound_invariant(trace: DynamicsTrace) -> bool:
-    """Medians and outcomes stay within the truthful Δ-ball around the
-    true median, and no mover ever declares across the far bound: x leaves
-    the ball iff the truthful outcome is strictly nearer the true median."""
-    scenario = trace.scenario
-    med0 = true_median(scenario)
-    _, wm0 = wm_winner(scenario, scenario.truthful_state())
-    for rec in trace.records:
-        if nearer(med0, wm0, rec.median_after) or nearer(med0, wm0, rec.wm_after):
-            return False
-        peak = scenario.proxy_peaks[rec.mover]
-        # a report on the peak's own side of the true median may leave the ball
-        across = peak <= med0 <= rec.to_pos or rec.to_pos <= med0 <= peak
-        if across and nearer(med0, wm0, rec.to_pos):
-            return False
-    return True
-
-
-def check_delta_lemmas(trace: DynamicsTrace) -> bool:
-    """Lemma 3: every move by a non-winner strictly shrinks Δ. Lemma 4:
-    every meta-move leaves Δ below its entry value. Both are decided
-    exactly (:func:`~proxyline.model.nearer`) for a monotone trace
-    (:func:`trace_is_monotone`), the precondition: its median stays put."""
-    records = trace.records
-    return all(
-        nearer(r.median_after, r.wm_after, r.wm_before) for r in records if r.mover != r.winner_before
-    ) and all(
-        nearer(records[s.start].median_after, records[s.start + s.length].wm_after,
-               records[s.start].wm_before)
-        for s in detect_meta_moves(trace)
-    )
-
-
-def trace_is_monotone(trace: DynamicsTrace) -> bool:
-    """The unweighted median never moves along the trace, and every move
-    stays on the mover's own side of the true median."""
-    start = unweighted_median(trace.scenario, trace.initial_declared)
-    if any(rec.median_after != start for rec in trace.records):
-        return False
-    med0 = true_median(trace.scenario)
-    for rec in trace.records:
-        peak = trace.scenario.proxy_peaks[rec.mover]
-        if peak < med0 and rec.to_pos > med0:
-            return False
-        if peak > med0 and rec.to_pos < med0:
-            return False
-    return True
-
-
-def replay_consistent(trace: DynamicsTrace) -> bool:
-    """Recompute every derived field of a trace from scratch.
-
-    A partial-information trace's median intervals are rebuilt from fresh
-    polls, starting from the belief the run was given, else from
-    :func:`init_belief` on a poll of the initial state.
-    """
-    declared = list(trace.initial_declared)
-    intervals: list[Interval] = []
-    if trace.interval_history:
-        belief = trace.initial_belief
-        if belief is None:
-            belief = init_belief(observe(trace.scenario, declared))
-        intervals.append(belief.interval)
-    for rec in trace.records:
-        wb, wmb = wm_winner(trace.scenario, declared)
-        if (wb, wmb) != (rec.winner_before, rec.wm_before):
-            return False
-        if declared[rec.mover] != rec.from_pos:
-            return False
-        declared[rec.mover] = rec.to_pos
-        wa, wma = wm_winner(trace.scenario, declared)
-        med = unweighted_median(trace.scenario, declared)
-        if (wa, wma) != (rec.winner_after, rec.wm_after):
-            return False
-        if med != rec.median_after or abs(med - wma) != rec.delta_after:
-            return False
-        if intervals:
-            belief = update_belief(belief, observe(trace.scenario, declared))
-            intervals.append(belief.interval)
-    return declared == trace.final_declared and intervals == trace.interval_history

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
+from . import claims
 from . import dynamics as dyn
 from . import manipulation as manip
 from . import metrics, model, partial_info as pinfo
@@ -87,9 +88,7 @@ def replicate_example1(r: ReplicationReport) -> None:
     r.record("winner_position", wpos)
     r.record("median", model.unweighted_median(sc, truthful))
     r.record("delta", metrics.delta(sc, truthful))
-    r.check(
-        "nearest_proxy_agrees", model.nearest_proxy_to_median(sc, truthful) == wid
-    )
+    r.check("nearest_proxy_agrees", *claims.lemma1_equivalence(sc, [truthful]))
 
 
 def replicate_example2(r: ReplicationReport) -> None:
@@ -142,13 +141,13 @@ def replicate_fig5_metamove(r: ReplicationReport) -> None:
     deltas = [rec.delta_after for rec in trace.records]
     for t, d in enumerate(deltas, start=1):
         r.record(f"delta_after_{t}", d)
-    segments = dyn.detect_meta_moves(trace)
+    segments = claims.detect_meta_moves(trace)
     r.check("one_segment", len(segments) == 1, f"got {len(segments)}")
     seg = segments[0]
     r.check("segment_length_1", seg.length == 1, f"length {seg.length}")
     r.check("exit_above_inside", seg.exit_delta > deltas[0], f"{seg.exit_delta} vs {deltas[0]}")
     r.check("exit_below_entry", seg.exit_delta < seg.entry_delta)
-    r.check("trace_monotone", dyn.trace_is_monotone(trace))
+    r.check("trace_monotone", claims.trace_is_monotone(trace))
 
 
 def replicate_example3(r: ReplicationReport) -> None:
@@ -185,7 +184,7 @@ def replicate_appendix_a(r: ReplicationReport) -> None:
         not brs.is_empty() and brs.contains(5.5),
         f"winner BR {brs}",
     )
-    r.check("bound_invariant", dyn.check_bound_invariant(trace))
+    r.check("bound_invariant", *claims.delta_lemmas_and_bound(trace))
 
 
 OPENING_MOVES = 2  # the published opening: proxy 2 to 29, then proxy 1 to 25
@@ -279,11 +278,9 @@ def replicate_footnote_sc_vs_median(r: ReplicationReport) -> None:
 
 def replicate_fig7_indistinguishable(r: ReplicationReport) -> None:
     sf = load_fixture("fig7_pair")
-    top, bottom = sf.scenario, sf.scenario.with_followers(sf.alt_followers)
-    obs_top = pinfo.observe(top, top.truthful_state())
-    obs_bottom = pinfo.observe(bottom, bottom.truthful_state())
-    r.check("identical_observations", obs_top == obs_bottom, f"{obs_top} vs {obs_bottom}")
-    r.check("winner_is_proxy_2", obs_top.winner_id == 1)
+    top, state = sf.scenario, sf.scenario.truthful_state()
+    r.check("identical_observations", *claims.identical_observed_state(top, sf.alt_followers, state))
+    r.check("winner_is_proxy_2", pinfo.observe(top, state).winner_id == 1)
 
 
 REPLICATIONS = {

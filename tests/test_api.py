@@ -5,12 +5,14 @@ import proxyline
 
 PUBLIC_API = [
     # submodules imported by the package
-    "dynamics", "errors", "intervals", "manipulation", "metrics", "model", "oracle",
+    "claims", "dynamics", "errors", "intervals", "manipulation", "metrics", "model", "oracle",
     "partial_info",
+    # claims
+    "MetaSegment", "check_bound_invariant", "check_delta_lemmas", "detect_meta_moves",
+    "trace_is_monotone",
     # dynamics
-    "DynamicsTrace", "MetaSegment", "MoveRecord", "PolicyKind", "PolicySpec", "Scheduler",
-    "StopReason", "check_bound_invariant", "check_delta_lemmas", "detect_meta_moves",
-    "run_dynamics", "step", "trace_is_monotone",
+    "DynamicsTrace", "MoveRecord", "PolicyKind", "PolicySpec", "Scheduler", "StopReason",
+    "run_dynamics", "step",
     # errors
     "ConfigurationError", "EmptyElectorateError", "InconsistentObservationError",
     "ProxylineError", "ScenarioValidationError",

@@ -1,6 +1,7 @@
 """CLI surface: run/check/replicate, schemas, determinism, exit codes."""
 
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -18,7 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxyline import cli, fixtures
+from proxyline import (
+    PolicyKind, PolicySpec, Scenario, Scheduler, Space, StopReason, claims, cli, fixtures,
+    run_dynamics, true_median,
+)
 from proxyline.cli import main
 from proxyline.errors import ScenarioValidationError
 from proxyline.fixtures import REPLICATIONS, fixtures_dir, replicate
@@ -542,6 +546,41 @@ class TestCheck:
         assert main(["check", fixture_path("fig7_pair")]) == 0
         out = capsys.readouterr().out
         assert "identical_observed_state" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "--random", "2"], ["check", fixture_path("fig7_pair")]],
+        ids=["random", "file"],
+    )
+    def test_every_row_is_one_claim_function(self, argv, capsys, monkeypatch):
+        # a row is named after the claim function that decides it: refuting
+        # that one function fails that one row, with the function's detail
+        assert main(argv) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        names = [row[1] for row in rows]
+        assert len(set(names)) == len(names)
+        assert all(row[2] == "[2/2]" for row in rows if argv[1] == "--random")  # one row a seed
+        for name in names:
+            refuted = functools.wraps(getattr(claims, name))(lambda *args: (False, "refuted"))
+            with monkeypatch.context() as patch:
+                patch.setattr(claims, name, refuted)
+                assert main(argv) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert [(line.split()[1], line.split()[-1]) for line in out if line.startswith("FAIL")] \
+                == [(name, "refuted")]
+
+    def test_false_pne_stop_fails_with_a_detail(self, capsys):
+        # both scripted proxies pass at [0, 2], so the run stops as pne at the
+        # true median 0, which the row before the claim accepted; yet proxy 0
+        # (peak -1) wins at -1, a strict better response
+        sc = Scenario((-1.0, 2.0), (0.0,), Space.discrete(1.0))
+        trace = run_dynamics(sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.SCRIPTED)] * 2,
+                             max_steps=5, initial_declared=[0.0, 2.0])
+        assert trace.stop_reason == StopReason.PNE and trace.final_outcome() == true_median(sc)
+        cli._print_check(*cli._row(claims.discrete_monotone_converges_to_median, trace))
+        assert capsys.readouterr().out == (
+            "FAIL  discrete_monotone_converges_to_median  stop pne, outcome 0.0, med 0.0,"
+            " not an equilibrium: a proxy has a strict better response\n"
+        )
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_no_random_instances_is_an_error(self, count, capsys):

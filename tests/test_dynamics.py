@@ -36,7 +36,7 @@ from proxyline import (
     wm_winner,
 )
 from proxyline import dynamics, manipulation, partial_info
-from proxyline.dynamics import check_delta_lemmas, replay_consistent, trace_is_monotone
+from proxyline.claims import check_delta_lemmas, replay_consistent, trace_is_monotone
 from proxyline.fixtures import appendix_b_opening, fixtures_dir, load_fixture
 from proxyline.model import nearer
 from proxyline.scenario_io import run_scenario_file

@@ -30,6 +30,7 @@ from proxyline import (
     wm_winner,
 )
 from proxyline import manipulation
+from proxyline.claims import theorem2_oracle_agreement
 from proxyline.fixtures import load_fixture
 from proxyline.model import nearest
 
@@ -239,11 +240,8 @@ class TestCharacterization:
                 tuple(float(rng.randint(-10, 10)) for _ in range(m)),
                 tuple(float(rng.randint(-10, 10)) for _ in range(n)),
             )
-            v = characterize_truthful_manipulability(sc)
-            if v.manipulable:
-                assert is_better_response(
-                    sc, sc.truthful_state(), v.witness_proxy, v.witness_position
-                )
+            ok, detail = theorem2_oracle_agreement(sc)
+            assert ok, detail
 
 
 class TestIsPne:

@@ -29,7 +29,7 @@ from proxyline import (
     update_belief,
     update_median_interval,
 )
-from proxyline.dynamics import outcome_tol
+from proxyline.claims import interval_holds_each_state_median, minimax_regret_reaches_median
 from proxyline.fixtures import appendix_b_opening, load_fixture
 from proxyline.generators import random_scenario
 from proxyline.oracle import DominatingVerdict, oracle_dominating_check
@@ -156,7 +156,8 @@ class TestUpdateInterval:
             trace = run_dynamics(
                 sc, Scheduler.round_robin(), policies, max_steps=60, mode="partial_info"
             )
-            assert_polls_sound(trace)
+            ok, detail = interval_holds_each_state_median(trace)
+            assert ok, detail
 
     def test_decimal_polls_stay_sound(self):
         # move 5 polls [-4.9, -4.800000000000001]: the exact midpoint of the
@@ -167,14 +168,8 @@ class TestUpdateInterval:
             sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2,
             max_steps=60, mode="partial_info",
         )
-        assert_polls_sound(trace)
-
-
-def assert_polls_sound(trace):
-    """Each poll's median interval holds the median of the state it polled."""
-    medians = [true_median(trace.scenario)] + [rec.median_after for rec in trace.records]
-    for k, (iv, med) in enumerate(zip(trace.interval_history, medians, strict=True)):
-        assert iv.contains(med), f"poll {k}: {iv} leaves out the median {med}"
+        ok, detail = interval_holds_each_state_median(trace)
+        assert ok, detail
 
 
 def play_on(trace, moves):
@@ -231,13 +226,14 @@ class TestConvergedStop:
         converged = [t for t in runs if t.stop_reason == StopReason.CONVERGED]
         assert len(converged) > self.RUNS // 2
         for trace in converged:
-            med, outcome = true_median(trace.scenario), trace.final_outcome()
-            assert trace.interval_history[-1].contains(med)
-            assert abs(outcome - med) <= outcome_tol(outcome)
+            assert trace.interval_history[-1].contains(true_median(trace.scenario))
+            ok, detail = minimax_regret_reaches_median(trace)
+            assert ok, detail
 
     def test_play_past_the_stop_keeps_every_poll_sound(self, runs):
         for trace in runs:
-            assert_polls_sound(trace)
+            ok, detail = interval_holds_each_state_median(trace)
+            assert ok, detail
             # every run still has moves to play past its stop
             assert play_on(trace, self.MOVES) > len(trace.records)
 
