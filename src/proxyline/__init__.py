@@ -57,6 +57,7 @@ from .oracle import (
     deviation_reports,
     oracle_best_deviation,
     oracle_dominating_check,
+    oracle_max_regret,
 )
 from .partial_info import (
     BeliefState,
@@ -64,7 +65,6 @@ from .partial_info import (
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
-    max_regret,
     minimax_regret_strategy,
     observe,
     update_belief,

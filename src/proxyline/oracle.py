@@ -6,10 +6,9 @@ changed state with :func:`proxyline.model.wm_winner`.
 :func:`oracle_best_deviation` returns the best of the reports it is given;
 on :func:`deviation_reports` its yes/no answer is exact, and its
 improvement is a lower bound on the supremum when the improving reports
-form an open set. :func:`oracle_dominating_check` cannot enumerate the
-hidden followers, so it enumerates the median windows they can make
-(Lemma 1), and returns each harm as a follower profile that
-:func:`~proxyline.model.wm_winner` can confirm.
+form an open set. :func:`oracle_dominating_check` and
+:func:`oracle_max_regret` cannot enumerate the hidden followers, so both
+loop over the median windows they can make (Lemma 1, :func:`_windows`).
 """
 
 from __future__ import annotations
@@ -18,13 +17,13 @@ import enum
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistentObservationError
 from .model import Scenario, _check_proxy, nearer, nearest, reflect, wm_winner
-from .partial_info import ObservedState
+from .partial_info import BeliefState, ObservedState
 
 
 @dataclass(frozen=True)
@@ -121,58 +120,98 @@ class DominatingCheck:
     counterexample: tuple[float, ...] | None = None
 
 
-def oracle_dominating_check(
-    observed: ObservedState, proxy_id: int, candidate: float, peak: float
-) -> DominatingCheck:
-    """Whether ``candidate`` dominates for proxy ``proxy_id`` with peak
-    ``peak`` (Conitzer, Walsh and Xia, AAAI 2011): never worse than the
-    polled outcome under any follower profile, of any size, consistent
-    with the poll, and strictly better under one.
-
-    By Lemma 1 the median is clamp(report, lo, hi), for lo ≤ hi the ranks
-    k−1 and k of the others and the followers. Followers make any such
-    window with no other declared position strictly inside:
-    ``(lo,)*(q+1) + (hi,)*(p+1)`` does, p others at or below lo and q
-    above. Whether the window gives the polled winner, and the candidate's
-    outcome in it, change only at the declared positions, the candidate
-    and their midpoints: each of those, its two float neighbours (a
-    rounded midpoint hides no piece) and a finite point past each end, as
-    lo and as hi, cover every window. A harming window's followers are the
-    NOT_WEAKLY_BETTER counterexample; no window that gives the polled
-    winner raises :class:`InconsistentObservationError`.
+def _windows(observed: ObservedState, proxy_id: int, extra: list[float]) -> Iterator[tuple]:
+    """Yield each median window (lo, hi, p) that hidden followers can make
+    and that gives the poll, p of the others (the declared positions but
+    proxy ``proxy_id``'s) at or below lo and q above. By Lemma 1 the median
+    is clamp(report, lo, hi), lo ≤ hi being the ranks k−1 and k of the
+    others and the followers; ``(lo,)*(q+1) + (hi,)*(p+1)`` makes any
+    window with no other strictly inside. Its verdicts change only at the
+    declared positions, the ``extra`` points and their midpoints: each of
+    those, its float neighbours (a rounded midpoint hides no piece) and a
+    finite point past each end, as lo and as hi, cover every window.
     """
-    declared = list(observed.declared)
-    _check_proxy(len(declared), proxy_id, "proxy_id")
-    if not math.isfinite(candidate):
-        raise ValueError("candidate must be finite")
-    own = declared[proxy_id]
-    deviated = declared[:proxy_id] + [candidate] + declared[proxy_id + 1 :]
-    others = sorted(deviated[:proxy_id] + deviated[proxy_id + 1 :])
-    cuts = {own, *deviated}
+    declared, own = observed.declared, observed.declared[proxy_id]
+    others = sorted(declared[:proxy_id] + declared[proxy_id + 1 :])
+    cuts = {*declared, *extra}
     cuts.update(a / 2 + b / 2 for a, b in combinations(list(cuts), 2))
     span = max(cuts) - min(cuts) or 1.0
     points = {min(cuts) - span, max(cuts) + span}  # dropped below if they overflow
     points.update(cuts, (math.nextafter(c, d) for c in cuts for d in (-math.inf, math.inf)))
     points = sorted(p for p in points if math.isfinite(p))
-    consistent = strictly_better = False
     for i, lo in enumerate(points):
         p = bisect_right(others, lo)  # others at or below lo
         cap = others[p] if p < len(others) else math.inf  # hi may reach the next other
         for hi in points[i:]:
             if hi > cap:
                 break
-            winner = nearest(declared, min(max(own, lo), hi))
-            if winner != observed.winner_id:
-                continue
-            consistent = True
-            before = declared[winner]
-            after = deviated[nearest(deviated, min(max(candidate, lo), hi))]
-            if nearer(peak, before, after):
-                followers = (lo,) * (len(others) - p + 1) + (hi,) * (p + 1)
-                return DominatingCheck(DominatingVerdict.NOT_WEAKLY_BETTER, followers)
-            strictly_better = strictly_better or nearer(peak, after, before)
+            if nearest(declared, min(max(own, lo), hi)) == observed.winner_id:
+                yield lo, hi, p
+
+
+def _deviate(observed: ObservedState, proxy_id: int, candidate: float) -> list[float]:
+    """The declared positions with proxy ``proxy_id`` reporting ``candidate``."""
+    _check_proxy(len(observed.declared), proxy_id, "proxy_id")
+    if not math.isfinite(candidate):
+        raise ValueError("candidate must be finite")
+    return [*observed.declared[:proxy_id], candidate, *observed.declared[proxy_id + 1 :]]
+
+
+def oracle_dominating_check(
+    observed: ObservedState, proxy_id: int, candidate: float, peak: float
+) -> DominatingCheck:
+    """Whether ``candidate`` dominates for proxy ``proxy_id`` with peak
+    ``peak`` (Conitzer, Walsh and Xia, AAAI 2011): never worse than the
+    polled outcome in any median window that gives the poll
+    (:func:`_windows`), so under any follower profile of any size, and
+    strictly better in one. A harming window's followers are the
+    NOT_WEAKLY_BETTER counterexample; no window raises
+    :class:`InconsistentObservationError`.
+    """
+    deviated = _deviate(observed, proxy_id, candidate)
+    before = observed.winner_position
+    consistent = strictly_better = False
+    for lo, hi, p in _windows(observed, proxy_id, [candidate]):
+        consistent = True
+        after = deviated[nearest(deviated, min(max(candidate, lo), hi))]
+        if nearer(peak, before, after):
+            followers = (lo,) * (len(deviated) - p) + (hi,) * (p + 1)
+            return DominatingCheck(DominatingVerdict.NOT_WEAKLY_BETTER, followers)
+        strictly_better = strictly_better or nearer(peak, after, before)
     if not consistent:
         raise InconsistentObservationError(f"no median window gives the poll {observed}")
     if strictly_better:
         return DominatingCheck(DominatingVerdict.DOMINATING)
     return DominatingCheck(DominatingVerdict.NEVER_STRICTLY_BETTER)
+
+
+def oracle_max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:
+    """Maximal ex-post regret of ``candidate`` for proxy ``proxy_id`` with
+    peak ``peak`` (Savage, JASA 1951): the sup, over the median windows
+    that give the poll (:func:`_windows`) with the median in the belief's
+    interval, of the candidate's distance from the peak minus the least
+    distance any report reaches there. This is the simulator's game, whose
+    belief update follows a report across the median: report y gets the
+    declared position nearest clamp(y, lo, hi), so the outcomes reached
+    fill [a, b] up to its ends, a the other proxy nearest lo if at or below
+    lo, else its reflection across lo, and b likewise at hi. No window
+    raises :class:`InconsistentObservationError`."""
+    deviated = _deviate(belief.observed, proxy_id, candidate)
+    rest = deviated[:proxy_id] + deviated[proxy_id + 1 :]
+    own, iv = belief.observed.declared[proxy_id], belief.interval
+    extra = [candidate, peak] + [x for x in (iv.lo, iv.hi) if math.isfinite(x)]
+    regrets = []
+    for lo, hi, _ in _windows(belief.observed, proxy_id, extra):
+        if not iv.contains(min(max(own, lo), hi)):
+            continue
+        after = deviated[nearest(deviated, min(max(candidate, lo), hi))]
+        best = peak  # the reached point nearest the peak; alone, every report wins
+        if rest:
+            o_lo, o_hi = rest[nearest(rest, lo)], rest[nearest(rest, hi)]
+            a = o_lo if o_lo <= lo else reflect(lo, o_lo)  # None: past the float range
+            b = o_hi if o_hi >= hi else reflect(hi, o_hi)
+            best = min(max(best, -math.inf if a is None else a), math.inf if b is None else b)
+        regrets.append(_gain(peak, after, best))
+    if not regrets:
+        raise InconsistentObservationError(f"no median window gives the belief {belief}")
+    return max(regrets)

@@ -190,45 +190,6 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     return _open_below(max(bounds, default=-INF), w)
 
 
-def max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak: float) -> float:
-    """Maximal ex-post regret of a report, over all consistent medians.
-
-    Written for a peak at or left of the winner; a right peak is the
-    mirror image (:func:`_mirror`), with the candidate negated too.
-    """
-    _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
-    if not math.isfinite(candidate):
-        raise ValueError("candidate must be finite")
-    if proxy_id == belief.observed.winner_id:
-        raise ValueError("max_regret is defined for non-winning proxies")
-    w = belief.winner_position
-    interval = belief.interval
-    if peak > w:
-        return max_regret(_mirror(belief), proxy_id, -candidate, -peak)
-    ell = interval.lo
-    if not math.isfinite(ell):
-        return INF
-    g = abs(w - ell)
-    if candidate <= ell - g:
-        return 2.0 * g
-    if candidate >= w:
-        return 2.0 * g
-    # interior: sup over medians m in the interval; for m >= w regret is 0,
-    # for m < w the ex-post optimum is 2m - w and the regret is piecewise
-    # linear and decreasing in m on both branches.
-    sup = 0.0
-    mid = (candidate + w) / 2.0
-    if ell < mid:  # medians where the report wins: regret = report - optimum
-        sup = max(sup, candidate + w - 2.0 * ell)
-    seg_b_lo = max(ell, mid)
-    b_nonempty = (
-        interval.hi > mid or (interval.hi == mid and not interval.hi_open)
-    ) and seg_b_lo < w
-    if b_nonempty:  # medians where the outcome stays put: regret = winner - optimum
-        sup = max(sup, 2.0 * (w - seg_b_lo))
-    return sup
-
-
 def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> float:
     """Report minimizing worst-case regret over the median interval.
 

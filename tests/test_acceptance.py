@@ -20,6 +20,7 @@ from proxyline import (
 )
 from proxyline.fixtures import replicate
 from proxyline.generators import random_scenario
+from test_partial_info import cut_points
 
 
 @contextmanager
@@ -179,22 +180,17 @@ def _harvest_beliefs(target):
 
 
 def test_criterion_11_minimax_regret():
-    with criterion(11, "Theorem 7: minimax choice optimal, strong-monotone, dominating"):
+    desc = "Theorem 7: minimax choice optimal, strong-monotone, dominating"
+    with criterion(11, desc, budget=30.0):
         snapshots = _harvest_beliefs(200)
         assert len(snapshots) == 200
-        step = 0.05
         for sc, belief, mover, peak in snapshots:
             w = belief.winner_position
             chosen = px.minimax_regret_strategy(belief, mover, peak)
-            chosen_regret = px.max_regret(belief, mover, chosen, peak)
-            # (a) matches grid minimization of the regret function
-            pts = sorted(set(belief.observed.declared) | {w, chosen})
-            k0 = math.ceil((min(pts) - 5.0) / step)
-            k1 = math.floor((max(pts) + 5.0) / step)
-            grid_best = min(
-                px.max_regret(belief, mover, k * step, peak) for k in range(k0, k1 + 1)
-            )
-            assert chosen_regret <= grid_best + 1e-9
+            chosen_regret = px.oracle_max_regret(belief, mover, chosen, peak)
+            # (a) no cut point of the belief has a lower regret
+            for x in cut_points(belief, peak):
+                assert chosen_regret <= px.oracle_max_regret(belief, mover, x, peak) + 1e-9
             # (b) strong-monotone: chosen and prior report flank the interval together
             prior = belief.observed.declared[mover]
             iv = belief.interval
@@ -207,7 +203,7 @@ def test_criterion_11_minimax_regret():
                 assert dom.contains(chosen)
             # (d) regret at the relevant bound equals the bound-to-winner gap
             bound = iv.lo if peak < w else iv.hi
-            assert abs(px.max_regret(belief, mover, bound, peak) - abs(bound - w)) <= 1e-9
+            assert abs(px.oracle_max_regret(belief, mover, bound, peak) - abs(bound - w)) <= 1e-9
 
 
 def test_criterion_12_footnote_fixture():

@@ -28,10 +28,10 @@ PUBLIC_API = [
     "unweighted_median", "weighted_median", "wm_winner",
     # oracle
     "DominatingCheck", "DominatingVerdict", "GridSpec", "deviation_reports",
-    "oracle_best_deviation", "oracle_dominating_check",
+    "oracle_best_deviation", "oracle_dominating_check", "oracle_max_regret",
     # partial_info
     "BeliefState", "ObservedState", "dominating_set_nonwinner",
-    "dominating_set_winner", "init_belief", "max_regret", "minimax_regret_strategy", "observe",
+    "dominating_set_winner", "init_belief", "minimax_regret_strategy", "observe",
     "update_belief", "update_median_interval",
 ]
 

@@ -21,11 +21,11 @@ from proxyline import (
     init_belief,
     is_better_response,
     is_pne,
-    max_regret,
     minimax_regret_strategy,
     observe,
     oracle_best_deviation,
     oracle_dominating_check,
+    oracle_max_regret,
     true_median,
     wm_winner,
 )
@@ -72,13 +72,13 @@ def _poll(sc):
     [
         lambda sc, j: is_better_response(sc, sc.truthful_state(), j, 0.5),
         lambda sc, j: better_response_set(sc, sc.truthful_state(), j),
-        lambda sc, j: max_regret(_poll(sc), j, 0.5, 0.0),
+        lambda sc, j: oracle_max_regret(_poll(sc), j, 0.5, 0.0),
         lambda sc, j: minimax_regret_strategy(_poll(sc), j, 0.0),
         lambda sc, j: dominating_set_nonwinner(_poll(sc), j, 0.0),
         lambda sc, j: oracle_dominating_check(observe(sc, sc.truthful_state()), j, 0.5, 0.0),
     ],
     ids=[
-        "is_better_response", "better_response_set", "max_regret", "minimax_regret_strategy",
+        "is_better_response", "better_response_set", "oracle_max_regret", "minimax_regret_strategy",
         "dominating_set_nonwinner", "oracle_dominating_check",
     ],
 )

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxyline import (
     DominatingVerdict,
@@ -15,14 +17,17 @@ from proxyline import (
     better_response_set,
     characterize_truthful_manipulability,
     deviation_reports,
+    init_belief,
     is_better_response,
     observe,
     oracle_best_deviation,
     oracle_dominating_check,
+    oracle_max_regret,
     wm_winner,
 )
 from proxyline.claims import theorem2_oracle_agreement
 from proxyline.fixtures import load_fixture
+from proxyline.oracle import _windows
 
 
 def test_example2_best_deviation_just_left_of_one():
@@ -216,3 +221,52 @@ class TestDominatingCheck:
             else:
                 assert not any(map(harmed, profiles))
         assert harms >= 20
+
+
+def realized_regret(world, declared, j, candidate):
+    """Proxy j's regret for ``candidate`` at the world's own followers: its
+    outcome's distance from the peak minus the least distance any report
+    reaches (:func:`deviation_reports` reach every outcome)."""
+    peak = world.proxy_peaks[j]
+
+    def distance(x):
+        return abs(wm_winner(world, declared[:j] + [x] + declared[j + 1 :])[1] - peak)
+
+    return distance(candidate) - min(map(distance, deviation_reports(world, declared, j)))
+
+
+@st.composite
+def own_polls(draw, max_proxies, max_followers):
+    """A small integer scenario, its truthful state's poll, a proxy and a
+    half-integer candidate report."""
+    integer = st.integers(-6, 6).map(float)
+    m, n = draw(st.integers(2, max_proxies)), draw(st.integers(0, max_followers))
+    sc = Scenario(tuple(draw(integer) for _ in range(m)), tuple(draw(integer) for _ in range(n)))
+    belief = init_belief(observe(sc, sc.truthful_state()))
+    return sc, belief, draw(st.integers(0, m - 1)), draw(st.integers(-14, 14)) / 2
+
+
+class TestMaxRegretAgainstFollowers:
+    @given(poll=own_polls(max_proxies=4, max_followers=6))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_the_regret_at_the_true_followers(self, poll):
+        sc, belief, j, candidate = poll
+        value = oracle_max_regret(belief, j, candidate, sc.proxy_peaks[j])
+        assert realized_regret(sc, sc.truthful_state(), j, candidate) <= value
+
+    @given(poll=own_polls(max_proxies=3, max_followers=4))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_worst_window_profile(self, poll):
+        # each window's followers (lo,)*(q+1) + (hi,)*(p+1) make a world,
+        # and the oracle's value is the worst of their realized regrets
+        sc, belief, j, candidate = poll
+        peak, declared, iv = sc.proxy_peaks[j], sc.truthful_state(), belief.interval
+        extra = [candidate, peak] + [x for x in (iv.lo, iv.hi) if math.isfinite(x)]
+        worst = max(
+            realized_regret(sc.with_followers((lo,) * (len(declared) - p) + (hi,) * (p + 1)),
+                            declared, j, candidate)
+            for lo, hi, p in _windows(belief.observed, j, extra)
+            if iv.contains(min(max(declared[j], lo), hi))
+        )
+        value = oracle_max_regret(belief, j, candidate, peak)
+        assert worst == pytest.approx(value, rel=1e-9, abs=1e-9)

@@ -1,5 +1,6 @@
 """Winner-only polls: median intervals, dominating sets, minimax regret."""
 
+import itertools
 import math
 import random
 
@@ -20,7 +21,6 @@ from proxyline import (
     dominating_set_nonwinner,
     dominating_set_winner,
     init_belief,
-    max_regret,
     minimax_regret_strategy,
     observe,
     run_dynamics,
@@ -28,11 +28,12 @@ from proxyline import (
     true_median,
     update_belief,
     update_median_interval,
+    wm_winner,
 )
 from proxyline.claims import interval_holds_each_state_median, minimax_regret_reaches_median
 from proxyline.fixtures import appendix_b_opening, load_fixture
 from proxyline.generators import random_scenario
-from proxyline.oracle import DominatingVerdict, oracle_dominating_check
+from proxyline.oracle import DominatingVerdict, oracle_dominating_check, oracle_max_regret
 
 
 class TestObserve:
@@ -131,6 +132,8 @@ class TestUpdateInterval:
         trace = run_dynamics(
             sc, Scheduler.round_robin(), pols, max_steps=40, mode="partial_info"
         )
+        ok, detail = interval_holds_each_state_median(trace)
+        assert ok, detail
         med = true_median(sc)
         for iv in trace.interval_history:
             assert iv.contains(med)
@@ -345,55 +348,82 @@ class TestDominatingSets:
 
 
 class TestMaxRegret:
-    def _belief(self, ell=2.0, w=3.0, hi=10.0):
-        obs = ObservedState((3.0, 20.0), 0)
-        return BeliefState(obs, Interval(ell, hi, True, True))
+    """The oracle's regret plays the simulator's game, in which a report may
+    cross the median and move it."""
 
-    def test_regret_at_lower_bound_is_gap(self):
+    def _belief(self, ell=2.0, hi=10.0):
+        # proxy 1 at 20 sits across the median from its peak -5
+        return BeliefState(ObservedState((3.0, 20.0), 0), Interval(ell, hi, True, True))
+
+    def test_a_report_across_the_median_counts(self):
         belief = self._belief()
-        assert max_regret(belief, 1, 2.0, peak=-5.0) == pytest.approx(1.0, abs=1e-9)
+        # medians just above 2 may come with followers far left, where the
+        # report 2 wins at 2 but the peak -5 itself would have won
+        assert oracle_max_regret(belief, 1, 2.0, peak=-5.0) == 7.0
+        # -1 risks less than the bound 2, where the minimax-regret strategy
+        # moves: off the truthful start that strategy is not always minimax
+        assert oracle_max_regret(belief, 1, -1.0, peak=-5.0) == 4.0
 
     def test_zero_gap_left_reports_are_regret_free(self):
+        # no window has proxy 0 strictly inside, so every median is at or
+        # right of 3, where any report left of 3 hands the win to 3
         belief = self._belief(ell=3.0)
-        assert max_regret(belief, 1, 1.0, peak=-5.0) == 0.0
+        assert oracle_max_regret(belief, 1, 1.0, peak=-5.0) == 0.0
 
-    def test_interior_report_exceeds_gap(self):
-        belief = self._belief()
-        assert max_regret(belief, 1, 2.5, peak=-5.0) == pytest.approx(1.5, abs=1e-9)
-        assert max_regret(belief, 1, 2.5, peak=-5.0) > 1.0
+    @pytest.mark.parametrize("candidate, regret", [(0.5, 5.5), (2.5, 7.5), (7.0, 8.0)])
+    def test_interior_far_and_crossing_reports(self, candidate, regret):
+        assert oracle_max_regret(self._belief(), 1, candidate, peak=-5.0) == regret
 
-    def test_far_and_crossing_reports_hit_double_gap(self):
-        belief = self._belief()
-        assert max_regret(belief, 1, 0.5, peak=-5.0) == 2.0  # below ell - gap
-        assert max_regret(belief, 1, 7.0, peak=-5.0) == 2.0  # at or past the winner
+    def test_unbounded_interval_gives_a_finite_regret(self):
+        # proxy 1 reporting 1.5 wins whenever the median is at most 3.75,
+        # 4.5 from its peak, which its tied report 6 would have held
+        belief = init_belief(ObservedState((6.0, 6.0), 0))
+        assert oracle_max_regret(belief, 1, 1.5, 6.0) == 4.5
 
-    def test_matches_numeric_supremum(self):
-        belief = self._belief()
-        w = 3.0
-        for cand in (1.2, 1.7, 2.0, 2.3, 2.9):
-            num = 0.0
-            for k in range(1, 8000):
-                med = 2.0 + k * 0.001
-                if med >= 10.0:
-                    break
-                opt = med - abs(med - w)
-                if opt < cand:
-                    num = max(num, cand - opt)
-                else:
-                    num = max(num, w - opt)
-            assert max_regret(belief, 1, cand, peak=-5.0) == pytest.approx(num, abs=5e-3)
+    def test_a_crossing_report_can_move_the_median(self):
+        sc = Scenario((5.0, 6.0, -3.0), (3.0, -5.0))
+        belief = init_belief(observe(sc, sc.truthful_state()))
+        assert belief.interval == Interval(1.0, 5.5, False, False)
+        assert oracle_max_regret(belief, 1, -5.75, 6.0) == 8.0
+        # at the true followers the report moves the median to -3: proxy 2
+        # wins, 9 from the peak, where the truthful report got 1
+        assert wm_winner(sc, [5.0, -5.75, -3.0]) == (2, -3.0)
 
     def test_right_peak_past_float_max_does_not_overflow(self):
-        # the mirror through 0 is exact: 2w - x for w = -1.7e308 overflowed
+        # with the median just left of the midpoint of -1.7e308 and 1, the
+        # report 1 loses to -1.7e308 while a report near 0 would have won
         belief = BeliefState(
             ObservedState((-1.7e308, -1.7e308), 0), Interval(-1.7e308, math.inf, False, True)
         )
-        assert max_regret(belief, 1, 1.0, peak=-5e-324) == math.inf
+        assert oracle_max_regret(belief, 1, 1.0, peak=-5e-324) == 1.7e308
 
-    def test_winner_rejected(self):
+    def test_the_winner_has_a_regret_too(self):
         belief = self._belief()
+        assert oracle_max_regret(belief, 0, 3.0, peak=3.0) == 0.0
+        # a winner at 3 that would rather be at -5: staying misses -5 when
+        # the followers sit far left, and moving there loses to 20 when
+        # they sit right of 7.5
+        assert oracle_max_regret(belief, 0, 3.0, peak=-5.0) == 8.0
+        assert oracle_max_regret(belief, 0, -5.0, peak=-5.0) == 25.0
+        # a lone proxy wins with any report
+        assert oracle_max_regret(init_belief(ObservedState((2.0,), 0)), 0, 5.0, -1.0) == 6.0
+
+    def test_refusals(self):
         with pytest.raises(ValueError):
-            max_regret(belief, 0, 1.0, peak=3.0)
+            oracle_max_regret(self._belief(), 1, math.nan, peak=-5.0)
+        # proxy 1 wins only for medians in (2, 7]
+        belief = BeliefState(ObservedState((0.0, 4.0, 10.0), 1), Interval(8.0, 9.0, False, False))
+        with pytest.raises(InconsistentObservationError):
+            oracle_max_regret(belief, 0, 1.0, peak=0.0)
+
+
+def cut_points(belief, peak):
+    """The declared positions, the peak, the finite interval bounds and
+    their midpoints: the reports whose regret the minimax-regret report
+    must match."""
+    iv = belief.interval
+    points = {*belief.observed.declared, peak, *(x for x in (iv.lo, iv.hi) if math.isfinite(x))}
+    return sorted(points | {a / 2 + b / 2 for a, b in itertools.combinations(points, 2)})
 
 
 class TestMinimaxStrategy:
@@ -401,9 +431,7 @@ class TestMinimaxStrategy:
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         assert minimax_regret_strategy(belief, 1, 90.0) == 27.0
-        assert max_regret(belief, 1, 27.0, peak=90.0) == pytest.approx(
-            abs(27.0 - 25.0), abs=1e-9
-        )
+        assert oracle_max_regret(belief, 1, 27.0, peak=90.0) == abs(27.0 - 25.0)
 
     def test_winner_stays_put(self):
         sc = load_fixture("appendix_b").scenario
@@ -422,10 +450,9 @@ class TestMinimaxStrategy:
     def test_chosen_beats_grid_alternatives(self):
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
-        best = max_regret(belief, 1, 27.0, peak=90.0)
-        for k in range(-100, 900):
-            x = k * 0.05
-            assert best <= max_regret(belief, 1, x, peak=90.0) + 1e-9
+        best = oracle_max_regret(belief, 1, 27.0, peak=90.0)
+        for x in cut_points(belief, 90.0):
+            assert best <= oracle_max_regret(belief, 1, x, peak=90.0)
 
 
 class TestSampling:
@@ -433,8 +460,6 @@ class TestSampling:
         sf = load_fixture("fig7_pair")
         top, bottom = sf.scenario, sf.scenario.with_followers(sf.alt_followers)
         obs = observe(top, top.truthful_state())
-        from proxyline import wm_winner
-
         for profile in (top.follower_positions, bottom.follower_positions):
             world = top.with_followers(profile)
             assert wm_winner(world, list(obs.declared))[0] == obs.winner_id
@@ -451,6 +476,8 @@ def test_minimax_play_converges_to_true_median_from_truth():
         )
         pols = [PolicySpec(PolicyKind.MINIMAX_REGRET)] * m
         trace = run_dynamics(sc, Scheduler.round_robin(), pols, max_steps=80, mode="partial_info")
+        ok, detail = interval_holds_each_state_median(trace)
+        assert ok, detail
         med = true_median(sc)
         for iv in trace.interval_history:
             assert iv.contains(med)
