@@ -30,7 +30,7 @@ from .errors import (
     ProxylineError,
     ScenarioValidationError,
 )
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 from .manipulation import (
     ManipulationVerdict,
     better_response_set,

@@ -72,6 +72,7 @@ class PolicySpec:
     truth_oriented: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "positions", tuple(self.positions))  # hashable, as in Scenario
         reads = {"kind", "truth_oriented", *_POLICIES[self.kind].params}
         for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:
@@ -86,6 +87,8 @@ class PolicySpec:
             raise ConfigurationError("alpha1 must be positive", "alpha1")
         if not 0 < self.decay < 1:
             raise ConfigurationError("decay must be in (0, 1)", "decay")
+        if not isinstance(self.truth_oriented, bool):
+            raise ConfigurationError("truth_oriented must be a bool", "truth_oriented")
         for k, p in enumerate(self.positions):
             if not _finite_number(p):
                 raise ConfigurationError(f"scripted position {p!r} is not finite", f"positions[{k}]")

@@ -80,53 +80,3 @@ class Interval:
         rb = ")" if self.hi_open else "]"
         return f"{lb}{self.lo}, {self.hi}{rb}"
 
-
-def _touch(a: Interval, b: Interval) -> bool:
-    """True when a ∪ b is a single interval (a sorted before b)."""
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return not (a.hi_open and b.lo_open)
-    return False
-
-
-class IntervalSet:
-    """A normalized union of disjoint, sorted intervals."""
-
-    def __init__(self, intervals: list[Interval] | None = None):
-        self.intervals: list[Interval] = []
-        if intervals:
-            for iv in sorted(intervals, key=lambda i: (i.lo, i.lo_open)):
-                self._push(iv)
-
-    def _push(self, iv: Interval) -> None:
-        if self.intervals and _touch(self.intervals[-1], iv):
-            last = self.intervals[-1]
-            if iv.hi > last.hi or (iv.hi == last.hi and not iv.hi_open):
-                hi, hi_open = iv.hi, iv.hi_open
-            else:
-                hi, hi_open = last.hi, last.hi_open
-            self.intervals[-1] = Interval(last.lo, hi, last.lo_open, hi_open)
-        else:
-            self.intervals.append(iv)
-
-    @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet()
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
-    def __neg__(self) -> "IntervalSet":
-        return IntervalSet([-iv for iv in self.intervals])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
-
-    def __repr__(self) -> str:
-        if not self.intervals:
-            return "IntervalSet(∅)"
-        return "IntervalSet(" + " ∪ ".join(str(iv) for iv in self.intervals) + ")"

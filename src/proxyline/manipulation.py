@@ -18,9 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intervals import INF, Interval, IntervalSet
+from .intervals import INF, Interval
 from .metrics import true_median
-from .model import Scenario, _check_proxy, _check_state, nearer, nearest, reflect, wm_winner
+from .model import (
+    Scenario, _check_finite, _check_proxy, _check_state, nearer, nearest, reflect, wm_winner,
+)
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,7 @@ def is_better_response(
     independently of the geometric machinery above.
     """
     _check_proxy(len(scenario.proxy_peaks), proxy_id, "proxy_id")
-    if not math.isfinite(candidate):
-        raise ValueError("candidate must be finite")
+    _check_finite(candidate, "candidate")
     peak = scenario.proxy_peaks[proxy_id]
     _, current = wm_winner(scenario, declared)
     trial = list(declared)
@@ -157,8 +158,11 @@ def better_response_set(
     declared: list[float],
     proxy_id: int,
     include_tie_wins: bool = True,
-) -> IntervalSet:
-    """Exact set of strictly improving reports for one proxy.
+) -> list[Interval]:
+    """Exact set of strictly improving reports for one proxy, as intervals
+    in ascending order, no two touching. The improving pieces ascend and
+    are disjoint, so a piece joins the one before it only where it starts
+    at that one's end and at most one of the two ends there is open.
 
     ``include_tie_wins=False`` drops the boundary reports that only help
     because the mover wins an exact-distance tie by its lower index; the
@@ -167,11 +171,16 @@ def better_response_set(
     """
     _check_proxy(len(scenario.proxy_peaks), proxy_id, "proxy_id")
     _, current = wm_winner(scenario, declared)
-    return IntervalSet([
-        piece.reports
-        for piece in improving_pieces(scenario, declared, proxy_id, current)
-        if include_tie_wins or not piece.tie_win
-    ])
+    out: list[Interval] = []
+    for piece in improving_pieces(scenario, declared, proxy_id, current):
+        if piece.tie_win and not include_tie_wins:
+            continue
+        iv = piece.reports
+        if out and out[-1].hi == iv.lo and not (out[-1].hi_open and iv.lo_open):
+            last = out.pop()
+            iv = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+        out.append(iv)
+    return out
 
 
 def is_pne(scenario: Scenario, declared: list[float], include_tie_wins: bool = True) -> bool:
@@ -185,9 +194,9 @@ def is_pne(scenario: Scenario, declared: list[float], include_tie_wins: bool = T
     for j in range(scenario.num_proxies):
         brs = better_response_set(scenario, declared, j, include_tie_wins=include_tie_wins)
         if scenario.space.is_discrete:  # any target finds a grid point where there is one
-            if any(scenario.space.grid_point(iv, 0.0) is not None for iv in brs.intervals):
+            if any(scenario.space.grid_point(iv, 0.0) is not None for iv in brs):
                 return False
-        elif not brs.is_empty():
+        elif brs:
             return False
     return True
 

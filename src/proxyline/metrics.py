@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
-from .model import Scenario, unweighted_median, wm_winner
+from .model import Scenario, _check_finite, unweighted_median, wm_winner
 
 
 def social_cost(scenario: Scenario, outcome: float) -> float:
@@ -12,8 +10,7 @@ def social_cost(scenario: Scenario, outcome: float) -> float:
 
     Proxies count at their peaks, never at declared positions.
     """
-    if not math.isfinite(outcome):
-        raise ValueError("outcome must be finite")
+    _check_finite(outcome, "outcome")
     return sum(abs(p - outcome) for p in scenario.all_positions())
 
 

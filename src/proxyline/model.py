@@ -261,6 +261,11 @@ def _check_proxy(num_proxies: int, proxy_id: int, name: str) -> None:
         raise ScenarioValidationError(name, f"{proxy_id!r} is not a proxy id in [0, {num_proxies})")
 
 
+def _check_finite(x: float, name: str) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+
+
 def _record(scenario: Scenario, declared: list[float]) -> list:
     """The scenario's record of ``declared``, made (after checking the
     state) when it is not one of the last two states evaluated with more

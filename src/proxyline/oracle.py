@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistentObservationError
-from .model import Scenario, _check_proxy, nearer, nearest, reflect, wm_winner
+from .model import Scenario, _check_finite, _check_proxy, nearer, nearest, reflect, wm_winner
 from .partial_info import BeliefState, ObservedState
 
 
@@ -152,8 +152,7 @@ def _windows(observed: ObservedState, proxy_id: int, extra: list[float]) -> Iter
 def _deviate(observed: ObservedState, proxy_id: int, candidate: float) -> list[float]:
     """The declared positions with proxy ``proxy_id`` reporting ``candidate``."""
     _check_proxy(len(observed.declared), proxy_id, "proxy_id")
-    if not math.isfinite(candidate):
-        raise ValueError("candidate must be finite")
+    _check_finite(candidate, "candidate")
     return [*observed.declared[:proxy_id], candidate, *observed.declared[proxy_id + 1 :]]
 
 
@@ -169,6 +168,7 @@ def oracle_dominating_check(
     :class:`InconsistentObservationError`.
     """
     deviated = _deviate(observed, proxy_id, candidate)
+    _check_finite(peak, "peak")
     before = observed.winner_position
     consistent = strictly_better = False
     for lo, hi, p in _windows(observed, proxy_id, [candidate]):
@@ -197,6 +197,7 @@ def oracle_max_regret(belief: BeliefState, proxy_id: int, candidate: float, peak
     lo, else its reflection across lo, and b likewise at hi. No window
     raises :class:`InconsistentObservationError`."""
     deviated = _deviate(belief.observed, proxy_id, candidate)
+    _check_finite(peak, "peak")
     rest = deviated[:proxy_id] + deviated[proxy_id + 1 :]
     own, iv = belief.observed.declared[proxy_id], belief.interval
     extra = [candidate, peak] + [x for x in (iv.lo, iv.hi) if math.isfinite(x)]

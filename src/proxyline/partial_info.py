@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InconsistentObservationError
-from .intervals import INF, Interval, IntervalSet
-from .model import Scenario, _check_proxy, nearer, nearest, reflect, wm_winner
+from .intervals import INF, Interval
+from .model import Scenario, _check_finite, _check_proxy, nearer, nearest, reflect, wm_winner
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,7 @@ def _mirror(belief: BeliefState) -> BeliefState:
     return BeliefState(observed, -belief.interval)
 
 
-def _open_below(lower: float, w: float) -> IntervalSet:
-    """The open interval (lower, w), empty when it holds no float."""
-    dom = Interval.open(lower, INF).intersect(Interval.open(-INF, w))
-    return IntervalSet([dom] if dom else [])
-
-
-def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) -> IntervalSet:
+def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) -> Interval | None:
     """Strong-monotone dominating reports for a proxy that is not winning.
 
     For a peak at or left of the winner w, the open interval
@@ -148,25 +142,27 @@ def dominating_set_nonwinner(belief: BeliefState, proxy_id: int, peak: float) ->
     (:func:`~proxyline.model.reflect`; one past the float range gives no
     bound). Left of 2·least − w a report never beats w at any consistent
     median, and left of 2·peak − w its win lands farther from the peak
-    than w. Empty when that interval, or the median interval, holds no
+    than w. None when that interval, or the median interval, holds no
     float. A right peak is the mirror image (:func:`_mirror`).
     """
     _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
+    _check_finite(peak, "peak")
     if proxy_id == belief.observed.winner_id:
         raise ValueError("proxy is the current winner; use dominating_set_winner")
     w, iv = belief.winner_position, belief.interval
     if peak > w:
-        return -dominating_set_nonwinner(_mirror(belief), proxy_id, -peak)
+        dom = dominating_set_nonwinner(_mirror(belief), proxy_id, -peak)
+        return -dom if dom else None
     least = iv.lo if not iv.lo_open else math.nextafter(iv.lo, INF)
     # no median left of w: no report left of it wins (and reflect(least, w)
     # may pass float max, which would read as no bound)
     if least >= w or not iv.contains(least):
-        return IntervalSet.empty()
+        return None
     bounds = [r for r in (reflect(peak, w), reflect(least, w)) if r is not None]
-    return _open_below(max(bounds, default=-INF), w)
+    return Interval.open(max(bounds, default=-INF), INF).intersect(Interval.open(-INF, w))
 
 
-def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
+def dominating_set_winner(belief: BeliefState, peak: float) -> Interval | None:
     """Dominating meta-moves for the reigning winner.
 
     For a peak left of the winner: nonempty only when the winner sits
@@ -175,19 +171,22 @@ def dominating_set_winner(belief: BeliefState, peak: float) -> IntervalSet:
     is (:func:`~proxyline.model.nearer`); the safe stretch is bounded by
     the correctly rounded reflections (:func:`~proxyline.model.reflect`)
     of that neighbor across the bound and of the winner across the peak.
-    A right peak is the mirror image (:func:`_mirror`).
+    A right peak is the mirror image (:func:`_mirror`). None when the
+    stretch holds no float.
     """
+    _check_finite(peak, "peak")
     w = belief.winner_position
     iv = belief.interval
     if peak > w:
-        return -dominating_set_winner(_mirror(belief), -peak)
+        dom = dominating_set_winner(_mirror(belief), -peak)
+        return -dom if dom else None
     if not peak < w < iv.lo:
-        return IntervalSet.empty()
+        return None
     right = _neighbors(belief.observed)[1]
     if right is None or not math.isfinite(iv.hi) or not nearer(iv.hi, w, right):
-        return IntervalSet.empty()
+        return None
     bounds = [r for r in (reflect(iv.hi, right), reflect(peak, w)) if r is not None]
-    return _open_below(max(bounds, default=-INF), w)
+    return Interval.open(max(bounds, default=-INF), INF).intersect(Interval.open(-INF, w))
 
 
 def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> float:
@@ -200,6 +199,7 @@ def minimax_regret_strategy(belief: BeliefState, proxy_id: int, peak: float) -> 
     strictly beyond it, where the whole far half-line is regret-free.
     """
     _check_proxy(len(belief.observed.declared), proxy_id, "proxy_id")
+    _check_finite(peak, "peak")
     declared = belief.observed.declared[proxy_id]
     w = belief.winner_position
     if proxy_id == belief.observed.winner_id or peak == w:

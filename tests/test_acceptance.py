@@ -199,7 +199,7 @@ def test_criterion_11_minimax_regret():
             )
             # (c) lands in the dominating set whenever that set is nonempty
             dom = px.dominating_set_nonwinner(belief, mover, peak)
-            if not dom.is_empty():
+            if dom is not None:
                 assert dom.contains(chosen)
             # (d) regret at the relevant bound equals the bound-to-winner gap
             bound = iv.lo if peak < w else iv.hi

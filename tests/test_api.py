@@ -17,7 +17,7 @@ PUBLIC_API = [
     "ConfigurationError", "EmptyElectorateError", "InconsistentObservationError",
     "ProxylineError", "ScenarioValidationError",
     # intervals
-    "Interval", "IntervalSet",
+    "Interval",
     # manipulation
     "ManipulationVerdict", "better_response_set", "characterize_truthful_manipulability",
     "follower_manipulation_scan", "is_better_response", "is_pne",

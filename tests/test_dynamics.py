@@ -448,6 +448,19 @@ class TestRunDynamics:
             PolicySpec(PolicyKind.SCRIPTED, positions=(1.0, bad))
         assert err.value.field == "positions[1]"
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_truth_oriented_that_is_no_bool_refused(self, flag):
+        # a truthy string would turn the truth override on
+        with pytest.raises(ConfigurationError, match="truth_oriented") as err:
+            PolicySpec(PolicyKind.MONOTONE_BETTER_RESPONSE, truth_oriented=flag)
+        assert err.value.field == "truth_oriented"
+
+    def test_script_positions_stored_as_a_tuple(self):
+        # so a spec built from a list hashes like any frozen value
+        spec = PolicySpec(PolicyKind.SCRIPTED, positions=[1.0, 2.0])
+        assert spec == PolicySpec(PolicyKind.SCRIPTED, positions=(1.0, 2.0))
+        assert hash(spec) == hash(PolicySpec(PolicyKind.SCRIPTED, positions=(1.0, 2.0)))
+
     @pytest.mark.parametrize(
         "kind, space",
         [

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxyline import (
+    BeliefState,
     DominatingVerdict,
+    Interval,
+    ObservedState,
     Scenario,
     ScenarioValidationError,
     Space,
@@ -17,6 +20,7 @@ from proxyline import (
     delegation_weights,
     deviation_reports,
     dominating_set_nonwinner,
+    dominating_set_winner,
     follower_manipulation_scan,
     init_belief,
     is_better_response,
@@ -62,6 +66,10 @@ class TestIsBetterResponse:
             is_better_response(example1, [-1.0, 1.5], 1, float("nan"))
 
 
+def _holds(intervals, x):
+    return any(iv.contains(x) for iv in intervals)
+
+
 def _poll(sc):
     return init_belief(observe(sc, sc.truthful_state()))
 
@@ -90,35 +98,72 @@ def test_proxy_id_outside_the_proxies_refused(example1, call, proxy_id):
     assert err.value.path == "proxy_id"
 
 
+_POLL = ObservedState((3.0, 20.0), 0)
+_WINNER = BeliefState(ObservedState((3.0, 12.0), 0), Interval(5.0, 6.0, True, False))
+
+
+@pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda peak: dominating_set_nonwinner(init_belief(_POLL), 1, peak),
+        lambda peak: dominating_set_winner(_WINNER, peak),
+        lambda peak: minimax_regret_strategy(init_belief(_POLL), 1, peak),
+        lambda peak: oracle_dominating_check(_POLL, 1, 1.0, peak),
+        lambda peak: oracle_max_regret(init_belief(_POLL), 1, 1.0, peak),
+    ],
+    ids=[
+        "dominating_set_nonwinner", "dominating_set_winner", "minimax_regret_strategy",
+        "oracle_dominating_check", "oracle_max_regret",
+    ],
+)
+def test_nonfinite_peak_refused(call, peak):
+    # no answer, and no raw error from deep inside: a NaN peak is nearer
+    # nothing, and an infinite one is as far from every report
+    with pytest.raises(ValueError, match="peak must be finite"):
+        call(peak)
+
+
 class TestBetterResponseSet:
     def test_pne_state_is_empty_for_everyone(self):
         sc = load_fixture("fig3_one_side").scenario
         for j in range(sc.num_proxies):
-            assert better_response_set(sc, sc.truthful_state(), j).is_empty()
+            assert better_response_set(sc, sc.truthful_state(), j) == []
 
     def test_example2_set_matches_fine_grid_scan(self, example1):
         truthful = example1.truthful_state()
         brs = better_response_set(example1, truthful, 1)
-        assert brs.contains(0.5)
+        assert _holds(brs, 0.5)
         for k in range(0, 100):  # (0, 1) sits inside the set
             x = 0.01 + k * 0.0099
-            assert brs.contains(x)
+            assert _holds(brs, x)
         for k in range(-500, 501):
             x = k * 0.01
-            assert brs.contains(x) == is_better_response(example1, truthful, 1, x)
+            assert _holds(brs, x) == is_better_response(example1, truthful, 1, x)
 
     def test_appendix_a_s5_losing_proxy_5_nonempty(self):
         sc = load_fixture("appendix_a").scenario.with_space(Space.continuous())
         s5 = [4.0, 9.0, 8.0, 7.0, 10.0]
         assert wm_winner(sc, s5) == (0, 4.0)
         brs = better_response_set(sc, s5, 4)
-        assert not brs.is_empty()
         for x in (5.25, 5.5, 5.9):  # right of the median 5, within distance 1
-            assert brs.contains(x)
+            assert _holds(brs, x)
+
+    def test_touching_pieces_join_and_open_ends_stay_apart(self):
+        # the stretch (-2, 1) and the tail [1, inf) make one interval
+        sc = Scenario((0.0, 2.0), (-3.0,))
+        assert better_response_set(sc, [1.0, -2.0], 1) == [
+            Interval(-math.inf, -7.0, True, False), Interval.open(-2.0, math.inf)
+        ]
+        # the tail (-inf, -3) and the stretch (-3, inf) meet at -3, which neither holds
+        sc = Scenario((1.0, -3.0), (0.0,))
+        assert better_response_set(sc, [-3.0, 3.0], 0) == [
+            Interval.open(-math.inf, -3.0), Interval.open(-3.0, math.inf)
+        ]
 
     def test_current_position_never_in_set(self, example1):
         for j in range(2):
-            assert not better_response_set(example1, [-1.0, 1.5], j).contains([-1.0, 1.5][j])
+            assert not _holds(better_response_set(example1, [-1.0, 1.5], j), [-1.0, 1.5][j])
 
     def test_soundness_and_completeness_randomized(self):
         rng = random.Random(97)
@@ -135,7 +180,7 @@ class TestBetterResponseSet:
                 pieces = manipulation.outcome_pieces(sc, state, j)
                 for k in range(-48, 49):
                     x = k * 0.25
-                    assert brs.contains(x) == is_better_response(sc, state, j, x)
+                    assert _holds(brs, x) == is_better_response(sc, state, j, x)
                     # the first piece holding x gives the winner rule's outcome
                     piece = next(p for p in pieces if p.reports.contains(x))
                     trial = list(state)
@@ -160,6 +205,33 @@ def _bounds_and_neighbours(intervals):
     return sorted(x for x in bounds | near if math.isfinite(x))
 
 
+class TestBetterResponseSetShape:
+    @pytest.mark.parametrize("include_tie_wins", [True, False])
+    @pytest.mark.parametrize("kind", sorted(POSITION_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_joined_pieces_ascend_apart_and_hold_the_same_reports(
+        self, kind, include_tie_wins, data
+    ):
+        pos = POSITION_KINDS[kind]
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
+        sc = Scenario(tuple(data.draw(pos) for _ in range(m)), tuple(data.draw(pos) for _ in range(n)))
+        state = [data.draw(pos) for _ in range(m)]
+        _, current = wm_winner(sc, state)
+        for j in range(m):
+            brs = better_response_set(sc, state, j, include_tie_wins=include_tie_wins)
+            for a, b in zip(brs, brs[1:]):
+                # a gap between them, or a shared end that neither holds
+                assert a.hi < b.lo or (a.hi == b.lo and a.hi_open and b.lo_open), (j, a, b)
+            pieces = [
+                p.reports
+                for p in manipulation.improving_pieces(sc, state, j, current)
+                if include_tie_wins or not p.tie_win
+            ]
+            for x in _bounds_and_neighbours(brs + pieces):
+                assert _holds(brs, x) == _holds(pieces, x), (j, x)
+
+
 class TestExactBounds:
     """Every reported bound is the rounded breakpoint, in the set iff the
     set's own predicate holds there: checked at each bound and at the
@@ -175,10 +247,10 @@ class TestExactBounds:
         state = [data.draw(pos) for _ in range(m)]
         for j in range(m):
             brs = better_response_set(sc, state, j)
-            for x in _bounds_and_neighbours(brs.intervals):
-                assert brs.contains(x) == is_better_response(sc, state, j, x), (j, x)
+            for x in _bounds_and_neighbours(brs):
+                assert _holds(brs, x) == is_better_response(sc, state, j, x), (j, x)
             found = oracle_best_deviation(sc, state, j, deviation_reports(sc, state, j))
-            assert brs.is_empty() == (found is None), j
+            assert (brs == []) == (found is None), j
         observed = observe(sc, state)
         interval = init_belief(observed).interval
         for x in _bounds_and_neighbours([interval]):
@@ -202,13 +274,14 @@ class TestDominatingSetSound:
                 continue
             peak = data.draw(pos)
             dom = dominating_set_nonwinner(belief, j, peak)
-            for iv in dom.intervals:
-                first, last = math.nextafter(iv.lo, math.inf), math.nextafter(iv.hi, -math.inf)
-                probes = {first, last, min(max(iv.lo / 2 + iv.hi / 2, first), last)}
-                for x in sorted(p for p in probes if math.isfinite(p)):
-                    assert dom.contains(x), (j, x)
-                    verdict = oracle_dominating_check(observed, j, x, peak).verdict
-                    assert verdict == DominatingVerdict.DOMINATING, (j, peak, x, verdict)
+            if dom is None:
+                continue
+            first, last = math.nextafter(dom.lo, math.inf), math.nextafter(dom.hi, -math.inf)
+            probes = {first, last, min(max(dom.lo / 2 + dom.hi / 2, first), last)}
+            for x in sorted(p for p in probes if math.isfinite(p)):
+                assert dom.contains(x), (j, x)
+                verdict = oracle_dominating_check(observed, j, x, peak).verdict
+                assert verdict == DominatingVerdict.DOMINATING, (j, peak, x, verdict)
 
 
 class TestCharacterization:

@@ -89,7 +89,7 @@ def test_agreement_with_better_response_set():
     for sc, state in random_states(23, 200, FAMILIES["integer"]):
         for j in range(sc.num_proxies):
             found = exact_best(sc, state, j)
-            assert (found is not None) == (not better_response_set(sc, state, j).is_empty())
+            assert (found is not None) == bool(better_response_set(sc, state, j))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

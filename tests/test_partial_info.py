@@ -10,7 +10,6 @@ from proxyline import (
     BeliefState,
     InconsistentObservationError,
     Interval,
-    IntervalSet,
     ObservedState,
     PolicyKind,
     PolicySpec,
@@ -245,10 +244,7 @@ class TestDominatingSets:
     def test_appendix_b_s3_proxy2(self):
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
-        dom = dominating_set_nonwinner(belief, 1, 90.0)
-        assert len(dom.intervals) == 1
-        iv = dom.intervals[0]
-        assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == (25.0, 29.0, True, True)
+        assert dominating_set_nonwinner(belief, 1, 90.0) == Interval.open(25.0, 29.0)
 
     def test_winner_raises_in_nonwinner_call(self):
         sc = load_fixture("appendix_b").scenario
@@ -259,28 +255,25 @@ class TestDominatingSets:
     def test_left_bound_at_or_above_winner_means_empty(self):
         obs = ObservedState((0.0, 10.0), 0)
         belief = BeliefState(obs, Interval(0.0, 5.0, False, True))
-        assert dominating_set_nonwinner(belief, 1, -20.0).is_empty()
+        assert dominating_set_nonwinner(belief, 1, -20.0) is None
 
     def test_winner_at_peak_empty(self):
         sc = load_fixture("appendix_b").scenario
         belief = init_belief(observe(sc, sc.truthful_state()))
-        assert dominating_set_winner(belief, -30.0).is_empty()
+        assert dominating_set_winner(belief, -30.0) is None
 
     def test_appendix_b_limit_regime_winner_empty(self):
         sc = load_fixture("appendix_b").scenario
         _, belief, _ = appendix_b_opening(load_fixture("appendix_b"))
         # winner at 25 with interval reaching below it: the meta condition fails
-        assert dominating_set_winner(belief, -30.0).is_empty()
+        assert dominating_set_winner(belief, -30.0) is None
 
     def test_winner_meta_set_matches_profile_oracle(self):
         # winner at 3, peak 0, interval (5, 6], right neighbor at 12:
         # safe stretch is (2*6-12, 3) = (0, 3)
         obs = ObservedState((3.0, 12.0), 0)
         belief = BeliefState(obs, Interval(5.0, 6.0, True, False))
-        dom = dominating_set_winner(belief, 0.0)
-        assert len(dom.intervals) == 1
-        iv = dom.intervals[0]
-        assert (iv.lo, iv.hi) == (0.0, 3.0)
+        assert dominating_set_winner(belief, 0.0) == Interval.open(0.0, 3.0)
         # every member keeps the winner winning for all consistent medians
         for x in (0.5, 1.5, 2.5):
             for med in (5.01, 5.5, 6.0):
@@ -309,7 +302,7 @@ class TestDominatingSets:
         belief = init_belief(obs)
         assert belief.interval == Interval(-math.inf, 2.5, True, True)
         dom = dominating_set_nonwinner(belief, 0, 8.0)
-        assert dom == IntervalSet([Interval.open(2.0, 2.999999999999999)])
+        assert dom == Interval.open(2.0, 2.999999999999999)
         verdict = oracle_dominating_check(obs, 0, 2.9999999999999996, 8.0).verdict
         assert verdict == DominatingVerdict.NEVER_STRICTLY_BETTER
         verdict = oracle_dominating_check(obs, 0, 2.9999999999999987, 8.0).verdict
@@ -321,12 +314,12 @@ class TestDominatingSets:
         # the neighbor at 7.5, and a peak at 4 caps the set at 2 * 4 - 3
         obs = ObservedState((-1.0, 3.0, 7.5), 1)
         belief = BeliefState(obs, Interval(2.25, 4.5, True, False))
-        assert dominating_set_nonwinner(belief, 2, 20.0) == IntervalSet([Interval.open(3.0, 6.0)])
-        assert dominating_set_nonwinner(belief, 2, 4.0) == IntervalSet([Interval.open(3.0, 5.0)])
+        assert dominating_set_nonwinner(belief, 2, 20.0) == Interval.open(3.0, 6.0)
+        assert dominating_set_nonwinner(belief, 2, 4.0) == Interval.open(3.0, 5.0)
         # the winner right of its medians (1.5, 2], peak 5: the safe stretch
         # ends at the reflection of the left neighbor -1 across 1.5
         winner = BeliefState(obs, Interval(1.5, 2.0, True, False))
-        assert dominating_set_winner(winner, 5.0) == IntervalSet([Interval.open(3.0, 4.0)])
+        assert dominating_set_winner(winner, 5.0) == Interval.open(3.0, 4.0)
 
     @pytest.mark.parametrize(
         "observed, interval, peak, expected",
@@ -344,7 +337,7 @@ class TestDominatingSets:
     )
     def test_winner_set_takes_exact_bounds_and_guard(self, observed, interval, peak, expected):
         belief = BeliefState(observed, interval)
-        assert dominating_set_winner(belief, peak) == IntervalSet([expected])
+        assert dominating_set_winner(belief, peak) == expected
 
 
 class TestMaxRegret:
