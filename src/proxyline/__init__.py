@@ -4,15 +4,12 @@ Weighted-median elections with Tullock delegation, exact better-response
 machinery, iterative dynamics with convergence checking, and the
 winner-only partial-information layer, all backed by brute-force oracles.
 Proxy ids are 0-based in this API and 1-based in CLI reports.
+
+The play layers load with the package. The verification layers, the claim
+checks (``claims``) and the brute-force oracles (``oracle``), load on first
+use of one of their names, so a run that only plays never builds them.
 """
 
-from .claims import (
-    MetaSegment,
-    check_bound_invariant,
-    check_delta_lemmas,
-    detect_meta_moves,
-    trace_is_monotone,
-)
 from .dynamics import (
     DynamicsTrace,
     MoveRecord,
@@ -50,15 +47,6 @@ from .model import (
     weighted_median,
     wm_winner,
 )
-from .oracle import (
-    DominatingCheck,
-    DominatingVerdict,
-    GridSpec,
-    deviation_reports,
-    oracle_best_deviation,
-    oracle_dominating_check,
-    oracle_max_regret,
-)
 from .partial_info import (
     BeliefState,
     ObservedState,
@@ -71,5 +59,35 @@ from .partial_info import (
     update_median_interval,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY = {  # submodule -> the names the package exports from it on first use
+    "claims": (
+        "MetaSegment", "check_bound_invariant", "check_delta_lemmas", "detect_meta_moves",
+        "trace_is_monotone",
+    ),
+    "oracle": (
+        "DominatingCheck", "DominatingVerdict", "GridSpec", "deviation_reports",
+        "oracle_best_deviation", "oracle_dominating_check", "oracle_max_regret",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """Load a verification layer on first use (PEP 562). The name is read
+    from its module on every access and never bound here, so a caller that
+    rebinds the module's name sees the new binding through the package."""
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + [*_LAZY, *_HOME]
 __version__ = "0.1.0"

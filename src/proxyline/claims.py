@@ -11,7 +11,7 @@ here too, so :mod:`proxyline.dynamics` only plays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import DynamicsTrace, StopReason, outcome_tol
 from .intervals import Interval
@@ -134,8 +134,7 @@ def trace_replays(trace: DynamicsTrace) -> tuple[bool, str]:
 # trace analysis
 
 
-@dataclass(frozen=True)
-class MetaSegment:
+class MetaSegment(NamedTuple):
     """A winning arrival plus its consecutive winning continuations."""
 
     start: int  # record index of the arrival

@@ -22,6 +22,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import ConfigurationError, ScenarioValidationError
 from .intervals import Interval
@@ -111,8 +112,7 @@ class PolicySpec:
                 raise ConfigurationError(f"scripted position {p} off grid", f"positions[{k}]")
 
 
-@dataclass(frozen=True)
-class Scheduler:
+class Scheduler(NamedTuple):
     """Turn order: the scripted ``order`` first, then round-robin, so every
     proxy keeps getting turns (no starvation) and a full passing round can
     certify a PNE. An empty order is plain round-robin."""
@@ -316,8 +316,7 @@ def _truth_override(scenario: Scenario, declared: list[float], mover: int) -> fl
     return peak if any(p.reports.contains(peak) and not p.tie_win for p in improving) else None
 
 
-@dataclass(frozen=True)
-class _Policy:
+class _Policy(NamedTuple):
     """One policy kind: the parameter fields it reads besides ``truth_oriented``,
     the space it needs (None: either), and its proposal in each mode (None:
     it cannot play there). A full-information proposal takes ``(scenario,

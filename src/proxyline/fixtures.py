@@ -224,8 +224,9 @@ def replicate_appendix_b(r: ReplicationReport) -> None:
         dom2 is not None and dom2.lo_open and dom2.hi_open,
         f"got {dom2}",
     )
-    r.record("dominating_p2_lo", dom2.lo)
-    r.record("dominating_p2_hi", dom2.hi)
+    if dom2 is not None:
+        r.record("dominating_p2_lo", dom2.lo)
+        r.record("dominating_p2_hi", dom2.hi)
     dom1 = pinfo.dominating_set_winner(belief, sc.proxy_peaks[0])
     r.check("dominating_p1_empty", dom1 is None, f"got {dom1}")
 

@@ -15,7 +15,6 @@ stays independent of that geometry and cross-checks every claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .intervals import INF, Interval
@@ -25,8 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ManipulationVerdict:
+class ManipulationVerdict(NamedTuple):
     manipulable: bool
     witness_proxy: int | None = None
     witness_position: float | None = None

@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InconsistentObservationError
 from .model import Scenario, _check_finite, _check_proxy, nearer, nearest, reflect, wm_winner
@@ -114,8 +115,7 @@ class DominatingVerdict(enum.Enum):
     NEVER_STRICTLY_BETTER = "never_strictly_better"
 
 
-@dataclass(frozen=True)
-class DominatingCheck:
+class DominatingCheck(NamedTuple):
     verdict: DominatingVerdict
     counterexample: tuple[float, ...] | None = None
 

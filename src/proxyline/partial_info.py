@@ -15,15 +15,14 @@ winner wins there (:func:`~proxyline.model.nearest`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentObservationError
 from .intervals import INF, Interval
 from .model import Scenario, _check_finite, _check_proxy, nearer, nearest, reflect, wm_winner
 
 
-@dataclass(frozen=True)
-class ObservedState:
+class ObservedState(NamedTuple):
     """Everything the winner-only poll reveals: (declared vector, winner)."""
 
     declared: tuple[float, ...]
@@ -34,8 +33,7 @@ class ObservedState:
         return self.declared[self.winner_id]
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     observed: ObservedState
     interval: Interval
 

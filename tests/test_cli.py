@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import proxyline
 from proxyline import (
     PolicyKind, PolicySpec, Scenario, Scheduler, Space, StopReason, claims, cli, fixtures,
     run_dynamics, true_median,
@@ -691,6 +692,22 @@ class TestParser:
         ))
         assert out.splitlines()[-1] == "[]"
 
+    def test_package_loads_its_verification_layers_on_first_use(self):
+        # the package returns each lazy name from its module and never keeps it
+        out = self.fresh_python("-c", (
+            "import sys; import proxyline as p;"
+            " print(sorted({'proxyline.claims', 'proxyline.oracle'} & sys.modules.keys()));"
+            " print(all(getattr(p, name) is not None for name in p.__all__));"
+            " print(p.oracle_best_deviation is p.oracle.oracle_best_deviation);"
+            " p.check_delta_lemmas; p.check_delta_lemmas;"
+            " print('check_delta_lemmas' in vars(p), 'GridSpec' in dir(p))"
+        ))
+        assert out.splitlines() == ["[]", "True", "True", "False True"]
+
+    def test_unknown_package_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            proxyline.no_such_name
+
     @pytest.mark.parametrize(
         "argv",
         [["run", fixture_path("example1")], ["check", fixture_path("example1")],
@@ -722,6 +739,14 @@ class TestReplicate:
         monkeypatch.setitem(REPLICATIONS, name, lambda r: (play(r), tamper(r)))
         assert not replicate(name).ok
         assert main(["replicate", name]) == 1
+
+    def test_missing_dominating_set_fails_without_raising(self, monkeypatch):
+        # the report names the failed check and the bounds it could not record
+        monkeypatch.setattr(fixtures.pinfo, "dominating_set_nonwinner", lambda *args: None)
+        report = replicate("appendix_b")
+        failed = {c.name for c in report.checks if not c.ok}
+        assert {"dominating_p2_one_open_interval", "dominating_p2_lo", "dominating_p2_hi"} <= failed
+        assert main(["replicate", "appendix_b"]) == 1
 
     def test_every_fixture_file_is_replicated(self, monkeypatch):
         loaded = set()

@@ -166,7 +166,7 @@ class TestStep:
         # the record's winner_before comes from the poll, so it must be of this state
         sc = load_fixture("example1").scenario
         declared = [-1.0, 0.5]
-        belief = replace(init_belief(observe(sc, declared)), observed=poll(sc, declared))
+        belief = init_belief(observe(sc, declared))._replace(observed=poll(sc, declared))
         with pytest.raises(ScenarioValidationError) as err:
             step(sc, declared, 1, PolicySpec(PolicyKind.MINIMAX_REGRET), belief=belief)
         assert err.value.path == "belief"
@@ -333,7 +333,7 @@ class TestRunDynamics:
         sc = load_fixture("example1").scenario
         declared = sc.truthful_state()
         poll = ObservedState(tuple(declared), True)
-        belief = replace(init_belief(observe(sc, declared)), observed=poll)
+        belief = init_belief(observe(sc, declared))._replace(observed=poll)
         with pytest.raises(ScenarioValidationError) as err:
             run_dynamics(
                 sc, Scheduler.round_robin(), [PolicySpec(PolicyKind.MINIMAX_REGRET)] * 2,
