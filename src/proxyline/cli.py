@@ -11,15 +11,14 @@ import functools
 import random
 import sys
 
-from . import claims
 from .dynamics import PolicyKind, PolicySpec, Scheduler, run_dynamics
 from .errors import ProxylineError
 from .generators import random_scenario, random_state
 from .model import Scenario, Space
 
-# The file layer (``scenario_io``) and the replication layer (``fixtures``)
-# are imported inside the commands that use them, so ``check --random``
-# neither compiles nor builds them.
+# The file layer (``scenario_io``), the replication layer (``fixtures``) and
+# the claims (with the oracles they call) are imported inside the commands
+# that use them, so ``check --random`` loads no file layer and ``run`` no claim.
 
 
 def cmd_run(args) -> int:
@@ -77,6 +76,8 @@ def _row(claim, *args) -> tuple[str, bool, str]:
 
 def _scenario_rows(scenario: Scenario, states: list[list[float]]) -> list[tuple[str, bool, str]]:
     """Lemma 1 on each state, Theorems 1 and 2 on the truthful state."""
+    from . import claims
+
     return [
         _row(claims.lemma1_equivalence, scenario, states),
         _row(claims.theorem1_no_follower_manipulation, scenario),
@@ -86,6 +87,8 @@ def _scenario_rows(scenario: Scenario, states: list[list[float]]) -> list[tuple[
 
 def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
     """Every claim on the games one seed draws."""
+    from . import claims
+
     rng = random.Random(seed)
     scenario = random_scenario(rng)
     results = _scenario_rows(scenario, [random_state(rng, scenario) for _ in range(6)])
@@ -113,6 +116,7 @@ def _check_one_random(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _check_file(path: str) -> list[tuple[str, bool, str]]:
+    from . import claims
     from .scenario_io import load_scenario_file, run_scenario_file
 
     sf = load_scenario_file(path)

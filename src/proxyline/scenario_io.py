@@ -1,8 +1,14 @@
 """Scenario-file schema (version 1), trace and summary serialization.
 
-Files use 1-based proxy ids; the library is 0-based. Unknown fields are
-rejected so typos fail loudly, and so are fields that the chosen kind
-ignores; every error carries a dotted path.
+Files use 1-based proxy ids; the library is 0-based. Each file object's
+fields are declared once, in a table of the fields each of its kinds reads
+(:func:`_fields`). Unknown fields are rejected so typos fail loudly, and so
+are fields that the chosen kind ignores; every error carries a dotted path.
+
+This layer owns the file's shape: its objects and their kinds, the dotted
+paths, 1-based ids, the grid scale below and the fields a kind ignores. A
+policy's parameters go to :class:`PolicySpec` as written: their type and
+range errors are the spec's, reported at the field's path.
 
 A discrete space's ``step`` is a scale that only this layer reads: the
 library plays every grid game on the integers. Positions come in as their
@@ -47,27 +53,34 @@ class ScenarioFile:
     step: float = 1.0  # the scale from the scenario's reports to the file's
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioValidationError(f"{path}.{key}", "unknown field")
-
-
-def _object(obj, path: str) -> dict:
+def _fields(obj, path: str, table: dict, noun: str = "", read: dict | None = None) -> dict:
+    """The fields of the file object at ``path``. ``table`` maps each kind to
+    the fields it reads besides ``kind``; an object without a kind has the
+    table ``{None: fields}``. A field named in ``read`` goes through its
+    reader, whatever the kind, before the kind's fields are checked. Refused
+    at its path: a non-object, an unknown field, a ``noun`` kind that is
+    missing or unknown, and a field that the kind ignores."""
     if not isinstance(obj, dict):
         raise ScenarioValidationError(path, "expected an object")
+    kinded = None not in table
+    known = {"kind"}.union(*table.values()) if kinded else set(table[None])
+    for key in obj:
+        if key not in known:
+            raise ScenarioValidationError(f"{path}.{key}", "unknown field")
+    kind = obj.get("kind")
+    if kinded and (not isinstance(kind, str) or kind not in table):  # a list is no key
+        raise ScenarioValidationError(f"{path}.kind", f"unknown {noun} kind {kind!r}")
+    read = read or {}
+    obj = {key: read[key](v, f"{path}.{key}") if key in read else v for key, v in obj.items()}
+    ignored = sorted(obj.keys() - {"kind", *table[kind]})
+    if ignored:
+        raise ScenarioValidationError(f"{path}.{ignored[0]}", f"not used by kind {kind!r}")
     return obj
 
 
 def _int(obj, path: str) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool):
         raise ScenarioValidationError(path, "expected an integer")
-    return obj
-
-
-def _bool(obj, path: str) -> bool:
-    if not isinstance(obj, bool):
-        raise ScenarioValidationError(path, "expected true or false")
     return obj
 
 
@@ -103,50 +116,31 @@ def _index(x: float, step: float | None, path: str) -> float:
     return float(q)
 
 
-def _reject_unused(obj: dict, unused: set[str], path: str, kind: str) -> None:
-    """Reject fields that the object's kind ignores."""
-    present = sorted(unused & obj.keys())
-    if present:
-        raise ScenarioValidationError(f"{path}.{present[0]}", f"not used by kind {kind!r}")
+# the fields each kind of file object reads besides ``kind``
+_SPACES = {"continuous": (), "discrete": ("step",)}
+_SCHEDULERS = {"round_robin": (), "scripted": ("order",)}
+_POLICY_FIELDS = {kind.value: ("truth_oriented", *p.params) for kind, p in _POLICIES.items()}
 
 
 def _parse_space_step(obj, path: str) -> float | None:
     """The grid step of a space object; None for the continuous line."""
-    _require_keys(_object(obj, path), {"kind", "step"}, path)
-    kind = obj.get("kind")
-    if kind == "continuous":
-        _reject_unused(obj, {"step"}, path, kind)
+    space = _fields(obj, path, _SPACES, "space")
+    if space["kind"] == "continuous":
         return None
-    if kind == "discrete":
-        step = _number(obj.get("step", 1.0), f"{path}.step")
-        if not step > 0:
-            raise ScenarioValidationError(f"{path}.step", "step must be finite and positive")
-        return step
-    raise ScenarioValidationError(f"{path}.kind", f"unknown space kind {kind!r}")
-
-
-# the reader of each optional policy field but ``positions``, which are read on the grid
-_POLICY_PARAMS = {
-    "fraction": _number,
-    "alpha1": _number,
-    "decay": _number,
-    "truth_oriented": _bool,
-}
+    step = _number(space.get("step", 1.0), f"{path}.step")
+    if not step > 0:
+        raise ScenarioValidationError(f"{path}.step", "step must be finite and positive")
+    return step
 
 
 def _parse_policy(obj, path: str, scenario: Scenario, mode: str, step: float | None) -> PolicySpec:
-    _require_keys(_object(obj, path), {"kind", "positions"} | _POLICY_PARAMS.keys(), path)
+    """A policy object as a spec: its parameters go to :class:`PolicySpec` as
+    written, and a type or range error of the spec is reported at the field."""
+    # scripted reports are positions: on a grid, indices too
+    params = _fields(obj, path, _POLICY_FIELDS, "policy",
+                     {"positions": lambda v, at: _number_list(v, at, step)})
     try:
-        kind = PolicyKind(obj.get("kind"))
-    except ValueError:
-        raise ScenarioValidationError(f"{path}.kind", f"unknown policy kind {obj.get('kind')!r}")
-    params = {k: _POLICY_PARAMS[k](v, f"{path}.{k}") for k, v in obj.items() if k in _POLICY_PARAMS}
-    if "positions" in obj:  # scripted reports are positions: on a grid, indices too
-        params["positions"] = tuple(_number_list(obj["positions"], f"{path}.positions", step))
-    reads = {"kind", "truth_oriented", *_POLICIES[kind].params}
-    _reject_unused(obj, obj.keys() - reads, path, kind.value)
-    try:
-        spec = PolicySpec(kind, **params)
+        spec = PolicySpec(PolicyKind(params.pop("kind")), **params)
         spec.validate(scenario, mode)
     except ConfigurationError as exc:
         field = f".{exc.field}" if exc.field else ""
@@ -155,37 +149,28 @@ def _parse_policy(obj, path: str, scenario: Scenario, mode: str, step: float | N
 
 
 def _parse_scheduler(obj, path: str, num_proxies: int) -> Scheduler:
-    _require_keys(_object(obj, path), {"kind", "order"}, path)
-    kind = obj.get("kind")
-    if kind == "round_robin":
-        _reject_unused(obj, {"order"}, path, kind)
-        return Scheduler.round_robin()
-    if kind == "scripted":
-        order = obj.get("order", [])
-        if not isinstance(order, list):
-            raise ScenarioValidationError(f"{path}.order", "expected a list of 1-based proxy ids")
-        ids = []
-        for i, x in enumerate(order):
-            if not 1 <= _int(x, f"{path}.order[{i}]") <= num_proxies:
-                raise ScenarioValidationError(
-                    f"{path}.order[{i}]", f"expected a proxy id from 1 to {num_proxies}"
-                )
-            ids.append(x - 1)
-        return Scheduler.scripted(ids)
-    raise ScenarioValidationError(f"{path}.kind", f"unknown scheduler kind {kind!r}")
+    """The scripted order of 1-based proxy ids; round-robin's is empty."""
+    order = _fields(obj, path, _SCHEDULERS, "scheduler").get("order", [])
+    if not isinstance(order, list):
+        raise ScenarioValidationError(f"{path}.order", "expected a list of 1-based proxy ids")
+    ids = []
+    for i, x in enumerate(order):
+        if not 1 <= _int(x, f"{path}.order[{i}]") <= num_proxies:
+            raise ScenarioValidationError(
+                f"{path}.order[{i}]", f"expected a proxy id from 1 to {num_proxies}"
+            )
+        ids.append(x - 1)
+    return Scheduler.scripted(ids)
 
 
 def parse_scenario_file(doc: dict) -> ScenarioFile:
-    _require_keys(
-        _object(doc, "$"),
-        {"schema_version", "scenario", "policies", "scheduler", "run", "mode", "output"},
-        "$",
-    )
+    root = ("schema_version", "scenario", "policies", "scheduler", "run", "mode", "output")
+    doc = _fields(doc, "$", {None: root})
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioValidationError("$.schema_version", f"expected {SCHEMA_VERSION}")
-    sc_obj = _object(doc.get("scenario"), "$.scenario")
-    _require_keys(sc_obj, {"proxies", "followers", "space", "alt_followers"}, "$.scenario")
+    sc_obj = _fields(doc.get("scenario"), "$.scenario",
+                     {None: ("proxies", "followers", "space", "alt_followers")})
     step = _parse_space_step(sc_obj.get("space", {"kind": "continuous"}), "$.scenario.space")
     proxies = _number_list(sc_obj.get("proxies", []), "$.scenario.proxies", step)
     followers = _number_list(sc_obj.get("followers", []), "$.scenario.followers", step)
@@ -211,14 +196,12 @@ def parse_scenario_file(doc: dict) -> ScenarioFile:
         doc.get("scheduler", {"kind": "round_robin"}), "$.scheduler", len(proxies)
     )
 
-    run_obj = _object(doc.get("run", {}), "$.run")
-    _require_keys(run_obj, {"max_steps"}, "$.run")
+    run_obj = _fields(doc.get("run", {}), "$.run", {None: ("max_steps",)})
     max_steps = _int(run_obj.get("max_steps", 100), "$.run.max_steps")
     if max_steps < 1:
         raise ScenarioValidationError("$.run.max_steps", "expected an integer >= 1")
 
-    out_obj = _object(doc.get("output", {}), "$.output")
-    _require_keys(out_obj, {"trace", "summary"}, "$.output")
+    out_obj = _fields(doc.get("output", {}), "$.output", {None: ("trace", "summary")})
 
     return ScenarioFile(
         scenario=scenario,

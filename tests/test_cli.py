@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import proxyline
 from proxyline import (
-    PolicyKind, PolicySpec, Scenario, Scheduler, Space, StopReason, claims, cli, fixtures,
-    run_dynamics, true_median,
+    PolicyKind, PolicySpec, Scenario, Scheduler, Space, StopReason, claims, cli, dynamics,
+    fixtures, run_dynamics, true_median,
 )
 from proxyline.cli import main
 from proxyline.errors import ScenarioValidationError
@@ -414,6 +414,25 @@ class TestSchema:
         assert main(["--output-dir", str(tmp_path), "run", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    # an in-range value of each policy parameter, none of them the default
+    POLICY_VALUES = {"fraction": 0.75, "alpha1": 2.0, "decay": 0.125, "positions": [2.0, -1.0]}
+
+    @pytest.mark.parametrize("kind", list(PolicyKind), ids=lambda kind: kind.value)
+    def test_every_policy_kind_round_trips(self, kind):
+        # each parameter the kind reads goes to PolicySpec as written
+        policy = dynamics._POLICIES[kind]
+        values = {name: self.POLICY_VALUES[name] for name in policy.params}
+        if policy.full:  # truth_oriented plays under full information only
+            values["truth_oriented"] = True
+        doc = {
+            "schema_version": 1,
+            "scenario": {"proxies": [-1.0, 2.0], "followers": [0.0],
+                         "space": {"kind": policy.space or "discrete"}},
+            "policies": [{"kind": kind.value, **values}] * 2,
+            "mode": "full_info" if policy.full else "partial_info",
+        }
+        assert parse_scenario_file(doc).policies == [PolicySpec(kind, **values)] * 2
+
     def test_all_committed_fixtures_load(self):
         for path in sorted(fixtures_dir().glob("*.json")):
             load_scenario_file(path)
@@ -709,13 +728,22 @@ class TestParser:
             proxyline.no_such_name
 
     @pytest.mark.parametrize(
-        "argv",
-        [["run", fixture_path("example1")], ["check", fixture_path("example1")],
-         ["replicate", "example1"]],
+        "argv, claims_loaded",
+        [(["run", fixture_path("example1")], False), (["check", fixture_path("example1")], True),
+         (["replicate", "example1"], True)],
         ids=["run", "check", "replicate"],
     )
-    def test_command_imports_its_layers_in_a_new_process(self, tmp_path, argv):
+    def test_command_imports_its_layers_in_a_new_process(self, tmp_path, argv, claims_loaded):
+        # each command runs in a new process, and only those that check a
+        # claim load the claims and the oracles they call
         self.fresh_python("-m", "proxyline.cli", "--output-dir", str(tmp_path), *argv)
+        out = self.fresh_python("-c", (
+            "import sys; import proxyline.cli as cli;"
+            f" print(cli.main({['--output-dir', str(tmp_path), *argv]!r}),"
+            " sorted({'proxyline.claims', 'proxyline.oracle'} & sys.modules.keys()))"
+        ))
+        layers = ["proxyline.claims", "proxyline.oracle"] if claims_loaded else []
+        assert out.splitlines()[-1] == f"0 {layers}"
 
 
 class TestReplicate:

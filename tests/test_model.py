@@ -340,7 +340,7 @@ class TestSortedRoutes:
     def test_record_keeps_its_own_copy_of_the_state(self):
         # a caller that changes its list in place between two calls gets the
         # new state's answer, not the record of the old one
-        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        followers = tuple(float(k % 13 - 6) for k in range(39))
         sc = Scenario((-5.0, 4.0), followers)
         declared = [-5.0, 4.0]
         assert wm_winner(sc, declared) == (1, 4.0)
@@ -353,7 +353,7 @@ class TestSortedRoutes:
 
     @pytest.mark.parametrize("spellings", [((-5.0, 4.0), [-5, 4.0]), ([-5.0, 4], (-5, 4.0))])
     def test_tuple_and_list_spellings_share_a_record(self, spellings):
-        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        followers = tuple(float(k % 13 - 6) for k in range(39))
         sc = Scenario((-5.0, 4.0), followers)
         first, second = spellings
         assert wm_winner(sc, first) == (1, 4.0)
@@ -367,7 +367,7 @@ class TestSortedRoutes:
     def test_nan_next_to_a_recorded_state_is_refused(self, j):
         # NaN == NaN is false, so a NaN never matches a record: it reaches
         # the state check, also when it replaces a position of a recorded list
-        followers = tuple(float(k % 13 - 6) for k in range(model.SCAN_MAX_FOLLOWERS + 7))
+        followers = tuple(float(k % 13 - 6) for k in range(39))
         sc = Scenario((-5.0, 4.0), followers)
         declared = [-5.0, 4.0]
         wm_winner(sc, declared)
